@@ -62,8 +62,6 @@ from .tasks import (
     gen_positional_icr,
     load_streams,
     save_streams,
-    stream_from_file,
-    stream_to_file,
 )
 from .bench import (
     MixerSpec,

@@ -27,12 +27,15 @@ from .engine import (
     OvqConfig,
     OvqState,
     absorb_chunk,
+    count_readout,
     dictionary_readout,
     growth_count,
     new_centroid_budget,
     ovq_forward_chunk,
     ovq_forward_sequence,
     planned_active_components,
+    stream_chunks,
+    with_planned_chunks,
 )
 from .errors import ConfigurationError
 from .reference import (
@@ -134,15 +137,6 @@ def _fixed_vq_state(dict_k: np.ndarray, keys: np.ndarray, values: np.ndarray):
     return counts, means_v
 
 
-def _count_readout(beta, queries, dict_k, counts, means_v) -> np.ndarray:
-    populated = counts > 0
-    logits = np.full((queries.shape[0], dict_k.shape[0]), -np.inf)
-    logits[:, populated] = beta * (queries @ dict_k[populated].T) + np.log(
-        counts[populated].astype(np.float64)
-    )
-    return masked_softmax(logits) @ means_v
-
-
 def recall_benchmark(
     mixer: MixerSpec, T: int, d: int, num_probes: int, seed: int
 ) -> RecallRow:
@@ -178,14 +172,11 @@ def recall_benchmark(
     elif mixer.kind == "vq_fixed":
         dict_k = _fixed_vq_dictionary(mixer, keys, seed)
         counts, means_v = _fixed_vq_state(dict_k, keys, values)
-        out = _count_readout(mixer.beta, probe_q, dict_k, counts, means_v)
+        out = count_readout(mixer.beta, probe_q, dict_k, counts, means_v)
         scalars = mixer.vq_n * (2 * d + 1)
     else:
-        cfg = replace(mixer.ovq, beta=mixer.beta)
-        state = OvqState.fresh(cfg, d)
-        for t0 in range(0, T, cfg.chunk_len):
-            t1 = min(t0 + cfg.chunk_len, T)
-            absorb_chunk(state, keys[t0:t1], values[t0:t1])
+        state = OvqState.fresh(with_planned_chunks(replace(mixer.ovq, beta=mixer.beta), [T]), d)
+        stream_chunks(state, keys, values)
         out = dictionary_readout(state, probe_q)
         scalars = state.scalars_stored()
     wall_ms = (time.perf_counter() - start) * 1000.0
@@ -285,16 +276,20 @@ def token_task_eval(
         output, state, _ = ovq_forward_sequence(cfg, seq)
         out = output.o
         scalars = state.scalars_stored()
+    return score_task(stream, out, v_table, mixer.label, scalars)
 
+
+def score_task(stream: TokenStream, out, v_table, mixer: str, scalars: int) -> dict:
+    """Report row for one stream: nearest-neighbor decoding of the mixer
+    outputs ``out`` over the value table, scored at the target positions."""
     positions = stream.target_positions
     decoded = np.argmax(out[positions] @ v_table.T, axis=1)
-    accuracy = float(np.mean(decoded == stream.targets[positions]))
     return {
         "task": stream.meta.get("task", "unknown"),
-        "mixer": mixer.label,
-        "T": int(seq.T),
+        "mixer": mixer,
+        "T": int(len(stream)),
         "n_targets": int(len(positions)),
-        "accuracy": accuracy,
+        "accuracy": float(np.mean(decoded == stream.targets[positions])),
         "state_scalars": int(scalars),
         "untrained_probe": True,
     }
@@ -406,7 +401,7 @@ def _check_gmr_bridge(rng, sizes) -> CheckResult:
         q = seq.q[-1]
         soft = gmr.gmr_predict(mix, counts, q, seq.beta)
         expect = gmr.gmr_predict_expectation(mix, counts, q, seq.beta)
-        readout = _count_readout(seq.beta, q[None, :], dict_k, counts, means_v)[0]
+        readout = count_readout(seq.beta, q[None, :], dict_k, counts, means_v)[0]
         worst = max(worst, float(np.max(np.abs(soft - expect))))
         worst = max(worst, float(np.max(np.abs(soft - readout))))
     return CheckResult(

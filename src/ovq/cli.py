@@ -13,8 +13,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .bench import (
     MixerSpec,
@@ -24,12 +22,13 @@ from .bench import (
     recall_benchmark,
     rows_to_csv,
     rows_to_json,
+    score_task,
     state_size_sweep,
     token_embeddings,
     token_task_eval,
     verify_all,
 )
-from .engine import OvqConfig, ovq_forward_chunk
+from .engine import OvqConfig, OvqState, stream_chunks, with_planned_chunks
 from .errors import ConfigurationError, GenerationError, ParseError
 from .state_io import load_state, save_state
 from .tasks import GENERATORS, SpecialTokens, load_streams, save_streams
@@ -49,13 +48,21 @@ _MIXER_FLAGS = {
 }
 
 
+_ABLATION_FLAGS = {"none": "none", "rand-assign": "random_assign", "linear-growth": "linear_growth"}
+
+
+class _StoreTyped(argparse.Action):
+    """Store the value and record that the flag was typed, so a loaded
+    snapshot can tell given flags from defaults."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.typed = getattr(namespace, "typed", ()) + (self.dest,)
+
+
 def _parse_ablation(text: str) -> tuple[str, float | None]:
-    if text == "none":
-        return "none", None
-    if text == "rand-assign":
-        return "random_assign", None
-    if text == "linear-growth":
-        return "linear_growth", None
+    if text in _ABLATION_FLAGS:
+        return _ABLATION_FLAGS[text], None
     if text.startswith("const-lr="):
         try:
             return "constant_lr", float(text.split("=", 1)[1])
@@ -66,10 +73,10 @@ def _parse_ablation(text: str) -> tuple[str, float | None]:
     )
 
 
-def _ovq_config(args, n_max: int | None = None) -> OvqConfig:
+def _ovq_config(args, n_max: int) -> OvqConfig:
     ablation, rate = _parse_ablation(args.ablation)
     kwargs = dict(
-        n_max=args.n_max if n_max is None else n_max,
+        n_max=n_max,
         chunk_len=args.chunk_len,
         beta=args.beta,
         ablation=ablation,
@@ -80,20 +87,53 @@ def _ovq_config(args, n_max: int | None = None) -> OvqConfig:
     return OvqConfig(**kwargs)
 
 
-def _mixer_spec(args, kind: str) -> MixerSpec:
+def _mixer_spec(args, kind: str, n_max: int) -> MixerSpec:
     if kind == "ovq":
-        return MixerSpec(kind="ovq", beta=args.beta, d=args.dim, ovq=_ovq_config(args))
+        return MixerSpec(kind="ovq", beta=args.beta, d=args.dim, ovq=_ovq_config(args, n_max))
     if kind == "vq_fixed":
-        return MixerSpec(kind="vq_fixed", beta=args.beta, d=args.dim, vq_n=args.n_max)
+        return MixerSpec(kind="vq_fixed", beta=args.beta, d=args.dim, vq_n=n_max)
     return MixerSpec(kind=kind, beta=args.beta, d=args.dim)
 
 
+def _ablation_flag(ablation: str, rate: float | None) -> str:
+    if ablation == "constant_lr":
+        return f"const-lr={rate!r}"
+    return {v: k for k, v in _ABLATION_FLAGS.items()}[ablation]
+
+
+def _adopt_snapshot(args, state: OvqState) -> None:
+    """Make the engine flags describe the loaded snapshot, which is what
+    runs: a typed flag must agree with it, an untyped one takes its value."""
+    cfg = state.config
+    ran = {
+        "chunk_len": cfg.chunk_len,
+        "n_max": cfg.n_max,
+        "beta": cfg.beta,
+        "dim": state.d,
+        "seed": cfg.seed,
+        "ablation": _ablation_flag(cfg.ablation, cfg.constant_lr_rate),
+    }
+    args.ablation = _ablation_flag(*_parse_ablation(args.ablation))
+    for dest, value in ran.items():
+        given = getattr(args, dest)
+        if dest in getattr(args, "typed", ()) and given != value:
+            flag = "--" + dest.replace("_", "-")
+            raise ConfigurationError(f"{flag} {given} contradicts the loaded state ({value})")
+        setattr(args, dest, value)
+
+
 def _meta(args, extra: dict | None = None) -> dict:
-    meta = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    meta = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "typed")}
     meta["version"] = __version__
     if extra:
         meta.update(extra)
     return meta
+
+
+def _emit_rows(args, rows, schema: str, extra: dict) -> None:
+    meta = _meta(args, {"schema": schema, **extra})
+    to_text = rows_to_csv if args.format == "csv" else rows_to_json
+    _emit(to_text(rows, schema, meta), args.out)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -148,8 +188,6 @@ def _run_with_snapshots(args, streams) -> list[dict]:
     """Stream instances sequentially through one persistent engine state,
     loaded from a snapshot when asked, and score predictions at the target
     positions. The loaded snapshot's own configuration drives the engine."""
-    from .engine import OvqState
-
     vocabs = {s.vocab_size for s in streams}
     if len(vocabs) != 1:
         raise ConfigurationError("state snapshots need a uniform vocab across streams")
@@ -157,37 +195,18 @@ def _run_with_snapshots(args, streams) -> list[dict]:
 
     if args.load_state:
         state = load_state(args.load_state)
-        if state.d != args.dim:
-            raise ConfigurationError(f"loaded state has d={state.d}, run asked for d={args.dim}")
+        _adopt_snapshot(args, state)
     else:
-        state = OvqState.fresh(_ovq_config(args), args.dim)
-    chunk_len = state.config.chunk_len
+        config = with_planned_chunks(_ovq_config(args, args.n_max), [len(s) for s in streams])
+        state = OvqState.fresh(config, args.dim)
+    label = MixerSpec(kind="ovq", d=state.d, ovq=state.config).label
 
     qk_table, v_table = token_embeddings(sp.total_vocab, args.dim, args.embedding_seed)
     rows = []
     for stream in streams:
-        toks = stream.tokens
-        q = qk_table[toks]
-        v = v_table[toks]
-        outputs = []
-        for t0 in range(0, len(toks), chunk_len):
-            t1 = min(t0 + chunk_len, len(toks))
-            out, _ = ovq_forward_chunk(state, q[t0:t1], q[t0:t1], v[t0:t1])
-            outputs.append(out)
-        out = np.concatenate(outputs, axis=0)
-        positions = stream.target_positions
-        decoded = np.argmax(out[positions] @ v_table.T, axis=1)
-        rows.append(
-            {
-                "task": stream.meta.get("task", "unknown"),
-                "mixer": f"ovq(n_max={state.config.n_max},L={chunk_len})",
-                "T": int(len(toks)),
-                "n_targets": int(len(positions)),
-                "accuracy": float(np.mean(decoded == stream.targets[positions])),
-                "state_scalars": int(state.scalars_stored()),
-                "untrained_probe": True,
-            }
-        )
+        x = qk_table[stream.tokens]
+        out, _ = stream_chunks(state, x, v_table[stream.tokens], q=x)
+        rows.append(score_task(stream, out, v_table, label, state.scalars_stored()))
     if args.save_state:
         save_state(state, args.save_state)
         print(f"saved engine state to {args.save_state}", file=sys.stderr)
@@ -203,45 +222,29 @@ def _cmd_run(args) -> int:
     if kind == "ovq" and (args.save_state or args.load_state):
         rows = _run_with_snapshots(args, streams)
     else:
-        mixer = _mixer_spec(args, kind)
+        mixer = _mixer_spec(args, kind, args.n_max)
         rows = [
             token_task_eval(mixer, stream, embedding_seed=args.embedding_seed)
             for stream in streams
         ]
 
-    meta = _meta(args, {"schema": TASK_SCHEMA, "untrained_probe": True})
-    text = (
-        rows_to_csv(rows, TASK_SCHEMA, meta)
-        if args.format == "csv"
-        else rows_to_json(rows, TASK_SCHEMA, meta)
-    )
-    _emit(text, args.out)
+    _emit_rows(args, rows, TASK_SCHEMA, {"untrained_probe": True})
     return 0
 
 
 def _cmd_bench(args) -> int:
     t_grid = _int_grid(args.T)
-    mixer_kinds = [m.strip() for m in args.mixers.split(",") if m.strip()]
-    for m in mixer_kinds:
+    mixers = []
+    for m in [x.strip() for x in args.mixers.split(",") if x.strip()]:
         if m not in _MIXER_FLAGS:
             raise ConfigurationError(f"unknown mixer {m!r}; choose from {sorted(_MIXER_FLAGS)}")
-
-    mixers = []
-    for m in mixer_kinds:
         kind = _MIXER_FLAGS[m]
         if kind == "ovq":
-            for n_max in _int_grid(args.n_max_grid):
-                mixers.append(
-                    MixerSpec(
-                        kind="ovq", beta=args.beta, d=args.dim, ovq=_ovq_config(args, n_max)
-                    )
-                )
+            mixers.extend(_mixer_spec(args, kind, n) for n in _int_grid(args.n_max_grid))
         elif kind == "vq_fixed":
-            mixers.append(
-                MixerSpec(kind=kind, beta=args.beta, d=args.dim, vq_n=_int_grid(args.n_max_grid)[0])
-            )
+            mixers.append(_mixer_spec(args, kind, _int_grid(args.n_max_grid)[0]))
         else:
-            mixers.append(MixerSpec(kind=kind, beta=args.beta, d=args.dim))
+            mixers.append(_mixer_spec(args, kind, args.n_max))
 
     rows = []
     if args.bench == "state-size":
@@ -257,13 +260,7 @@ def _cmd_bench(args) -> int:
         rows.sort(key=lambda r: (r.mixer, r.T, r.seed))
         schema = RECALL_SCHEMA
 
-    meta = _meta(args, {"schema": schema})
-    text = (
-        rows_to_csv(rows, schema, meta)
-        if args.format == "csv"
-        else rows_to_json(rows, schema, meta)
-    )
-    _emit(text, args.out)
+    _emit_rows(args, rows, schema, {})
     return 0
 
 
@@ -291,15 +288,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_engine=True):
-        p.add_argument("--seed", type=int, default=0, help="base random seed")
+        p.add_argument("--seed", type=int, default=0, action=_StoreTyped, help="base random seed")
         if with_engine:
-            p.add_argument("--chunk-len", type=int, default=128, help="engine chunk length")
-            p.add_argument("--n-max", type=int, default=2048, help="dictionary capacity")
-            p.add_argument("--beta", type=float, default=16.0, help="attention logit scale")
-            p.add_argument("--dim", type=int, default=64, help="head / embedding dimension")
+            p.add_argument(
+                "--chunk-len", type=int, default=128, action=_StoreTyped, help="engine chunk length"
+            )
+            p.add_argument(
+                "--n-max", type=int, default=2048, action=_StoreTyped, help="dictionary capacity"
+            )
+            p.add_argument(
+                "--beta", type=float, default=16.0, action=_StoreTyped, help="attention logit scale"
+            )
+            p.add_argument(
+                "--dim", type=int, default=64, action=_StoreTyped, help="head / embedding dimension"
+            )
             p.add_argument(
                 "--ablation",
                 default="none",
+                action=_StoreTyped,
                 help="none, rand-assign, linear-growth, or const-lr=R",
             )
         p.add_argument(

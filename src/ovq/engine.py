@@ -47,11 +47,9 @@ class OvqConfig:
     n_max: int
     chunk_len: int = 128
     beta: float = 8.0
-    normalize_centroids: bool = False
     ablation: str = "none"
     constant_lr_rate: float = 0.25
     sequential_merge: bool = False
-    joint_assignment: bool = False
     seed: int = 0
     planned_chunks: int | None = None
     dtype: str = "float64"
@@ -135,27 +133,37 @@ def growth_count(t: int, n_max: int) -> int:
     return (t * n_max) // (t + n_max)
 
 
-def new_centroid_budget(
-    chunk_index: int, config: OvqConfig, planned_chunks: int | None = None
-) -> int:
+def new_centroid_budget(chunk_index: int, config: OvqConfig) -> int:
     """Centroids to add after chunk ``chunk_index`` (1-based), i.e. the
     capacity step between L*(c-1) and L*c tokens. Under the linear_growth
-    ablation the cap is instead spread evenly over ``planned_chunks``."""
+    ablation the cap is instead spread evenly over ``config.planned_chunks``."""
     if chunk_index < 1:
         raise ConfigurationError(f"chunk_index must be >= 1, got {chunk_index}")
+    tokens_before = config.chunk_len * (chunk_index - 1)
+    return _schedule_step(tokens_before, config.chunk_len, chunk_index, config)
+
+
+def _schedule_step(tokens_before: int, lc: int, chunk_index: int, config: OvqConfig) -> int:
+    """Growth of the capacity schedule across one chunk of ``lc`` tokens."""
     if config.ablation == "linear_growth":
-        planned = planned_chunks if planned_chunks is not None else config.planned_chunks
-        if planned is None:
+        if config.planned_chunks is None:
             raise ConfigurationError(
                 "linear_growth needs planned_chunks (the expected chunk count)"
             )
-        per = int(round(config.n_max / planned))
-        allocated_after = min(per * chunk_index, config.n_max)
-        allocated_before = min(per * (chunk_index - 1), config.n_max)
-        return allocated_after - allocated_before
-    lo = growth_count(config.chunk_len * (chunk_index - 1), config.n_max)
-    hi = growth_count(config.chunk_len * chunk_index, config.n_max)
-    return hi - lo
+        per = int(round(config.n_max / config.planned_chunks))
+        return min(per * chunk_index, config.n_max) - min(per * (chunk_index - 1), config.n_max)
+    n_max = config.n_max
+    return growth_count(tokens_before + lc, n_max) - growth_count(tokens_before, n_max)
+
+
+def with_planned_chunks(config: OvqConfig, stream_lengths) -> OvqConfig:
+    """The configuration for streams of ``stream_lengths`` tokens fed one
+    after another from a fresh state: under linear_growth an unset
+    ``planned_chunks`` becomes the number of chunks those streams make."""
+    if config.ablation != "linear_growth" or config.planned_chunks is not None:
+        return config
+    planned = sum(math.ceil(n / config.chunk_len) for n in stream_lengths)
+    return replace(config, planned_chunks=max(1, planned))
 
 
 def planned_active_components(total_tokens: int, config: OvqConfig) -> int:
@@ -164,6 +172,7 @@ def planned_active_components(total_tokens: int, config: OvqConfig) -> int:
     engine's realized growth, including the first-chunk bootstrap."""
     if total_tokens < 0:
         raise ConfigurationError("total_tokens must be >= 0")
+    config = with_planned_chunks(config, [total_tokens])
     active = 0
     tokens = 0
     chunk_index = 0
@@ -181,12 +190,7 @@ def _chunk_budget(
 ) -> int:
     """Budget for one concrete chunk, evaluated at true token counts so a
     short final chunk never over-allocates."""
-    if config.ablation == "linear_growth":
-        n_new = new_centroid_budget(chunk_index, config)
-    else:
-        n_new = growth_count(tokens_before + lc, config.n_max) - growth_count(
-            tokens_before, config.n_max
-        )
+    n_new = _schedule_step(tokens_before, lc, chunk_index, config)
     # A nonempty chunk facing an empty dictionary must seed at least one
     # centroid, otherwise its tokens have nowhere to go. This only fires
     # when the schedule rounds the first step to zero (tiny chunks or
@@ -203,7 +207,6 @@ def select_new_centroids(
     state: OvqState,
     n_new: int,
     rng: np.random.Generator | None = None,
-    v_chunk: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pick which chunk positions seed new centroids.
 
@@ -226,41 +229,22 @@ def select_new_centroids(
             rng = np.random.default_rng(state.config.seed)
         return np.sort(rng.choice(lc, size=n_new, replace=False)).astype(np.int64)
 
-    use_joint = state.config.joint_assignment and v_chunk is not None
-    points = np.concatenate([k_chunk, v_chunk], axis=1) if use_joint else k_chunk
-
     if state.n_active == 0:
         selected = [0]
         if n_new > 1:
-            best = points @ points[0]
+            best = k_chunk @ k_chunk[0]
             best[0] = np.inf
             for _ in range(n_new - 1):
                 pick = int(np.argmin(best))
                 selected.append(pick)
-                sims = points @ points[pick]
+                sims = k_chunk @ k_chunk[pick]
                 best = np.maximum(best, sims)
                 best[pick] = np.inf
         return np.array(sorted(selected), dtype=np.int64)
 
-    centroids = _active_reference(state, use_joint)
-    best_sim = np.max(points @ centroids.T, axis=1)
+    best_sim = np.max(k_chunk @ state.means_k[: state.n_active].T, axis=1)
     order = np.argsort(best_sim, kind="stable")
     return np.sort(order[:n_new]).astype(np.int64)
-
-
-def _active_reference(state: OvqState, use_joint: bool) -> np.ndarray:
-    if use_joint:
-        return np.concatenate(
-            [state.means_k[: state.n_active], state.means_v[: state.n_active]], axis=1
-        )
-    return state.means_k[: state.n_active]
-
-
-def _assign_to_active(state: OvqState, k_chunk, v_chunk) -> np.ndarray:
-    use_joint = state.config.joint_assignment
-    points = np.concatenate([k_chunk, v_chunk], axis=1) if use_joint else k_chunk
-    sims = points @ _active_reference(state, use_joint).T
-    return np.argmax(sims, axis=1).astype(np.int64)
 
 
 def update_dictionary(
@@ -318,7 +302,6 @@ def update_dictionary(
     targets = assignments[merge_idx]
 
     lrs = np.ones(lc)
-    touched = set(int(i) for i in fresh)
 
     if len(merge_idx):
         counts_pre = state.counts[targets].copy()
@@ -343,13 +326,6 @@ def update_dictionary(
             lr_col = merge_lrs.astype(dt)[:, None]
             np.add.at(state.means_k, targets, lr_col * (k_chunk[merge_idx] - mu_k_pre))
             np.add.at(state.means_v, targets, lr_col * (v_chunk[merge_idx] - mu_v_pre))
-        touched.update(int(t) for t in targets)
-
-    if cfg.normalize_centroids and touched:
-        rows = np.array(sorted(touched), dtype=np.int64)
-        norms = np.linalg.norm(state.means_k[rows], axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        state.means_k[rows] = state.means_k[rows] / norms.astype(dt)
 
     return ChunkUpdateRecord(
         assignments=assignments.copy(),
@@ -363,13 +339,27 @@ def _chunk_rng(config: OvqConfig, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, chunk_index])
 
 
+def _dictionary_logits(beta: float, queries, means_k, counts) -> np.ndarray:
+    """beta * q . D_k^T + log counts; a row with count 0 gets -inf, so it
+    never receives weight."""
+    with np.errstate(divide="ignore"):
+        return beta * (queries @ means_k.T) + np.log(counts.astype(np.float64))
+
+
+def count_readout(beta: float, queries, means_k, counts, means_v) -> np.ndarray:
+    """softmax(beta * q . D_k^T + log counts) . D_v over the rows whose
+    count is nonzero: the mixture readout of a count-weighted dictionary."""
+    logits = _dictionary_logits(beta, queries, means_k, counts)
+    w = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    w /= np.sum(w, axis=1, keepdims=True)
+    return w @ means_v
+
+
 def _predict_chunk(state: OvqState, q_chunk, k_chunk, v_chunk) -> np.ndarray:
     cfg = state.config
     na = state.n_active
     lc = q_chunk.shape[0]
-    logits_dict = cfg.beta * (q_chunk @ state.means_k[:na].T) + np.log(
-        state.counts[:na].astype(np.float64)
-    )
+    logits_dict = _dictionary_logits(cfg.beta, q_chunk, state.means_k[:na], state.counts[:na])
     logits_chunk = cfg.beta * (q_chunk @ k_chunk.T)
     local = np.arange(lc)
     horizon = local[:, None] + (1 if cfg._fault == "mask_off_by_one" else 0)
@@ -382,7 +372,9 @@ def _predict_chunk(state: OvqState, q_chunk, k_chunk, v_chunk) -> np.ndarray:
     return w @ np.concatenate([state.means_v[:na], v_chunk], axis=0)
 
 
-def _validate_chunk(state: OvqState, q_chunk, k_chunk, v_chunk, check_queries: bool):
+def _validate_chunk(state: OvqState, q_chunk, k_chunk, v_chunk):
+    """[L, d] arrays with 1 <= L <= chunk_len, finite, with unit-norm query
+    and key rows; ``q_chunk`` is None for an absorb-only chunk."""
     lc = k_chunk.shape[0]
     if lc < 1:
         raise ConfigurationError("empty chunk")
@@ -393,15 +385,14 @@ def _validate_chunk(state: OvqState, q_chunk, k_chunk, v_chunk, check_queries: b
     for name, m in (("q", q_chunk), ("k", k_chunk), ("v", v_chunk)):
         if m is None:
             continue
-        if m.ndim != 2 or m.shape[1] != state.d:
-            raise ConfigurationError(f"{name} chunk must be [L, {state.d}]")
-    norms = np.linalg.norm(k_chunk, axis=1)
-    if np.any(np.abs(norms - 1.0) > UNIT_NORM_ATOL):
-        raise ConfigurationError("k chunk rows must be unit norm")
-    if check_queries:
-        norms = np.linalg.norm(q_chunk, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_ATOL):
-            raise ConfigurationError("q chunk rows must be unit norm")
+        if m.shape != (lc, state.d):
+            raise ConfigurationError(f"{name} chunk must be [{lc}, {state.d}], got {m.shape}")
+        if name != "v":
+            # "<=" so that a NaN or infinite norm fails too.
+            if not np.all(np.abs(np.linalg.norm(m, axis=1) - 1.0) <= UNIT_NORM_ATOL):
+                raise ConfigurationError(f"{name} chunk rows must be finite and unit norm")
+        elif not np.isfinite(m).all():
+            raise ConfigurationError("v chunk has non-finite entries")
 
 
 def absorb_chunk(state: OvqState, k_chunk, v_chunk) -> ChunkUpdateRecord:
@@ -410,16 +401,17 @@ def absorb_chunk(state: OvqState, k_chunk, v_chunk) -> ChunkUpdateRecord:
     dt = DTYPES[state.config.dtype]
     k_chunk = np.asarray(k_chunk, dtype=dt)
     v_chunk = np.asarray(v_chunk, dtype=dt)
-    _validate_chunk(state, None, k_chunk, v_chunk, check_queries=False)
+    _validate_chunk(state, None, k_chunk, v_chunk)
     lc = k_chunk.shape[0]
     chunk_index = state.chunks_seen + 1
     n_new = _chunk_budget(state.tokens_seen, lc, chunk_index, state.n_active, state.config)
     rng = _chunk_rng(state.config, chunk_index)
-    new_pos = select_new_centroids(k_chunk, state, n_new, rng=rng, v_chunk=v_chunk)
+    new_pos = select_new_centroids(k_chunk, state, n_new, rng=rng)
 
     assignments = np.zeros(lc, dtype=np.int64)
     if state.n_active > 0:
-        assignments = _assign_to_active(state, k_chunk, v_chunk)
+        sims = k_chunk @ state.means_k[: state.n_active].T
+        assignments = np.argmax(sims, axis=1).astype(np.int64)
     if len(new_pos):
         assignments[new_pos] = state.n_active + np.arange(len(new_pos))
     if state.n_active == 0:
@@ -429,18 +421,7 @@ def absorb_chunk(state: OvqState, k_chunk, v_chunk) -> ChunkUpdateRecord:
             raise InvalidStateError("empty dictionary with no centroid budget")
         others = np.setdiff1d(np.arange(lc), new_pos, assume_unique=False)
         if len(others):
-            use_joint = state.config.joint_assignment
-            pts = (
-                np.concatenate([k_chunk, v_chunk], axis=1)[others]
-                if use_joint
-                else k_chunk[others]
-            )
-            seeds = (
-                np.concatenate([k_chunk, v_chunk], axis=1)[new_pos]
-                if use_joint
-                else k_chunk[new_pos]
-            )
-            assignments[others] = np.argmax(pts @ seeds.T, axis=1)
+            assignments[others] = np.argmax(k_chunk[others] @ k_chunk[new_pos].T, axis=1)
 
     record = update_dictionary(state, k_chunk, v_chunk, assignments, new_pos)
     state.tokens_seen += lc
@@ -459,7 +440,7 @@ def ovq_forward_chunk(
     q_chunk = np.asarray(q_chunk, dtype=dt)
     k_chunk = np.asarray(k_chunk, dtype=dt)
     v_chunk = np.asarray(v_chunk, dtype=dt)
-    _validate_chunk(state, q_chunk, k_chunk, v_chunk, check_queries=True)
+    _validate_chunk(state, q_chunk, k_chunk, v_chunk)
     out = _predict_chunk(state, q_chunk, k_chunk, v_chunk)
     record = absorb_chunk(state, k_chunk, v_chunk)
     return out, record
@@ -473,33 +454,42 @@ def dictionary_readout(state: OvqState, queries: np.ndarray) -> np.ndarray:
         raise InvalidStateError("readout from an empty dictionary")
     queries = np.atleast_2d(np.asarray(queries, dtype=DTYPES[state.config.dtype]))
     na = state.n_active
-    logits = state.config.beta * (queries @ state.means_k[:na].T) + np.log(
-        state.counts[:na].astype(np.float64)
+    return count_readout(
+        state.config.beta, queries, state.means_k[:na], state.counts[:na], state.means_v[:na]
     )
-    m = np.max(logits, axis=1, keepdims=True)
-    w = np.exp(logits - m)
-    w /= np.sum(w, axis=1, keepdims=True)
-    return w @ state.means_v[:na]
+
+
+def stream_chunks(state: OvqState, k, v, q=None) -> tuple[np.ndarray | None, list[tuple[int, int]]]:
+    """Feed a stream through ``state`` in chunks of ``config.chunk_len``
+    (the last chunk may be short). With queries every chunk is predicted
+    and then absorbed; without, it is only absorbed.
+
+    Returns the stacked outputs (None without queries) and a trace of
+    (tokens seen, live state scalars) at every chunk boundary.
+    """
+    if len(k) < 1 or len(v) != len(k) or (q is not None and len(q) != len(k)):
+        raise ConfigurationError("stream needs one or more tokens and equally long q/k/v")
+    step = state.config.chunk_len
+    outputs = []
+    trace: list[tuple[int, int]] = []
+    for start in range(0, len(k), step):
+        chunk = slice(start, start + step)
+        if q is None:
+            absorb_chunk(state, k[chunk], v[chunk])
+        else:
+            outputs.append(ovq_forward_chunk(state, q[chunk], k[chunk], v[chunk])[0])
+        trace.append((state.tokens_seen, state.scalars_stored()))
+    return (None if q is None else np.concatenate(outputs, axis=0)), trace
 
 
 def ovq_forward_sequence(
     config: OvqConfig, seq: HeadSequence
 ) -> tuple[AttentionOutput, OvqState, list[tuple[int, int]]]:
-    """Stream a whole sequence chunk by chunk.
+    """Stream a whole sequence chunk by chunk from a fresh state.
 
     Returns the concatenated outputs, the final state, and a trace of
     (tokens seen, live state scalars) at every chunk boundary.
     """
-    if config.ablation == "linear_growth" and config.planned_chunks is None:
-        config = replace(config, planned_chunks=math.ceil(seq.T / config.chunk_len))
-    state = OvqState.fresh(config, seq.d)
-    outputs = []
-    trace: list[tuple[int, int]] = []
-    for start in range(0, seq.T, config.chunk_len):
-        stop = min(start + config.chunk_len, seq.T)
-        out, _ = ovq_forward_chunk(
-            state, seq.q[start:stop], seq.k[start:stop], seq.v[start:stop]
-        )
-        outputs.append(out)
-        trace.append((state.tokens_seen, state.scalars_stored()))
-    return AttentionOutput(np.concatenate(outputs, axis=0)), state, trace
+    state = OvqState.fresh(with_planned_chunks(config, [seq.T]), seq.d)
+    out, trace = stream_chunks(state, seq.k, seq.v, q=seq.q)
+    return AttentionOutput(out), state, trace

@@ -68,6 +68,9 @@ class HeadSequence:
         # beta = 0 (uniform weights) is legal; negative is not.
         if not (self.beta >= 0.0):
             raise ConfigurationError(f"beta must be >= 0, got {self.beta}")
+        for name in ("q", "k", "v"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigurationError(f"{name} has non-finite entries")
         _check_unit_rows(self.q, "q")
         _check_unit_rows(self.k, "k")
 

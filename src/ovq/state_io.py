@@ -3,6 +3,7 @@
 Layout (all little-endian): a 4-byte magic and u32 version, a fixed
 header carrying dimensions, counters, and the full configuration, then
 the row-major key means, value means, and counts for all n_max rows.
+Two header flag bytes belong to retired configuration fields and must be 0.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ def save_state(state: OvqState, path) -> None:
         state.chunks_seen,
         cfg.beta,
         cfg.chunk_len,
-        int(cfg.normalize_centroids),
+        0,
         int(cfg.sequential_merge),
-        int(cfg.joint_assignment),
+        0,
         _ABLATION_CODE[cfg.ablation] | (_DTYPE_CODE[cfg.dtype] << 4),
         cfg.constant_lr_rate,
         cfg.seed,
@@ -66,9 +67,9 @@ def load_state(path) -> OvqState:
         chunks_seen,
         beta,
         chunk_len,
-        normalize,
+        retired_a,
         sequential_merge,
-        joint,
+        retired_b,
         packed_codes,
         const_rate,
         seed,
@@ -78,6 +79,8 @@ def load_state(path) -> OvqState:
         raise ParseError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise ParseError(f"unsupported state version {version}")
+    if retired_a or retired_b:
+        raise ParseError("state uses a retired configuration flag")
     ablation_code = packed_codes & 0x0F
     dtype_code = packed_codes >> 4
     if ablation_code not in _CODE_ABLATION or dtype_code not in _CODE_DTYPE:
@@ -94,11 +97,9 @@ def load_state(path) -> OvqState:
         n_max=n_max,
         chunk_len=chunk_len,
         beta=beta,
-        normalize_centroids=bool(normalize),
         ablation=_CODE_ABLATION[ablation_code],
         constant_lr_rate=const_rate,
         sequential_merge=bool(sequential_merge),
-        joint_assignment=bool(joint),
         seed=seed,
         planned_chunks=None if planned < 0 else planned,
         dtype=dtype,
@@ -109,7 +110,7 @@ def load_state(path) -> OvqState:
     means_v = np.frombuffer(raw, dtype=f"<f{itemsize}", count=n_max * d, offset=off)
     off += mat_bytes
     counts = np.frombuffer(raw, dtype="<i8", count=n_max, offset=off)
-    return OvqState(
+    state = OvqState(
         config=cfg,
         d=d,
         means_k=means_k.reshape(n_max, d).copy(),
@@ -119,3 +120,20 @@ def load_state(path) -> OvqState:
         tokens_seen=tokens_seen,
         chunks_seen=chunks_seen,
     )
+    _check_invariants(state)
+    return state
+
+
+def _check_invariants(state: OvqState) -> None:
+    """Reject a snapshot that no stream of chunks could have produced."""
+    na, counts, means = state.n_active, state.counts, (state.means_k, state.means_v)
+    if na > state.config.n_max:
+        raise ParseError(f"state has {na} active rows, above n_max {state.config.n_max}")
+    if np.any(counts[:na] < 1) or np.any(counts[na:] != 0):
+        raise ParseError("state counts must be >= 1 on active rows and 0 on the rest")
+    if int(counts.sum()) != state.tokens_seen:
+        raise ParseError(f"state counts sum to {counts.sum()}, not tokens_seen {state.tokens_seen}")
+    if any(np.any(m[na:]) for m in means):
+        raise ParseError("state rows past n_active must be zero")
+    if not all(np.isfinite(m).all() for m in means):
+        raise ParseError("state means must be finite")

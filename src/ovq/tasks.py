@@ -423,15 +423,3 @@ def load_streams(path, fmt: str = "jsonl") -> list[TokenStream]:
         return streams
     raise ConfigurationError(f"unknown stream format {fmt!r}")
 
-
-def stream_to_file(stream: TokenStream, path, fmt: str = "jsonl") -> None:
-    """Write a single stream (one record)."""
-    save_streams([stream], path, fmt=fmt)
-
-
-def stream_from_file(path, fmt: str = "jsonl") -> TokenStream:
-    """Read a single-stream file; more or fewer records is an error."""
-    streams = load_streams(path, fmt=fmt)
-    if len(streams) != 1:
-        raise ParseError(f"expected exactly one stream record, found {len(streams)}")
-    return streams[0]

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from ovq import load_state, load_streams
+from ovq.cli import main
 
 
 def run_cli(*args, **kw):
@@ -76,6 +77,42 @@ class TestRun:
         )
         assert res.returncode == 0, res.stderr
 
+    def _save_snapshot(self, stream_file, tmp_path):
+        snap = tmp_path / "state.bin"
+        code = main([
+            "run", "--stream", str(stream_file), "--dim", "32", "--n-max", "128",
+            "--chunk-len", "64", "--save-state", str(snap), "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 0
+        return snap
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--chunk-len", "16"), ("--n-max", "999"), ("--beta", "2"), ("--dim", "16"),
+        ("--seed", "3"), ("--ablation", "rand-assign"),
+    ])
+    def test_load_state_rejects_a_contradicting_flag(
+        self, stream_file, tmp_path, capsys, flag, value
+    ):
+        snap = self._save_snapshot(stream_file, tmp_path)
+        code = main([
+            "run", "--stream", str(stream_file), "--load-state", str(snap), flag, value,
+            "--out", str(tmp_path / "r2.csv"),
+        ])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_load_state_meta_reports_the_snapshot_config(self, stream_file, tmp_path, capsys):
+        snap = self._save_snapshot(stream_file, tmp_path)
+        code = main([
+            "run", "--stream", str(stream_file), "--load-state", str(snap), "--chunk-len", "64",
+            "--format", "json",
+        ])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        meta = doc["meta"]
+        assert (meta["chunk_len"], meta["n_max"], meta["dim"]) == (64, 128, 32)
+        assert doc["rows"][0]["mixer"] == "ovq(n_max=128,L=64)"
+
     def test_state_flags_rejected_for_other_mixers(self, stream_file, tmp_path):
         res = run_cli(
             "run", "--stream", str(stream_file), "--mixer", "full-attention",
@@ -119,6 +156,37 @@ class TestBench:
         run_cli("gen", "--task", "icl", "--num-functions", "2", "--num-examples", "2", "--out", str(out))
         res = run_cli("run", "--stream", str(out), "--mixer", "ovq", "--ablation", "sideways")
         assert res.returncode == 2
+
+
+class TestLinearGrowthAblation:
+    @pytest.fixture()
+    def stream_file(self, tmp_path):
+        out = tmp_path / "s.jsonl"
+        assert main([
+            "gen", "--task", "basic_icr", "--num-pairs", "10", "--key-len", "2",
+            "--val-len", "2", "--num-queries", "2", "--count", "2", "--out", str(out),
+        ]) == 0
+        return out
+
+    def test_run_with_saved_state(self, stream_file, tmp_path):
+        snap = tmp_path / "lg.bin"
+        code = main([
+            "run", "--stream", str(stream_file), "--dim", "32", "--n-max", "64",
+            "--chunk-len", "16", "--ablation", "linear-growth", "--save-state", str(snap),
+            "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 0
+        state = load_state(snap)
+        # Planned over both streams, each ending in a short chunk.
+        assert state.config.planned_chunks == state.chunks_seen == 10
+
+    @pytest.mark.parametrize("bench", ["recall", "state-size"])
+    def test_bench(self, bench, tmp_path):
+        code = main([
+            "bench", "--bench", bench, "--mixers", "ovq", "--T", "256", "--n-max-grid", "64",
+            "--dim", "32", "--ablation", "linear-growth", "--out", str(tmp_path / "b.csv"),
+        ])
+        assert code == 0
 
 
 class TestVerify:

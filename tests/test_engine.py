@@ -282,15 +282,6 @@ class TestUpdateDictionary:
                 np.array([0, 1]),
             )
 
-    def test_normalization_keeps_key_rows_unit(self):
-        rng = np.random.default_rng(12)
-        cfg = OvqConfig(n_max=4, chunk_len=4, normalize_centroids=True)
-        state = OvqState.fresh(cfg, 5)
-        for _ in range(3):
-            absorb_chunk(state, unit_rows(rng, 4, 5), rng.standard_normal((4, 5)))
-        norms = np.linalg.norm(state.means_k[: state.n_active], axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-
 
 class TestForwardChunk:
     def test_first_chunk_equals_plain_attention(self):
@@ -352,6 +343,35 @@ class TestForwardChunk:
             ovq_forward_chunk(
                 state, unit_rows(rng, 2, 5), unit_rows(rng, 2, 5), rng.standard_normal((2, 5))
             )
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "name,bad", [("q", np.nan), ("k", np.nan), ("k", np.inf), ("v", np.nan), ("v", np.inf)]
+    )
+    def test_forward_chunk_rejects_and_names_the_array(self, name, bad):
+        rng = np.random.default_rng(43)
+        state = OvqState.fresh(OvqConfig(n_max=8, chunk_len=4), 3)
+        arrays = {"q": unit_rows(rng, 4, 3), "k": unit_rows(rng, 4, 3)}
+        arrays["v"] = rng.standard_normal((4, 3))
+        arrays[name][1, 0] = bad
+        with pytest.raises(ConfigurationError, match=rf"\b{name}\b.*finite"):
+            ovq_forward_chunk(state, arrays["q"], arrays["k"], arrays["v"])
+        assert state.tokens_seen == 0 and state.n_active == 0
+
+    @pytest.mark.parametrize("name,bad", [("k", np.nan), ("v", np.inf)])
+    def test_absorb_rejects_and_leaves_state_alone(self, name, bad):
+        rng = np.random.default_rng(44)
+        state = OvqState.fresh(OvqConfig(n_max=8, chunk_len=4), 3)
+        absorb_chunk(state, unit_rows(rng, 4, 3), rng.standard_normal((4, 3)))
+        before = (state.means_k.copy(), state.means_v.copy(), state.counts.copy())
+        arrays = {"k": unit_rows(rng, 4, 3), "v": rng.standard_normal((4, 3))}
+        arrays[name][3, 2] = bad
+        with pytest.raises(ConfigurationError, match=rf"\b{name}\b.*finite"):
+            absorb_chunk(state, arrays["k"], arrays["v"])
+        assert state.tokens_seen == 4
+        for now, then in zip((state.means_k, state.means_v, state.counts), before):
+            assert np.array_equal(now, then)
 
 
 class TestForwardSequence:
@@ -430,13 +450,6 @@ class TestForwardSequence:
         )
         assert state32.means_k.dtype == np.float32
         np.testing.assert_allclose(out32.o, out64.o, atol=1e-4)
-
-    def test_joint_assignment_flag_runs_and_conserves_counts(self):
-        rng = np.random.default_rng(26)
-        seq = random_sequence(rng, 100, 8, 8.0)
-        cfg = OvqConfig(n_max=32, chunk_len=16, beta=8.0, joint_assignment=True)
-        _, state, _ = ovq_forward_sequence(cfg, seq)
-        assert int(state.counts.sum()) == 100
 
 
 class TestDictionaryReadout:

@@ -1,0 +1,76 @@
+"""Engine invariants over generated configurations: every ablation, both
+dtypes, capacities 1..64 and chunk lengths 1..32, with stream lengths that
+leave a short last chunk as often as not."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from ovq import HeadSequence, OvqConfig, OvqState, ovq_forward_chunk, ovq_forward_sequence
+from ovq.engine import ABLATIONS, DTYPES
+
+from helpers import random_sequence
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def streams(draw):
+    ablation = draw(st.sampled_from(ABLATIONS))
+    chunk_len = draw(st.integers(1, 32))
+    cfg = OvqConfig(
+        n_max=draw(st.integers(1, 64)),
+        chunk_len=chunk_len,
+        beta=draw(st.sampled_from([0.0, 1.0, 8.0])),
+        ablation=ablation,
+        # Fixed up front so a prefix and its extension share one plan.
+        planned_chunks=draw(st.integers(1, 12)) if ablation == "linear_growth" else None,
+        seed=draw(st.integers(0, 2**16)),
+        dtype=draw(st.sampled_from(sorted(DTYPES))),
+    )
+    t = draw(st.integers(1, 6 * chunk_len))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return cfg, random_sequence(rng, t, draw(st.integers(1, 8)), cfg.beta)
+
+
+@PROPERTY_SETTINGS
+@given(streams())
+def test_counts_conserved_and_memory_bounded(case):
+    cfg, seq = case
+    _, state, trace = ovq_forward_sequence(cfg, seq)
+    assert state.tokens_seen == seq.T
+    assert int(state.counts.sum()) == seq.T
+    assert 1 <= state.n_active <= cfg.n_max
+    assert np.all(state.counts[: state.n_active] >= 1)
+    assert not np.any(state.counts[state.n_active :])
+    assert not np.any(state.means_k[state.n_active :])
+    assert not np.any(state.means_v[state.n_active :])
+    assert [tokens for tokens, _ in trace] == [
+        min(c * cfg.chunk_len, seq.T) for c in range(1, len(trace) + 1)
+    ]
+    assert all(s <= cfg.n_max * (2 * seq.d + 1) for _, s in trace)
+
+
+@PROPERTY_SETTINGS
+@given(streams(), st.integers(1, 5))
+def test_prefix_outputs_unchanged_when_more_chunks_follow(case, prefix_chunks):
+    cfg, seq = case
+    cut = min(prefix_chunks * cfg.chunk_len, seq.T)
+    prefix = HeadSequence(seq.q[:cut], seq.k[:cut], seq.v[:cut], seq.beta)
+    short_out, _, _ = ovq_forward_sequence(cfg, prefix)
+    long_out, _, _ = ovq_forward_sequence(cfg, seq)
+    assert np.array_equal(short_out.o, long_out.o[:cut])
+
+
+@PROPERTY_SETTINGS
+@given(streams())
+def test_rows_a_chunk_never_touches_stay_bitwise_stable(case):
+    cfg, seq = case
+    state = OvqState.fresh(cfg, seq.d)
+    for start in range(0, seq.T, cfg.chunk_len):
+        chunk = slice(start, start + cfg.chunk_len)
+        before = (state.means_k.copy(), state.means_v.copy(), state.counts.copy())
+        _, record = ovq_forward_chunk(state, seq.q[chunk], seq.k[chunk], seq.v[chunk])
+        untouched = np.setdiff1d(np.arange(cfg.n_max), record.assignments)
+        assert np.array_equal(state.means_k[untouched], before[0][untouched])
+        assert np.array_equal(state.means_v[untouched], before[1][untouched])
+        assert np.array_equal(state.counts[untouched], before[2][untouched])

@@ -38,6 +38,16 @@ class TestHeadSequence:
         with pytest.raises(ConfigurationError):
             HeadSequence(q * 2.0, q, np.zeros((4, 3)), 1.0)
 
+    @pytest.mark.parametrize(
+        "name,bad", [("q", np.nan), ("k", np.nan), ("v", np.nan), ("v", np.inf)]
+    )
+    def test_rejects_non_finite_entries_and_names_the_array(self, name, bad):
+        rng = np.random.default_rng(0)
+        arrays = {"q": unit_rows(rng, 4, 3), "k": unit_rows(rng, 4, 3), "v": np.zeros((4, 3))}
+        arrays[name][2, 1] = bad
+        with pytest.raises(ConfigurationError, match=rf"\b{name}\b.*non-finite"):
+            HeadSequence(arrays["q"], arrays["k"], arrays["v"], 1.0)
+
     def test_rejects_negative_beta(self):
         rng = np.random.default_rng(0)
         q = unit_rows(rng, 2, 3)

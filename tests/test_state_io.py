@@ -106,3 +106,68 @@ class TestCorruption:
         path.write_bytes(b"OVQS")
         with pytest.raises(ParseError):
             load_state(path)
+
+
+def _break_active_count(state):
+    state.counts[0] = 0
+    state.counts[1] += 1
+
+
+def _break_idle_count(state):
+    state.counts[state.n_active] = 1
+    state.tokens_seen += 1
+
+
+def _break_idle_row(state):
+    state.means_v[state.n_active, 0] = 0.5
+
+
+def _break_finite_mean(state):
+    state.means_k[0, 0] = np.nan
+
+
+def _break_capacity(state):
+    state.n_active = state.config.n_max + 1
+
+
+def _break_token_total(state):
+    state.tokens_seen += 3
+
+
+class TestImpossibleSnapshots:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _break_active_count,
+            _break_idle_count,
+            _break_idle_row,
+            _break_finite_mean,
+            _break_capacity,
+            _break_token_total,
+        ],
+    )
+    def test_broken_invariant_is_a_parse_error(self, tmp_path, corrupt):
+        rng = np.random.default_rng(5)
+        state = _streamed_state(rng, OvqConfig(n_max=32, chunk_len=8), 4, chunks=2)
+        assert state.n_active < 32
+        corrupt(state)
+        path = tmp_path / "bad.bin"
+        save_state(state, path)
+        with pytest.raises(ParseError):
+            load_state(path)
+
+    @pytest.mark.parametrize("offset", [0, 2])
+    def test_retired_header_bytes_must_be_zero(self, tmp_path, offset):
+        rng = np.random.default_rng(6)
+        state = _streamed_state(rng, OvqConfig(n_max=16, chunk_len=8), 4, chunks=1)
+        path = tmp_path / "flag.bin"
+        save_state(state, path)
+        raw = bytearray(path.read_bytes())
+        # magic, version, d, n_max, n_active, tokens, chunks, beta, chunk_len,
+        # then four flag bytes: retired, sequential_merge, retired, codes.
+        flags = 4 + 4 + 3 * 4 + 2 * 8 + 8 + 4
+        assert raw[flags + offset] == 0
+        raw[flags + offset] = 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError):
+            load_state(path)

@@ -16,8 +16,6 @@ from ovq import (
     gen_positional_icr,
     load_streams,
     save_streams,
-    stream_from_file,
-    stream_to_file,
 )
 from ovq.tasks import (
     apply_linear_function,
@@ -200,14 +198,14 @@ class TestStreamFiles:
     def test_jsonl_round_trip(self, tmp_path):
         s = gen_basic_icr(num_pairs=10, key_len=2, val_len=2, num_queries=2, seed=15)
         path = tmp_path / "s.jsonl"
-        stream_to_file(s, path)
-        assert stream_from_file(path) == s
+        save_streams([s], path)
+        assert load_streams(path) == [s]
 
     def test_binary_round_trip(self, tmp_path):
         s = gen_positional_icr(num_keys=4, seed=16)
         path = tmp_path / "s.bin"
-        stream_to_file(s, path, fmt="bin")
-        assert stream_from_file(path, fmt="bin") == s
+        save_streams([s], path, fmt="bin")
+        assert load_streams(path, fmt="bin") == [s]
 
     def test_many_streams_round_trip_both_formats(self, tmp_path):
         streams = [gen_icl(4, 10, seed=s) for s in range(5)]
@@ -222,8 +220,8 @@ class TestStreamFiles:
         assert len(s) > 64000
         for fmt in ("jsonl", "bin"):
             path = tmp_path / f"big.{fmt}"
-            stream_to_file(s, path, fmt=fmt)
-            assert stream_from_file(path, fmt=fmt) == s
+            save_streams([s], path, fmt=fmt)
+            assert load_streams(path, fmt=fmt) == [s]
 
     def test_empty_file_is_a_parse_error(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -234,7 +232,7 @@ class TestStreamFiles:
     def test_malformed_line_reports_line_number(self, tmp_path):
         s = gen_icl(2, 3, seed=18)
         path = tmp_path / "bad.jsonl"
-        stream_to_file(s, path)
+        save_streams([s], path)
         with open(path, "a") as f:
             f.write("{not json\n")
         with pytest.raises(ParseError) as err:
@@ -244,7 +242,7 @@ class TestStreamFiles:
     def test_truncated_binary_is_a_parse_error(self, tmp_path):
         s = gen_icl(2, 3, seed=19)
         path = tmp_path / "t.bin"
-        stream_to_file(s, path, fmt="bin")
+        save_streams([s], path, fmt="bin")
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(ParseError):
@@ -253,6 +251,6 @@ class TestStreamFiles:
     def test_ignore_marker_survives_binary_encoding(self, tmp_path):
         s = TokenStream([1, 2, 3], [IGNORE, 2, IGNORE], 10, {"task": "manual"})
         path = tmp_path / "i.bin"
-        stream_to_file(s, path, fmt="bin")
-        back = stream_from_file(path, fmt="bin")
+        save_streams([s], path, fmt="bin")
+        (back,) = load_streams(path, fmt="bin")
         np.testing.assert_array_equal(back.targets, [IGNORE, 2, IGNORE])
