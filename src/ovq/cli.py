@@ -144,11 +144,15 @@ def _emit(text: str, out_path: str | None) -> None:
             f.write(text)
 
 
-def _int_grid(text: str) -> list[int]:
+def _int_grid(text: str, flag: str) -> list[int]:
+    """A comma-separated grid of sizes: one or more integers, each >= 1."""
     try:
-        return [int(x) for x in text.split(",") if x]
+        grid = [int(x) for x in text.split(",") if x]
     except ValueError as exc:
-        raise ConfigurationError(f"bad integer grid {text!r}") from exc
+        raise ConfigurationError(f"{flag}: bad integer grid {text!r}") from exc
+    if not grid or min(grid) < 1:
+        raise ConfigurationError(f"{flag} needs one or more values >= 1, got {text!r}")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +237,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    t_grid = _int_grid(args.T)
+    t_grid = _int_grid(args.T, "--T")
+    n_max_grid = _int_grid(args.n_max_grid, "--n-max-grid")
     mixers = []
     for m in [x.strip() for x in args.mixers.split(",") if x.strip()]:
         if m not in _MIXER_FLAGS:
             raise ConfigurationError(f"unknown mixer {m!r}; choose from {sorted(_MIXER_FLAGS)}")
         kind = _MIXER_FLAGS[m]
         if kind == "ovq":
-            mixers.extend(_mixer_spec(args, kind, n) for n in _int_grid(args.n_max_grid))
+            mixers.extend(_mixer_spec(args, kind, n) for n in n_max_grid)
         elif kind == "vq_fixed":
-            mixers.append(_mixer_spec(args, kind, _int_grid(args.n_max_grid)[0]))
+            mixers.append(_mixer_spec(args, kind, n_max_grid[0]))
         else:
             mixers.append(_mixer_spec(args, kind, args.n_max))
 

@@ -207,6 +207,8 @@ def select_new_centroids(
     state: OvqState,
     n_new: int,
     rng: np.random.Generator | None = None,
+    *,
+    sims: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pick which chunk positions seed new centroids.
 
@@ -216,7 +218,9 @@ def select_new_centroids(
     empty dictionary the chunk bootstraps itself greedily: position 0
     seeds, then the position least similar to anything seeded so far is
     taken, repeating until the budget is filled. The random_assign
-    ablation replaces all of this with a seeded uniform sample.
+    ablation replaces all of this with a seeded uniform sample. ``sims`` is
+    the key–dictionary product ``k_chunk @ means_k[:n_active].T`` when the
+    caller already holds it.
     """
     lc = k_chunk.shape[0]
     if n_new > lc:
@@ -242,7 +246,9 @@ def select_new_centroids(
                 best[pick] = np.inf
         return np.array(sorted(selected), dtype=np.int64)
 
-    best_sim = np.max(k_chunk @ state.means_k[: state.n_active].T, axis=1)
+    if sims is None:
+        sims = _dictionary_sims(state, k_chunk)
+    best_sim = np.max(sims, axis=1)
     order = np.argsort(best_sim, kind="stable")
     return np.sort(order[:n_new]).astype(np.int64)
 
@@ -277,10 +283,10 @@ def update_dictionary(
 
     if prev_active + n_new > cfg.n_max:
         raise InvalidStateError("new centroids would exceed n_max")
-    if n_new != len(set(int(p) for p in new_centroid_positions)):
+    if n_new != len(np.unique(new_centroid_positions)):
         raise InvalidStateError("new centroid positions must be distinct")
-    if lc and int(np.max(assignments)) >= prev_active + n_new:
-        raise InvalidStateError("assignment index beyond grown dictionary")
+    if lc and not 0 <= int(np.min(assignments)) <= int(np.max(assignments)) < prev_active + n_new:
+        raise InvalidStateError("assignment index outside the grown dictionary")
     if n_new and not np.array_equal(np.sort(assignments[new_centroid_positions]), fresh):
         raise InvalidStateError("seeding tokens must point at the fresh indices")
 
@@ -305,9 +311,9 @@ def update_dictionary(
 
     if len(merge_idx):
         counts_pre = state.counts[targets].copy()
-        if cfg._fault != "count_skip":
-            np.add.at(state.counts, targets, 1)
         per_target = np.bincount(targets, minlength=state.n_active)
+        if cfg._fault != "count_skip":
+            state.counts[: state.n_active] += per_target
         if cfg.ablation == "constant_lr":
             merge_lrs = np.full(len(merge_idx), cfg.constant_lr_rate)
         else:
@@ -339,37 +345,57 @@ def _chunk_rng(config: OvqConfig, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, chunk_index])
 
 
-def _dictionary_logits(beta: float, queries, means_k, counts) -> np.ndarray:
-    """beta * q . D_k^T + log counts; a row with count 0 gets -inf, so it
-    never receives weight."""
+def _dictionary_sims(state: OvqState, x: np.ndarray) -> np.ndarray:
+    """x . D_k^T against the active dictionary rows."""
+    return x @ state.means_k[: state.n_active].T
+
+
+def _dictionary_logits(beta: float, sims, counts, out=None) -> np.ndarray:
+    """beta * sims + log counts, where sims = q . D_k^T, in the dtype of
+    sims and written into ``out`` when given; a row with count 0 gets
+    -inf, so it never receives weight."""
+    out = np.multiply(sims, beta, out=out)
     with np.errstate(divide="ignore"):
-        return beta * (queries @ means_k.T) + np.log(counts.astype(np.float64))
+        out += np.log(counts.astype(np.float64)).astype(out.dtype, copy=False)
+    return out
+
+
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Turn each row of ``logits`` into softmax weights, in place."""
+    logits -= np.max(logits, axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= np.sum(logits, axis=1, keepdims=True)
+    return logits
 
 
 def count_readout(beta: float, queries, means_k, counts, means_v) -> np.ndarray:
     """softmax(beta * q . D_k^T + log counts) . D_v over the rows whose
     count is nonzero: the mixture readout of a count-weighted dictionary."""
-    logits = _dictionary_logits(beta, queries, means_k, counts)
-    w = np.exp(logits - np.max(logits, axis=1, keepdims=True))
-    w /= np.sum(w, axis=1, keepdims=True)
-    return w @ means_v
+    return _softmax_rows(_dictionary_logits(beta, queries @ means_k.T, counts)) @ means_v
 
 
-def _predict_chunk(state: OvqState, q_chunk, k_chunk, v_chunk) -> np.ndarray:
+def _predict_chunk(state: OvqState, q_chunk, k_chunk, v_chunk, sims) -> np.ndarray:
+    """softmax([beta q.D_k^T + log counts | causal beta q.k^T]) . [D_v; v],
+    built in one [L, n_active + L] buffer. ``sims`` is k_chunk . D_k^T and
+    stands in for q . D_k^T when the query chunk equals the key chunk."""
     cfg = state.config
     na = state.n_active
     lc = q_chunk.shape[0]
-    logits_dict = _dictionary_logits(cfg.beta, q_chunk, state.means_k[:na], state.counts[:na])
-    logits_chunk = cfg.beta * (q_chunk @ k_chunk.T)
+    logits = np.empty((lc, na + lc), dtype=q_chunk.dtype)
+    q_sims = sims if np.array_equal(q_chunk, k_chunk) else _dictionary_sims(state, q_chunk)
+    _dictionary_logits(cfg.beta, q_sims, state.counts[:na], out=logits[:, :na])
+    in_chunk = logits[:, na:]
+    np.matmul(q_chunk, k_chunk.T, out=in_chunk)
+    in_chunk *= cfg.beta
     local = np.arange(lc)
     horizon = local[:, None] + (1 if cfg._fault == "mask_off_by_one" else 0)
-    logits_chunk = np.where(horizon < local[None, :], -np.inf, logits_chunk)
-    logits = np.concatenate([logits_dict, logits_chunk], axis=1)
+    np.copyto(in_chunk, -np.inf, where=horizon < local[None, :])
+    return _softmax_rows(logits) @ np.concatenate([state.means_v[:na], v_chunk], axis=0)
 
-    m = np.max(logits, axis=1, keepdims=True)
-    w = np.exp(logits - m)
-    w /= np.sum(w, axis=1, keepdims=True)
-    return w @ np.concatenate([state.means_v[:na], v_chunk], axis=0)
+
+def _unit_rows(m: np.ndarray) -> bool:
+    # "<=" so that a NaN or infinite norm fails too.
+    return bool(np.all(np.abs(np.linalg.norm(m, axis=1) - 1.0) <= UNIT_NORM_ATOL))
 
 
 def _validate_chunk(state: OvqState, q_chunk, k_chunk, v_chunk):
@@ -388,29 +414,36 @@ def _validate_chunk(state: OvqState, q_chunk, k_chunk, v_chunk):
         if m.shape != (lc, state.d):
             raise ConfigurationError(f"{name} chunk must be [{lc}, {state.d}], got {m.shape}")
         if name != "v":
-            # "<=" so that a NaN or infinite norm fails too.
-            if not np.all(np.abs(np.linalg.norm(m, axis=1) - 1.0) <= UNIT_NORM_ATOL):
+            if not _unit_rows(m):
                 raise ConfigurationError(f"{name} chunk rows must be finite and unit norm")
         elif not np.isfinite(m).all():
             raise ConfigurationError("v chunk has non-finite entries")
 
 
-def absorb_chunk(state: OvqState, k_chunk, v_chunk) -> ChunkUpdateRecord:
+def absorb_chunk(state: OvqState, k_chunk, v_chunk, *, sims=None) -> ChunkUpdateRecord:
     """State update alone (seed selection, assignment, dictionary merge),
-    without computing predictions. Used when only the final memory matters."""
-    dt = DTYPES[state.config.dtype]
+    without computing predictions. Used when only the final memory matters.
+
+    ``sims`` is the key–dictionary product ``k_chunk @ means_k[:n_active].T``
+    against the pre-update dictionary; it is computed when omitted, and
+    seed selection and assignment both read it."""
+    cfg = state.config
+    dt = DTYPES[cfg.dtype]
     k_chunk = np.asarray(k_chunk, dtype=dt)
     v_chunk = np.asarray(v_chunk, dtype=dt)
     _validate_chunk(state, None, k_chunk, v_chunk)
     lc = k_chunk.shape[0]
+    if sims is None:
+        sims = _dictionary_sims(state, k_chunk)
+    elif sims.shape != (lc, state.n_active):
+        raise ConfigurationError(f"sims must be [{lc}, {state.n_active}], got {sims.shape}")
     chunk_index = state.chunks_seen + 1
-    n_new = _chunk_budget(state.tokens_seen, lc, chunk_index, state.n_active, state.config)
-    rng = _chunk_rng(state.config, chunk_index)
-    new_pos = select_new_centroids(k_chunk, state, n_new, rng=rng)
+    n_new = _chunk_budget(state.tokens_seen, lc, chunk_index, state.n_active, cfg)
+    rng = _chunk_rng(cfg, chunk_index) if cfg.ablation == "random_assign" else None
+    new_pos = select_new_centroids(k_chunk, state, n_new, rng=rng, sims=sims)
 
     assignments = np.zeros(lc, dtype=np.int64)
     if state.n_active > 0:
-        sims = k_chunk @ state.means_k[: state.n_active].T
         assignments = np.argmax(sims, axis=1).astype(np.int64)
     if len(new_pos):
         assignments[new_pos] = state.n_active + np.arange(len(new_pos))
@@ -441,8 +474,9 @@ def ovq_forward_chunk(
     k_chunk = np.asarray(k_chunk, dtype=dt)
     v_chunk = np.asarray(v_chunk, dtype=dt)
     _validate_chunk(state, q_chunk, k_chunk, v_chunk)
-    out = _predict_chunk(state, q_chunk, k_chunk, v_chunk)
-    record = absorb_chunk(state, k_chunk, v_chunk)
+    sims = _dictionary_sims(state, k_chunk)
+    out = _predict_chunk(state, q_chunk, k_chunk, v_chunk, sims)
+    record = absorb_chunk(state, k_chunk, v_chunk, sims=sims)
     return out, record
 
 
@@ -453,6 +487,10 @@ def dictionary_readout(state: OvqState, queries: np.ndarray) -> np.ndarray:
     if state.n_active == 0:
         raise InvalidStateError("readout from an empty dictionary")
     queries = np.atleast_2d(np.asarray(queries, dtype=DTYPES[state.config.dtype]))
+    if queries.ndim != 2 or queries.shape[1] != state.d:
+        raise ConfigurationError(f"queries must be [n, {state.d}], got {queries.shape}")
+    if not _unit_rows(queries):
+        raise ConfigurationError("queries must be finite and unit norm")
     na = state.n_active
     return count_readout(
         state.config.beta, queries, state.means_k[:na], state.counts[:na], state.means_v[:na]

@@ -151,6 +151,19 @@ class TestBench:
         res = run_cli("bench", "--mixers", "bogus", "--T", "64")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("mixer", ["full-attention", "ovq"])
+    @pytest.mark.parametrize("grid", ["0", "64,-1", ","])
+    def test_context_length_below_one_is_config_error(self, mixer, grid):
+        res = run_cli("bench", "--mixers", mixer, "--T", grid)
+        assert res.returncode == 2
+        assert "--T" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_empty_capacity_grid_is_config_error(self):
+        res = run_cli("bench", "--mixers", "vq-fixed", "--T", "64", "--n-max-grid", ",")
+        assert res.returncode == 2
+        assert "--n-max-grid" in res.stderr
+
     def test_bad_ablation_is_config_error(self, tmp_path):
         out = tmp_path / "s.jsonl"
         run_cli("gen", "--task", "icl", "--num-functions", "2", "--num-examples", "2", "--out", str(out))

@@ -4,6 +4,7 @@ running-mean dictionary update, including the ablation variants."""
 import numpy as np
 import pytest
 
+import ovq.engine as engine
 from ovq import (
     ConfigurationError,
     InvalidStateError,
@@ -258,6 +259,25 @@ class TestUpdateDictionary:
                 np.empty(0, dtype=np.int64),
             )
 
+    def test_rejects_negative_assignment_and_leaves_state_alone(self):
+        # A negative index must not wrap around to the last (inactive) row.
+        rng = np.random.default_rng(45)
+        state = self._seeded_state()
+        state.means_k[0] = unit_rows(rng, 1, 4)
+        state.counts[0] = 1
+        state.n_active = 1
+        before = (state.means_k.copy(), state.means_v.copy(), state.counts.copy())
+        with pytest.raises(InvalidStateError):
+            update_dictionary(
+                state,
+                unit_rows(rng, 2, 4),
+                rng.standard_normal((2, 4)),
+                np.array([0, -1]),
+                np.empty(0, dtype=np.int64),
+            )
+        for now, then in zip((state.means_k, state.means_v, state.counts), before):
+            assert np.array_equal(now, then)
+
     def test_rejects_duplicate_seed_positions(self):
         rng = np.random.default_rng(41)
         state = self._seeded_state()
@@ -343,6 +363,63 @@ class TestForwardChunk:
             ovq_forward_chunk(
                 state, unit_rows(rng, 2, 5), unit_rows(rng, 2, 5), rng.standard_normal((2, 5))
             )
+
+
+def unfused_predict(state, q, k, v):
+    """softmax([beta q.D_k^T + log c | causal beta q.k^T]) . [D_v; v], written
+    out with one temporary per step."""
+    na, beta, lc = state.n_active, state.config.beta, len(q)
+    with np.errstate(divide="ignore"):
+        dict_logits = beta * (q @ state.means_k[:na].T) + np.log(state.counts[:na].astype(np.float64))
+    chunk_logits = beta * (q @ k.T)
+    chunk_logits = np.where(np.arange(lc)[None, :] > np.arange(lc)[:, None], -np.inf, chunk_logits)
+    logits = np.concatenate([dict_logits, chunk_logits], axis=1)
+    w = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    w /= np.sum(w, axis=1, keepdims=True)
+    return w @ np.concatenate([state.means_v[:na], v], axis=0)
+
+
+class TestSharedKeyDictionaryProduct:
+    @pytest.mark.parametrize("queries", ["q is k", "q equals k", "q differs"])
+    def test_forward_chunk_is_the_unfused_predict_bitwise(self, queries):
+        rng = np.random.default_rng(47)
+        seq = random_sequence(rng, 96, 8, 8.0)
+        state = OvqState.fresh(OvqConfig(n_max=24, chunk_len=16, beta=8.0), 8)
+        for start in range(0, seq.T, 16):
+            k, v = seq.k[start : start + 16], seq.v[start : start + 16]
+            q = {"q is k": k, "q equals k": k.copy(), "q differs": seq.q[start : start + 16]}[queries]
+            expected = unfused_predict(state, q, k, v)
+            out, _ = ovq_forward_chunk(state, q, k, v)
+            assert np.array_equal(out, expected)
+        assert state.n_active > 0
+
+    @pytest.mark.parametrize("queries,products", [("q is k", 1), ("q equals k", 1), ("q differs", 2)])
+    def test_dictionary_product_computed_once_per_distinct_operand(self, monkeypatch, queries, products):
+        rng = np.random.default_rng(48)
+        seq = random_sequence(rng, 32, 8, 8.0)
+        state = OvqState.fresh(OvqConfig(n_max=24, chunk_len=16, beta=8.0), 8)
+        ovq_forward_chunk(state, seq.q[:16], seq.k[:16], seq.v[:16])
+        calls = []
+        original = engine._dictionary_sims
+        monkeypatch.setattr(
+            engine, "_dictionary_sims", lambda st, x: calls.append(x.shape) or original(st, x)
+        )
+        k = seq.k[16:]
+        q = {"q is k": k, "q equals k": k.copy(), "q differs": seq.q[16:]}[queries]
+        ovq_forward_chunk(state, q, k, seq.v[16:])
+        assert len(calls) == products
+        calls.clear()
+        absorb_chunk(state, unit_rows(rng, 16, 8), rng.standard_normal((16, 8)))
+        assert len(calls) == 1
+
+    def test_float32_predict_stays_float32(self):
+        rng = np.random.default_rng(49)
+        seq = random_sequence(rng, 48, 8, 8.0)
+        out, state, _ = ovq_forward_sequence(
+            OvqConfig(n_max=32, chunk_len=16, beta=8.0, dtype="float32"), seq
+        )
+        assert out.o.dtype == np.float32
+        assert dictionary_readout(state, seq.q[:3]).dtype == np.float32
 
 
 class TestNonFiniteInput:
@@ -464,6 +541,31 @@ class TestDictionaryReadout:
         w = np.exp(logits - logits.max(axis=1, keepdims=True))
         w /= w.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(dictionary_readout(state, q), w @ state.means_v[:na], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "probe",
+        [
+            pytest.param([[np.nan, 0.0, 0.0]], id="nan"),
+            pytest.param([[np.inf, 0.0, 0.0]], id="inf"),
+            pytest.param([[3.0, 4.0, 0.0]], id="norm-5"),
+            pytest.param([[0.0, 0.0, 0.0]], id="zero"),
+            pytest.param([[1.0, 0.0, 0.0, 0.0]], id="too-wide"),
+            pytest.param([[1.0, 0.0]], id="too-narrow"),
+            pytest.param(np.zeros((1, 1, 3)), id="3-d"),
+        ],
+    )
+    def test_rejects_bad_probes_and_names_the_queries(self, probe):
+        rng = np.random.default_rng(28)
+        state = OvqState.fresh(OvqConfig(n_max=8, chunk_len=4), 3)
+        absorb_chunk(state, unit_rows(rng, 4, 3), rng.standard_normal((4, 3)))
+        with pytest.raises(ConfigurationError, match=r"\bqueries\b"):
+            dictionary_readout(state, np.asarray(probe))
+
+    def test_accepts_a_single_unit_probe_vector(self):
+        rng = np.random.default_rng(29)
+        state = OvqState.fresh(OvqConfig(n_max=8, chunk_len=4), 3)
+        absorb_chunk(state, unit_rows(rng, 4, 3), rng.standard_normal((4, 3)))
+        assert dictionary_readout(state, np.array([0.0, 0.6, 0.8])).shape == (1, 3)
 
 
 class TestConfigValidation:

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ovq import HeadSequence, OvqConfig, OvqState, ovq_forward_chunk, ovq_forward_sequence
-from ovq.engine import ABLATIONS, DTYPES
+from ovq.engine import ABLATIONS, DTYPES, stream_chunks
 
 from helpers import random_sequence
 
@@ -74,3 +74,17 @@ def test_rows_a_chunk_never_touches_stay_bitwise_stable(case):
         assert np.array_equal(state.means_k[untouched], before[0][untouched])
         assert np.array_equal(state.means_v[untouched], before[1][untouched])
         assert np.array_equal(state.counts[untouched], before[2][untouched])
+
+
+@PROPERTY_SETTINGS
+@given(streams())
+def test_predicting_never_changes_the_state(case):
+    cfg, seq = case
+    forward = OvqState.fresh(cfg, seq.d)
+    stream_chunks(forward, seq.k, seq.v, q=seq.q)
+    absorbed = OvqState.fresh(cfg, seq.d)
+    stream_chunks(absorbed, seq.k, seq.v)
+    for field in ("n_active", "tokens_seen", "chunks_seen"):
+        assert getattr(forward, field) == getattr(absorbed, field)
+    for field in ("means_k", "means_v", "counts"):
+        assert np.array_equal(getattr(forward, field), getattr(absorbed, field))
