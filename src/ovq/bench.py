@@ -41,6 +41,7 @@ from .errors import ConfigurationError
 from .reference import (
     Dictionary,
     HeadSequence,
+    check_beta,
     linear_attention_baseline,
     masked_softmax,
     softmax_attention,
@@ -51,7 +52,6 @@ from .reference import (
 from .tasks import SpecialTokens, TokenStream
 
 MIXER_KINDS = ("full_attention", "ovq", "vq_fixed", "linear_baseline")
-VQ_SOURCES = ("kmeanspp", "random")
 
 RECALL_SCHEMA = "ovq-recall-report-v1"
 STATE_SCHEMA = "ovq-state-report-v1"
@@ -62,26 +62,26 @@ VERIFY_SCHEMA = "ovq-verify-report-v1"
 @dataclass(frozen=True)
 class MixerSpec:
     """Which sequence mixer to run and with what knobs. ``ovq`` carries a
-    full engine configuration; ``vq_fixed`` quantizes against a dictionary
-    frozen before streaming (seeded from the context keys or at random)."""
+    full engine configuration, which runs with the mixer's ``beta``;
+    ``vq_fixed`` is the VQ-attention baseline, quantizing against ``vq_n``
+    k-means++ picks of the context keys frozen before streaming."""
 
     kind: str
     beta: float = 16.0
     d: int = 64
     ovq: OvqConfig | None = None
     vq_n: int = 0
-    vq_source: str = "kmeanspp"
 
     def __post_init__(self):
         if self.kind not in MIXER_KINDS:
             raise ConfigurationError(f"unknown mixer kind {self.kind!r}")
-        if self.kind == "ovq" and self.ovq is None:
-            raise ConfigurationError("ovq mixer needs an OvqConfig")
-        if self.kind == "vq_fixed":
-            if self.vq_n < 1:
-                raise ConfigurationError("vq_fixed needs vq_n >= 1")
-            if self.vq_source not in VQ_SOURCES:
-                raise ConfigurationError(f"vq_source must be one of {VQ_SOURCES}")
+        check_beta(self.beta)
+        if self.kind == "ovq":
+            if self.ovq is None:
+                raise ConfigurationError("ovq mixer needs an OvqConfig")
+            object.__setattr__(self, "ovq", replace(self.ovq, beta=self.beta))
+        if self.kind == "vq_fixed" and self.vq_n < 1:
+            raise ConfigurationError("vq_fixed needs vq_n >= 1")
         if self.d < 1:
             raise ConfigurationError("d must be >= 1")
 
@@ -90,8 +90,20 @@ class MixerSpec:
         if self.kind == "ovq":
             return f"ovq(n_max={self.ovq.n_max},L={self.ovq.chunk_len})"
         if self.kind == "vq_fixed":
-            return f"vq_fixed(n={self.vq_n},{self.vq_source})"
+            return f"vq_fixed(n={self.vq_n},kmeanspp)"
         return self.kind
+
+    def state_scalars(self, T: int) -> int:
+        """Live state scalars after T tokens: T * 2d for the growing
+        key/value cache, d^2 + d for the sum-state baseline, and 2d + 1 per
+        dictionary component, of which ``vq_fixed`` holds ``vq_n`` and
+        ``ovq`` the count its growth schedule reaches on one fresh stream."""
+        if self.kind == "full_attention":
+            return T * 2 * self.d
+        if self.kind == "linear_baseline":
+            return self.d * self.d + self.d
+        n = self.vq_n if self.kind == "vq_fixed" else planned_active_components(T, self.ovq)
+        return n * (2 * self.d + 1)
 
     @property
     def n_max(self) -> int | None:
@@ -120,8 +132,6 @@ def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 
 def _fixed_vq_dictionary(mixer: MixerSpec, keys: np.ndarray, seed: int) -> np.ndarray:
-    if mixer.vq_source == "random":
-        return unit_rows(np.random.default_rng([seed, 1]), mixer.vq_n, mixer.d)
     return keys[gmr.kmeanspp_indices(keys, mixer.vq_n, seed)]
 
 
@@ -163,22 +173,18 @@ def recall_benchmark(
     start = time.perf_counter()
     if mixer.kind == "full_attention":
         out = masked_softmax(mixer.beta * (probe_q @ keys.T)) @ values
-        scalars = T * 2 * d
     elif mixer.kind == "linear_baseline":
         s = keys.T @ values
         z = keys.sum(axis=0)
         out = (probe_q @ s) / (probe_q @ z + 1e-9)[:, None]
-        scalars = d * d + d
     elif mixer.kind == "vq_fixed":
         dict_k = _fixed_vq_dictionary(mixer, keys, seed)
         counts, means_v = _fixed_vq_state(dict_k, keys, values)
         out = count_readout(mixer.beta, probe_q, dict_k, counts, means_v)
-        scalars = mixer.vq_n * (2 * d + 1)
     else:
-        state = OvqState.fresh(with_planned_chunks(replace(mixer.ovq, beta=mixer.beta), [T]), d)
+        state = OvqState.fresh(with_planned_chunks(mixer.ovq, [T]), d)
         stream_chunks(state, keys, values)
         out = dictionary_readout(state, probe_q)
-        scalars = state.scalars_stored()
     wall_ms = (time.perf_counter() - start) * 1000.0
 
     decoded = np.argmax(out @ codebook.T, axis=1)
@@ -193,40 +199,28 @@ def recall_benchmark(
         seed=seed,
         top1_accuracy=top1,
         mean_cosine=float(np.mean(cosines)),
-        state_scalars=int(scalars),
+        state_scalars=mixer.state_scalars(T),
         wall_time_ms=wall_ms,
     )
 
 
 def state_size_sweep(mixers, T_grid) -> list[RecallRow]:
-    """Live state scalars per mixer and context length, computed in closed
-    form: T * 2d for the growing key/value cache, the scheduled component
-    count times (2d + 1) for the clustered dictionary, d^2 + d for the
-    sum-state baseline. Accuracy columns are not applicable here."""
-    rows = []
-    for mixer in mixers:
-        for T in T_grid:
-            if mixer.kind == "full_attention":
-                scalars = T * 2 * mixer.d
-            elif mixer.kind == "linear_baseline":
-                scalars = mixer.d * mixer.d + mixer.d
-            elif mixer.kind == "vq_fixed":
-                scalars = mixer.vq_n * (2 * mixer.d + 1)
-            else:
-                active = planned_active_components(T, mixer.ovq)
-                scalars = active * (2 * mixer.d + 1)
-            rows.append(
-                RecallRow(
-                    mixer=mixer.label,
-                    T=T,
-                    n_max=mixer.n_max,
-                    seed=-1,
-                    top1_accuracy=float("nan"),
-                    mean_cosine=float("nan"),
-                    state_scalars=int(scalars),
-                    wall_time_ms=0.0,
-                )
-            )
+    """Live state scalars per mixer and context length, from
+    ``MixerSpec.state_scalars``. Accuracy columns are not applicable here."""
+    rows = [
+        RecallRow(
+            mixer=mixer.label,
+            T=T,
+            n_max=mixer.n_max,
+            seed=-1,
+            top1_accuracy=float("nan"),
+            mean_cosine=float("nan"),
+            state_scalars=mixer.state_scalars(T),
+            wall_time_ms=0.0,
+        )
+        for mixer in mixers
+        for T in T_grid
+    ]
     rows.sort(key=lambda r: (r.mixer, r.T))
     return rows
 
@@ -263,20 +257,13 @@ def token_task_eval(
 
     if mixer.kind == "full_attention":
         out = softmax_attention(seq).o
-        scalars = seq.T * 2 * mixer.d
     elif mixer.kind == "linear_baseline":
         out = linear_attention_baseline(seq).o
-        scalars = mixer.d * mixer.d + mixer.d
     elif mixer.kind == "vq_fixed":
-        dict_k = _fixed_vq_dictionary(mixer, seq.k, embedding_seed)
-        out = vq_attention_linear(seq, dict_k).o
-        scalars = mixer.vq_n * (2 * mixer.d + 1)
+        out = vq_attention_linear(seq, _fixed_vq_dictionary(mixer, seq.k, embedding_seed)).o
     else:
-        cfg = replace(mixer.ovq, beta=mixer.beta)
-        output, state, _ = ovq_forward_sequence(cfg, seq)
-        out = output.o
-        scalars = state.scalars_stored()
-    return score_task(stream, out, v_table, mixer.label, scalars)
+        out = ovq_forward_sequence(mixer.ovq, seq)[0].o
+    return score_task(stream, out, v_table, mixer.label, mixer.state_scalars(seq.T))
 
 
 def score_task(stream: TokenStream, out, v_table, mixer: str, scalars: int) -> dict:
@@ -329,15 +316,6 @@ class CheckResult:
     max_deviation: float
     passed: bool
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "max_deviation": self.max_deviation,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
 
 
 VERIFY_SIZES = {
@@ -661,6 +639,6 @@ def verify_all(seed: int = 0, sizes: str | dict = "default", fault: str = "none"
     return {
         "schema": VERIFY_SCHEMA,
         "meta": {"seed": seed, "sizes": size_name, "fault": fault},
-        "checks": [c.to_dict() for c in checks],
+        "checks": [asdict(c) for c in checks],
         "all_passed": all(c.passed for c in checks),
     }

@@ -50,6 +50,13 @@ _MIXER_FLAGS = {
 
 _ABLATION_FLAGS = {"none": "none", "rand-assign": "random_assign", "linear-growth": "linear_growth"}
 
+# The ``gen`` flags each task's generator takes, besides --vocab-size and --seed.
+_GEN_ARGS = {
+    "basic_icr": ("num_pairs", "key_len", "val_len", "num_queries"),
+    "positional_icr": ("num_keys", "copies", "key_len", "val_len"),
+    "icl": ("num_functions", "num_examples", "io_len"),
+}
+
 
 class _StoreTyped(argparse.Action):
     """Store the value and record that the flag was typed, so a loaded
@@ -155,32 +162,18 @@ def _int_grid(text: str, flag: str) -> list[int]:
     return grid
 
 
+def _check_count(value: int, flag: str) -> None:
+    if value < 1:
+        raise ConfigurationError(f"{flag} needs a value >= 1, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def _cmd_gen(args) -> int:
-    params: dict = {"vocab_size": args.vocab_size}
-    if args.task == "basic_icr":
-        params.update(
-            num_pairs=args.num_pairs,
-            key_len=args.key_len,
-            val_len=args.val_len,
-            num_queries=args.num_queries,
-        )
-    elif args.task == "positional_icr":
-        params.update(
-            num_keys=args.num_keys,
-            copies=args.copies,
-            key_len=args.key_len,
-            val_len=args.val_len,
-        )
-    else:
-        params.update(
-            num_functions=args.num_functions,
-            num_examples=args.num_examples,
-            io_len=args.io_len,
-        )
+    _check_count(args.count, "--count")
+    params = {name: getattr(args, name) for name in ("vocab_size", *_GEN_ARGS[args.task])}
     generator = GENERATORS[args.task]
     streams = [generator(seed=args.seed + i, **params) for i in range(args.count)]
     save_streams(streams, args.out, fmt=args.format)
@@ -203,7 +196,7 @@ def _run_with_snapshots(args, streams) -> list[dict]:
     else:
         config = with_planned_chunks(_ovq_config(args, args.n_max), [len(s) for s in streams])
         state = OvqState.fresh(config, args.dim)
-    label = MixerSpec(kind="ovq", d=state.d, ovq=state.config).label
+    label = MixerSpec(kind="ovq", beta=state.config.beta, d=state.d, ovq=state.config).label
 
     qk_table, v_table = token_embeddings(sp.total_vocab, args.dim, args.embedding_seed)
     rows = []
@@ -239,17 +232,17 @@ def _cmd_run(args) -> int:
 def _cmd_bench(args) -> int:
     t_grid = _int_grid(args.T, "--T")
     n_max_grid = _int_grid(args.n_max_grid, "--n-max-grid")
+    _check_count(args.probes, "--probes")
+    _check_count(args.seeds, "--seeds")
     mixers = []
     for m in [x.strip() for x in args.mixers.split(",") if x.strip()]:
         if m not in _MIXER_FLAGS:
             raise ConfigurationError(f"unknown mixer {m!r}; choose from {sorted(_MIXER_FLAGS)}")
+        # ovq sweeps the capacity grid; vq-fixed takes its first value, and
+        # the other mixers have no capacity.
         kind = _MIXER_FLAGS[m]
-        if kind == "ovq":
-            mixers.extend(_mixer_spec(args, kind, n) for n in n_max_grid)
-        elif kind == "vq_fixed":
-            mixers.append(_mixer_spec(args, kind, n_max_grid[0]))
-        else:
-            mixers.append(_mixer_spec(args, kind, args.n_max))
+        capacities = n_max_grid if kind == "ovq" else n_max_grid[:1]
+        mixers.extend(_mixer_spec(args, kind, n) for n in capacities)
 
     rows = []
     if args.bench == "state-size":
@@ -292,27 +285,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_engine=True):
+    def add_common(p):
         p.add_argument("--seed", type=int, default=0, action=_StoreTyped, help="base random seed")
-        if with_engine:
-            p.add_argument(
-                "--chunk-len", type=int, default=128, action=_StoreTyped, help="engine chunk length"
-            )
-            p.add_argument(
-                "--n-max", type=int, default=2048, action=_StoreTyped, help="dictionary capacity"
-            )
-            p.add_argument(
-                "--beta", type=float, default=16.0, action=_StoreTyped, help="attention logit scale"
-            )
-            p.add_argument(
-                "--dim", type=int, default=64, action=_StoreTyped, help="head / embedding dimension"
-            )
-            p.add_argument(
-                "--ablation",
-                default="none",
-                action=_StoreTyped,
-                help="none, rand-assign, linear-growth, or const-lr=R",
-            )
+        p.add_argument(
+            "--chunk-len", type=int, default=128, action=_StoreTyped, help="engine chunk length"
+        )
+        p.add_argument(
+            "--n-max", type=int, default=2048, action=_StoreTyped, help="dictionary capacity"
+        )
+        p.add_argument(
+            "--beta", type=float, default=16.0, action=_StoreTyped, help="attention logit scale"
+        )
+        p.add_argument(
+            "--dim", type=int, default=64, action=_StoreTyped, help="head / embedding dimension"
+        )
+        p.add_argument(
+            "--ablation",
+            default="none",
+            action=_StoreTyped,
+            help="none, rand-assign, linear-growth, or const-lr=R",
+        )
         p.add_argument(
             "--format", choices=("csv", "json"), default="csv", help="report format"
         )

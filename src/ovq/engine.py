@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, InvalidStateError
-from .reference import UNIT_NORM_ATOL, AttentionOutput, HeadSequence
+from .reference import UNIT_NORM_ATOL, AttentionOutput, HeadSequence, check_beta
 
 ABLATIONS = ("none", "random_assign", "linear_growth", "constant_lr")
 FAULTS = ("none", "count_skip", "mask_off_by_one", "growth_over_alloc")
@@ -60,8 +60,7 @@ class OvqConfig:
             raise ConfigurationError(f"n_max must be >= 1, got {self.n_max}")
         if self.chunk_len < 1:
             raise ConfigurationError(f"chunk_len must be >= 1, got {self.chunk_len}")
-        if not (self.beta >= 0.0):
-            raise ConfigurationError(f"beta must be >= 0, got {self.beta}")
+        check_beta(self.beta)
         if self.ablation not in ABLATIONS:
             raise ConfigurationError(f"unknown ablation {self.ablation!r}")
         if self.ablation == "constant_lr" and not (0.0 < self.constant_lr_rate <= 1.0):
@@ -206,7 +205,6 @@ def select_new_centroids(
     k_chunk: np.ndarray,
     state: OvqState,
     n_new: int,
-    rng: np.random.Generator | None = None,
     *,
     sims: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -218,7 +216,9 @@ def select_new_centroids(
     empty dictionary the chunk bootstraps itself greedily: position 0
     seeds, then the position least similar to anything seeded so far is
     taken, repeating until the budget is filled. The random_assign
-    ablation replaces all of this with a seeded uniform sample. ``sims`` is
+    ablation replaces all of this with a uniform sample seeded by the
+    config seed and the chunk's index, so a reloaded snapshot draws what
+    an uninterrupted stream would have drawn. ``sims`` is
     the key–dictionary product ``k_chunk @ means_k[:n_active].T`` when the
     caller already holds it.
     """
@@ -229,8 +229,7 @@ def select_new_centroids(
         return np.empty(0, dtype=np.int64)
 
     if state.config.ablation == "random_assign":
-        if rng is None:
-            rng = np.random.default_rng(state.config.seed)
+        rng = np.random.default_rng([state.config.seed, state.chunks_seen + 1])
         return np.sort(rng.choice(lc, size=n_new, replace=False)).astype(np.int64)
 
     if state.n_active == 0:
@@ -310,7 +309,7 @@ def update_dictionary(
     lrs = np.ones(lc)
 
     if len(merge_idx):
-        counts_pre = state.counts[targets].copy()
+        counts_pre = state.counts[targets]
         per_target = np.bincount(targets, minlength=state.n_active)
         if cfg._fault != "count_skip":
             state.counts[: state.n_active] += per_target
@@ -327,8 +326,8 @@ def update_dictionary(
                 state.means_k[tgt] += lr * (k_chunk[tok] - state.means_k[tgt])
                 state.means_v[tgt] += lr * (v_chunk[tok] - state.means_v[tgt])
         else:
-            mu_k_pre = state.means_k[targets].copy()
-            mu_v_pre = state.means_v[targets].copy()
+            mu_k_pre = state.means_k[targets]
+            mu_v_pre = state.means_v[targets]
             lr_col = merge_lrs.astype(dt)[:, None]
             np.add.at(state.means_k, targets, lr_col * (k_chunk[merge_idx] - mu_k_pre))
             np.add.at(state.means_v, targets, lr_col * (v_chunk[merge_idx] - mu_v_pre))
@@ -338,11 +337,6 @@ def update_dictionary(
         new_centroid_positions=np.asarray(new_centroid_positions, dtype=np.int64),
         learning_rates=lrs,
     )
-
-
-def _chunk_rng(config: OvqConfig, chunk_index: int) -> np.random.Generator:
-    # Stateless per-chunk stream so reloaded snapshots stay deterministic.
-    return np.random.default_rng([config.seed, chunk_index])
 
 
 def _dictionary_sims(state: OvqState, x: np.ndarray) -> np.ndarray:
@@ -437,10 +431,8 @@ def absorb_chunk(state: OvqState, k_chunk, v_chunk, *, sims=None) -> ChunkUpdate
         sims = _dictionary_sims(state, k_chunk)
     elif sims.shape != (lc, state.n_active):
         raise ConfigurationError(f"sims must be [{lc}, {state.n_active}], got {sims.shape}")
-    chunk_index = state.chunks_seen + 1
-    n_new = _chunk_budget(state.tokens_seen, lc, chunk_index, state.n_active, cfg)
-    rng = _chunk_rng(cfg, chunk_index) if cfg.ablation == "random_assign" else None
-    new_pos = select_new_centroids(k_chunk, state, n_new, rng=rng, sims=sims)
+    n_new = _chunk_budget(state.tokens_seen, lc, state.chunks_seen + 1, state.n_active, cfg)
+    new_pos = select_new_centroids(k_chunk, state, n_new, sims=sims)
 
     assignments = np.zeros(lc, dtype=np.int64)
     if state.n_active > 0:

@@ -214,20 +214,14 @@ def em_fit(
 
 
 def gmr_predict(
-    mix: GaussianMixture,
-    counts: np.ndarray,
-    query: np.ndarray,
-    beta: float,
-    verify: bool = False,
+    mix: GaussianMixture, counts: np.ndarray, query: np.ndarray, beta: float
 ) -> np.ndarray:
     """Conditional-mean readout of the mixture for one unit-norm query.
 
     Computed as softmax(beta * q . D_k^T + log counts) times the value
     means, where D_k / value means are the two halves of the joint means.
-    Components with zero count get weight exactly 0. With ``verify`` the
-    mixture-expectation form (count-weighted Gaussian kernels over the key
-    halves) is evaluated as well and must agree to 1e-10; the agreement
-    needs unit-norm key means.
+    Components with zero count get weight exactly 0. It agrees with
+    ``gmr_predict_expectation`` when the key means are unit norm.
     """
     counts = np.asarray(counts, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
@@ -235,15 +229,7 @@ def gmr_predict(
     logits = np.full(mix.n, -np.inf)
     logits[populated] = beta * (mix.means_k[populated] @ query) + np.log(counts[populated])
     w = masked_softmax(logits[None, :])[0]
-    out = w @ mix.means_v
-    if verify:
-        alt = gmr_predict_expectation(mix, counts, query, beta)
-        dev = float(np.max(np.abs(out - alt)))
-        if dev > 1e-10:
-            raise AssertionError(
-                f"softmax readout and mixture expectation disagree by {dev:.3e}"
-            )
-    return out
+    return w @ mix.means_v
 
 
 def gmr_predict_expectation(

@@ -33,6 +33,13 @@ def _check_unit_rows(m: np.ndarray, name: str) -> None:
         )
 
 
+def check_beta(beta: float) -> None:
+    """The logit scale must be finite and >= 0; beta = 0 (uniform weights)
+    is legal."""
+    if not (0.0 <= beta < np.inf):
+        raise ConfigurationError(f"beta must be finite and >= 0, got {beta}")
+
+
 def masked_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction. -inf entries get weight
     exactly 0; every row must keep at least one finite entry."""
@@ -65,9 +72,7 @@ class HeadSequence:
             )
         if self.T < 1 or self.d < 1:
             raise ConfigurationError("need T >= 1 and d >= 1")
-        # beta = 0 (uniform weights) is legal; negative is not.
-        if not (self.beta >= 0.0):
-            raise ConfigurationError(f"beta must be >= 0, got {self.beta}")
+        check_beta(self.beta)
         for name in ("q", "k", "v"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigurationError(f"{name} has non-finite entries")

@@ -137,6 +137,29 @@ def _sample_unique_tuples(rng, count, length, vocab_size, what):
     return out
 
 
+def _recall_blocks(sp: SpecialTokens, context, queries) -> tuple[list[int], list[int]]:
+    """Tokens and targets of a recall stream: a key, assign, value,
+    separator block per context pair, one query marker, then a key, assign,
+    value block per query pair with only its value tokens supervised."""
+    tokens: list[int] = []
+    for key, value in context:
+        tokens.extend(key)
+        tokens.append(sp.assign_id)
+        tokens.extend(value)
+        tokens.append(sp.separator_id)
+    tokens.append(sp.query_marker_id)
+
+    targets = [IGNORE] * len(tokens)
+    for key, value in queries:
+        tokens.extend(key)
+        targets.extend([IGNORE] * len(key))
+        tokens.append(sp.assign_id)
+        targets.append(IGNORE)
+        tokens.extend(value)
+        targets.extend(value)
+    return tokens, targets
+
+
 def gen_basic_icr(
     num_pairs: int,
     key_len: int = 8,
@@ -158,23 +181,9 @@ def gen_basic_icr(
     values = _sample_unique_tuples(rng, num_pairs, val_len, vocab_size, "values")
     query_idx = rng.choice(num_pairs, size=num_queries, replace=False)
 
-    tokens: list[int] = []
-    for key, value in zip(keys, values):
-        tokens.extend(key)
-        tokens.append(sp.assign_id)
-        tokens.extend(value)
-        tokens.append(sp.separator_id)
-    tokens.append(sp.query_marker_id)
-
-    targets = [IGNORE] * len(tokens)
-    for qi in query_idx:
-        tokens.extend(keys[qi])
-        targets.extend([IGNORE] * key_len)
-        tokens.append(sp.assign_id)
-        targets.append(IGNORE)
-        tokens.extend(values[qi])
-        targets.extend(values[qi])
-
+    tokens, targets = _recall_blocks(
+        sp, zip(keys, values), [(keys[qi], values[qi]) for qi in query_idx]
+    )
     stream = TokenStream(
         tokens,
         targets,
@@ -217,27 +226,11 @@ def gen_positional_icr(
     order = rng.permutation(num_keys * copies)
     query_key = int(rng.integers(num_keys))
 
-    tokens: list[int] = []
-    query_values_in_order = []
-    for p in order:
-        key_i = int(p) // copies
-        tokens.extend(keys[key_i])
-        tokens.append(sp.assign_id)
-        tokens.extend(values[p])
-        tokens.append(sp.separator_id)
-        if key_i == query_key:
-            query_values_in_order.append(values[p])
-    tokens.append(sp.query_marker_id)
-
-    targets = [IGNORE] * len(tokens)
-    for value in query_values_in_order:
-        tokens.extend(keys[query_key])
-        targets.extend([IGNORE] * key_len)
-        tokens.append(sp.assign_id)
-        targets.append(IGNORE)
-        tokens.extend(value)
-        targets.extend(value)
-
+    tokens, targets = _recall_blocks(
+        sp,
+        [(keys[p // copies], values[p]) for p in order],
+        [(keys[query_key], values[p]) for p in order if p // copies == query_key],
+    )
     stream = TokenStream(
         tokens,
         targets,

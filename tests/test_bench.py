@@ -28,6 +28,19 @@ def ovq_mixer(n_max, d=64, beta=16.0, chunk_len=128, **kw):
     )
 
 
+class TestMixerSpec:
+    @pytest.mark.parametrize("kind", ["full_attention", "ovq", "vq_fixed", "linear_baseline"])
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf"), -3.0])
+    def test_rejects_beta_that_is_not_finite_and_nonnegative(self, kind, beta):
+        with pytest.raises(ConfigurationError, match="beta"):
+            MixerSpec(kind=kind, beta=beta, ovq=OvqConfig(n_max=8), vq_n=8)
+
+    def test_ovq_config_is_the_one_that_runs(self):
+        mixer = ovq_mixer(64, beta=4.0)
+        assert mixer.ovq == OvqConfig(n_max=64, beta=4.0)
+        assert MixerSpec(kind="ovq", beta=2.0, ovq=OvqConfig(n_max=64)).ovq.beta == 2.0
+
+
 class TestRecallBenchmark:
     def test_full_attention_is_a_clean_ceiling(self):
         row = recall_benchmark(MixerSpec(kind="full_attention"), T=256, d=64, num_probes=64, seed=0)
@@ -88,14 +101,16 @@ class TestStateSizeSweep:
         (row,) = state_size_sweep([mixer], [2048])
         assert row.state_scalars == (2048 // 2) * (2 * 16 + 1)
 
-    def test_matches_engine_trace_exactly(self):
+    @pytest.mark.parametrize("ablation", ["none", "random_assign", "linear_growth", "constant_lr"])
+    def test_matches_engine_trace_exactly(self, ablation):
         rng = np.random.default_rng(5)
-        cfg = OvqConfig(n_max=256, chunk_len=64, beta=8.0)
+        cfg = OvqConfig(n_max=256, chunk_len=64, beta=8.0, ablation=ablation)
         seq = random_sequence(rng, 1500, 8, 8.0)
         _, state, trace = ovq_forward_sequence(cfg, seq)
         mixer = MixerSpec(kind="ovq", beta=8.0, d=8, ovq=cfg)
         (row,) = state_size_sweep([mixer], [1500])
-        assert row.state_scalars == trace[-1][1] == state.scalars_stored()
+        recall = recall_benchmark(mixer, T=1500, d=8, num_probes=16, seed=5)
+        assert row.state_scalars == recall.state_scalars == trace[-1][1] == state.scalars_stored()
 
 
 class TestTokenTaskEval:

@@ -38,6 +38,12 @@ class TestGen:
         assert res.returncode == 0
         assert len(load_streams(out, fmt="bin")) == 1
 
+    def test_count_below_one_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "s.jsonl"
+        assert main(["gen", "--task", "icl", "--count", "0", "--out", str(out)]) == 2
+        assert "--count" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     @pytest.fixture()
@@ -120,6 +126,18 @@ class TestRun:
         )
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("mixer", ["full-attention", "ovq", "vq-fixed", "linear-baseline"])
+    @pytest.mark.parametrize("beta", ["inf", "nan", "-3"])
+    def test_beta_not_finite_and_nonnegative_is_config_error(
+        self, stream_file, tmp_path, capsys, mixer, beta
+    ):
+        code = main([
+            "run", "--stream", str(stream_file), "--mixer", mixer, "--dim", "32",
+            f"--beta={beta}", "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 2
+        assert "beta" in capsys.readouterr().err
+
     def test_missing_stream_is_config_error(self):
         res = run_cli("run", "--stream", "/nonexistent/stream.jsonl")
         assert res.returncode == 2
@@ -163,6 +181,20 @@ class TestBench:
         res = run_cli("bench", "--mixers", "vq-fixed", "--T", "64", "--n-max-grid", ",")
         assert res.returncode == 2
         assert "--n-max-grid" in res.stderr
+
+    @pytest.mark.parametrize("mixer", ["full-attention", "ovq", "vq-fixed", "linear-baseline"])
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-3"])
+    def test_beta_not_finite_and_nonnegative_is_config_error(self, capsys, mixer, beta):
+        code = main(["bench", "--mixers", mixer, "--T", "64", "--probes", "8", f"--beta={beta}"])
+        assert code == 2
+        assert "beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--probes", "--seeds"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_below_one_is_config_error(self, capsys, flag, value):
+        code = main(["bench", "--mixers", "full-attention", "--T", "64", f"{flag}={value}"])
+        assert code == 2
+        assert flag in capsys.readouterr().err
 
     def test_bad_ablation_is_config_error(self, tmp_path):
         out = tmp_path / "s.jsonl"

@@ -138,8 +138,8 @@ class TestSelectNewCentroids:
         state = self._state(rng, 4, 6, ablation="random_assign", seed=9)
         chunk = unit_rows(rng, 10, 6)
         gen = np.random.default_rng(123)
-        a = select_new_centroids(chunk, state, 3, rng=np.random.default_rng(123))
-        b = select_new_centroids(chunk, state, 3, rng=np.random.default_rng(123))
+        a = select_new_centroids(chunk, state, 3)
+        b = select_new_centroids(chunk, state, 3)
         assert np.array_equal(a, b)
         assert len(set(a.tolist())) == 3
 
@@ -582,3 +582,8 @@ class TestConfigValidation:
     def test_rejects_unknown_ablation(self):
         with pytest.raises(ConfigurationError):
             OvqConfig(n_max=8, ablation="bogus")
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf"), -3.0])
+    def test_rejects_beta_that_is_not_finite_and_nonnegative(self, beta):
+        with pytest.raises(ConfigurationError, match="beta"):
+            OvqConfig(n_max=8, beta=beta)

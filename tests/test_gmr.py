@@ -268,7 +268,7 @@ class TestPrediction:
             )
             q = unit_rows(rng, 1, d)[0]
             beta = float(rng.choice([1.0, 8.0, 32.0]))
-            a = gmr_predict(mix, counts, q, beta, verify=True)
+            a = gmr_predict(mix, counts, q, beta)
             b = gmr_predict_expectation(mix, counts, q, beta)
             np.testing.assert_allclose(a, b, atol=1e-10)
 

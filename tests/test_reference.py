@@ -54,6 +54,12 @@ class TestHeadSequence:
         with pytest.raises(ConfigurationError):
             HeadSequence(q, q, np.zeros((2, 3)), -1.0)
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_rejects_non_finite_beta_and_names_it(self, beta):
+        q = unit_rows(np.random.default_rng(0), 2, 3)
+        with pytest.raises(ConfigurationError, match="beta"):
+            HeadSequence(q, q, np.zeros((2, 3)), beta)
+
 
 class TestSoftmaxAttention:
     def test_single_token_returns_value(self):

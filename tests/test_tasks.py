@@ -194,6 +194,43 @@ class TestIcl:
         assert gen_icl(4, 10, seed=14) == gen_icl(4, 10, seed=14)
 
 
+class TestPinnedStreams:
+    """Exact fixed-seed output of each generator, so a change to the block
+    layout or to the order of the random draws shows up here."""
+
+    @pytest.mark.parametrize(
+        "make,tokens,targets",
+        [
+            (
+                lambda: gen_basic_icr(
+                    num_pairs=3, key_len=2, val_len=1, num_queries=2, vocab_size=10, seed=1
+                ),
+                [4, 5, 10, 8, 11, 7, 9, 10, 9, 11, 0, 1, 10, 2, 11,
+                 12, 0, 1, 10, 2, 4, 5, 10, 8],
+                [-1] * 19 + [2, -1, -1, -1, 8],
+            ),
+            (
+                lambda: gen_positional_icr(
+                    num_keys=2, copies=2, key_len=1, val_len=2, vocab_size=10, seed=2
+                ),
+                [2, 10, 4, 0, 11, 8, 10, 1, 2, 11, 2, 10, 3, 6, 11, 8, 10, 4, 8, 11,
+                 12, 2, 10, 4, 0, 2, 10, 3, 6],
+                [-1] * 23 + [4, 0, -1, -1, 3, 6],
+            ),
+            (
+                lambda: gen_icl(num_functions=2, num_examples=3, io_len=2, vocab_size=20, seed=3),
+                [1, 0, 24, 3, 2, 21, 0, 1, 23, 6, 1, 21, 1, 0, 24, 3, 2, 21],
+                [-1, -1, -1, 3, 2, -1, -1, -1, -1, 6, 1, -1, -1, -1, -1, 3, 2, -1],
+            ),
+        ],
+        ids=["basic_icr", "positional_icr", "icl"],
+    )
+    def test_tokens_and_targets(self, make, tokens, targets):
+        s = make()
+        assert s.tokens.tolist() == tokens
+        assert s.targets.tolist() == targets
+
+
 class TestStreamFiles:
     def test_jsonl_round_trip(self, tmp_path):
         s = gen_basic_icr(num_pairs=10, key_len=2, val_len=2, num_queries=2, seed=15)
