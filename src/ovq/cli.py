@@ -15,6 +15,7 @@ import sys
 
 from . import __version__
 from .bench import (
+    MIXER_KINDS,
     MixerSpec,
     RECALL_SCHEMA,
     STATE_SCHEMA,
@@ -28,26 +29,14 @@ from .bench import (
     token_task_eval,
     verify_all,
 )
-from .engine import OvqConfig, OvqState, stream_chunks, with_planned_chunks
+from .engine import FAULTS, OvqConfig, OvqState, stream_chunks, with_planned_chunks
 from .errors import ConfigurationError, GenerationError, ParseError
 from .state_io import load_state, save_state
 from .tasks import GENERATORS, SpecialTokens, load_streams, save_streams
 
-_FAULT_FLAGS = {
-    "none": "none",
-    "count-skip": "count_skip",
-    "mask-off-by-one": "mask_off_by_one",
-    "growth-over-alloc": "growth_over_alloc",
-}
-
-_MIXER_FLAGS = {
-    "full-attention": "full_attention",
-    "ovq": "ovq",
-    "vq-fixed": "vq_fixed",
-    "linear-baseline": "linear_baseline",
-}
-
-
+# Flags spell the library's names with dashes.
+_FAULT_FLAGS = {n.replace("_", "-"): n for n in FAULTS}
+_MIXER_FLAGS = {n.replace("_", "-"): n for n in MIXER_KINDS}
 _ABLATION_FLAGS = {"none": "none", "rand-assign": "random_assign", "linear-growth": "linear_growth"}
 
 # The ``gen`` flags each task's generator takes, besides --vocab-size and --seed.
@@ -234,6 +223,11 @@ def _cmd_bench(args) -> int:
     n_max_grid = _int_grid(args.n_max_grid, "--n-max-grid")
     _check_count(args.probes, "--probes")
     _check_count(args.seeds, "--seeds")
+    if args.bench == "recall" and args.probes > min(t_grid):
+        raise ConfigurationError(
+            f"--probes {args.probes} exceeds the smallest --T {min(t_grid)}; "
+            "each recall probe needs its own earlier key"
+        )
     mixers = []
     for m in [x.strip() for x in args.mixers.split(",") if x.strip()]:
         if m not in _MIXER_FLAGS:
@@ -253,7 +247,7 @@ def _cmd_bench(args) -> int:
             for T in t_grid:
                 for s in range(args.seeds):
                     rows.append(
-                        recall_benchmark(mixer, T, args.dim, min(args.probes, T), args.seed + s)
+                        recall_benchmark(mixer, T, args.dim, args.probes, args.seed + s)
                     )
         rows.sort(key=lambda r: (r.mixer, r.T, r.seed))
         schema = RECALL_SCHEMA

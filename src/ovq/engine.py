@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, InvalidStateError
-from .reference import UNIT_NORM_ATOL, AttentionOutput, HeadSequence, check_beta
+from .reference import AttentionOutput, HeadSequence, check_beta, check_unit_rows
 
 ABLATIONS = ("none", "random_assign", "linear_growth", "constant_lr")
 FAULTS = ("none", "count_skip", "mask_off_by_one", "growth_over_alloc")
@@ -387,11 +387,6 @@ def _predict_chunk(state: OvqState, q_chunk, k_chunk, v_chunk, sims) -> np.ndarr
     return _softmax_rows(logits) @ np.concatenate([state.means_v[:na], v_chunk], axis=0)
 
 
-def _unit_rows(m: np.ndarray) -> bool:
-    # "<=" so that a NaN or infinite norm fails too.
-    return bool(np.all(np.abs(np.linalg.norm(m, axis=1) - 1.0) <= UNIT_NORM_ATOL))
-
-
 def _validate_chunk(state: OvqState, q_chunk, k_chunk, v_chunk):
     """[L, d] arrays with 1 <= L <= chunk_len, finite, with unit-norm query
     and key rows; ``q_chunk`` is None for an absorb-only chunk."""
@@ -408,8 +403,7 @@ def _validate_chunk(state: OvqState, q_chunk, k_chunk, v_chunk):
         if m.shape != (lc, state.d):
             raise ConfigurationError(f"{name} chunk must be [{lc}, {state.d}], got {m.shape}")
         if name != "v":
-            if not _unit_rows(m):
-                raise ConfigurationError(f"{name} chunk rows must be finite and unit norm")
+            check_unit_rows(m, f"{name} chunk")
         elif not np.isfinite(m).all():
             raise ConfigurationError("v chunk has non-finite entries")
 
@@ -481,8 +475,7 @@ def dictionary_readout(state: OvqState, queries: np.ndarray) -> np.ndarray:
     queries = np.atleast_2d(np.asarray(queries, dtype=DTYPES[state.config.dtype]))
     if queries.ndim != 2 or queries.shape[1] != state.d:
         raise ConfigurationError(f"queries must be [n, {state.d}], got {queries.shape}")
-    if not _unit_rows(queries):
-        raise ConfigurationError("queries must be finite and unit norm")
+    check_unit_rows(queries, "queries")
     na = state.n_active
     return count_readout(
         state.config.beta, queries, state.means_k[:na], state.counts[:na], state.means_v[:na]

@@ -23,13 +23,15 @@ def _as_f64(a) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a, dtype=np.float64))
 
 
-def _check_unit_rows(m: np.ndarray, name: str) -> None:
+def check_unit_rows(m: np.ndarray, name: str) -> None:
+    """Every row of the [n, d] matrix ``m`` must have norm within
+    UNIT_NORM_ATOL of 1; a NaN or infinite norm fails too."""
     norms = np.linalg.norm(m, axis=1)
-    bad = np.abs(norms - 1.0) > UNIT_NORM_ATOL
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    good = np.abs(norms - 1.0) <= UNIT_NORM_ATOL
+    if not good.all():
+        i = int(np.argmin(good))
         raise ConfigurationError(
-            f"{name} rows must be unit norm; row {i} has norm {norms[i]:.8f}"
+            f"{name} rows must be finite and unit norm; row {i} has norm {norms[i]:.8f}"
         )
 
 
@@ -76,8 +78,8 @@ class HeadSequence:
         for name in ("q", "k", "v"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigurationError(f"{name} has non-finite entries")
-        _check_unit_rows(self.q, "q")
-        _check_unit_rows(self.k, "k")
+        check_unit_rows(self.q, "q")
+        check_unit_rows(self.k, "k")
 
     @property
     def T(self) -> int:
@@ -90,30 +92,17 @@ class HeadSequence:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Paired key/value centroids with per-centroid assignment counts."""
+    """Key centroids; the quantized-key forms rebuild the value side
+    themselves."""
 
     means_k: np.ndarray  # [N, d]
-    means_v: np.ndarray  # [N, d]
-    counts: np.ndarray   # [N], each >= 1 for an active centroid
 
     def __post_init__(self):
         object.__setattr__(self, "means_k", _as_f64(self.means_k))
-        object.__setattr__(self, "means_v", _as_f64(self.means_v))
-        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.float64))
-        if self.means_k.ndim != 2 or self.means_v.shape != self.means_k.shape:
-            raise ConfigurationError("means_k and means_v must be matching [N, d] matrices")
-        if self.counts.shape != (self.n,):
-            raise ConfigurationError("counts must have one entry per centroid")
-        if np.any(self.counts < 1):
-            raise ConfigurationError("active centroid counts must be >= 1")
 
     @classmethod
     def from_keys(cls, means_k) -> "Dictionary":
-        """Key-only dictionary (value means zero, counts one); enough for
-        the quantized-key operations that rebuild value state themselves."""
-        means_k = _as_f64(means_k)
-        n = means_k.shape[0]
-        return cls(means_k, np.zeros_like(means_k), np.ones(n))
+        return cls(means_k)
 
     @property
     def n(self) -> int:
@@ -142,13 +131,19 @@ def quantize_keys(k, dictionary: Dictionary) -> tuple[np.ndarray, np.ndarray]:
     and centroids are unit norm, so argmax dot == argmin L2.
     """
     k = _as_f64(k)
-    if dictionary.n < 1:
-        raise InvalidStateError("cannot quantize against an empty dictionary")
-    if k.shape[1] != dictionary.means_k.shape[1]:
-        raise ConfigurationError("key dimension does not match dictionary")
-    sims = k @ dictionary.means_k.T
-    assignments = np.argmax(sims, axis=1)
-    return dictionary.means_k[assignments], assignments
+    dict_k = _key_dictionary(dictionary.means_k, k.shape[1])
+    assignments = np.argmax(k @ dict_k.T, axis=1)
+    return dict_k[assignments], assignments
+
+
+def _key_dictionary(dict_k, d: int) -> np.ndarray:
+    """The key centroids as float64, checked to be non-empty and d wide."""
+    dict_k = _as_f64(dict_k)
+    if dict_k.ndim != 2 or dict_k.shape[1] != d:
+        raise ConfigurationError(f"key dictionary must be [N, {d}], got {dict_k.shape}")
+    if dict_k.shape[0] < 1:
+        raise InvalidStateError("empty key dictionary")
+    return dict_k
 
 
 def _causal_weighted_mix(q, keys, values, beta) -> np.ndarray:
@@ -182,41 +177,34 @@ def vq_attention_linear(
     the running value means. Zero-count centroids are excluded from the
     softmax outright, never evaluated through log(0).
 
-    With ``return_state`` the final (counts, value means) are also
+    Each step rewrites only the assigned centroid's value mean. With
+    ``return_state`` the (counts, value means) held at the end are also
     returned, which is how the mixture-readout cross-checks grab a shared
     dictionary state.
     """
-    dict_k = _as_f64(dict_k)
+    dict_k = _key_dictionary(dict_k, seq.d)
     n = dict_k.shape[0]
-    if n < 1:
-        raise InvalidStateError("empty key dictionary")
-    if dict_k.shape[1] != seq.d:
-        raise ConfigurationError("dictionary dimension does not match sequence")
-    sims = seq.k @ dict_k.T
-    assignments = np.argmax(sims, axis=1)
+    assignments = np.argmax(seq.k @ dict_k.T, axis=1)
 
     counts = np.zeros(n, dtype=np.int64)
     value_sums = np.zeros((n, seq.d))
+    means_v = np.zeros((n, seq.d))
     out = np.empty((seq.T, seq.d))
     for t in range(seq.T):
         a = assignments[t]
         counts[a] += 1
         value_sums[a] += seq.v[t]
+        means_v[a] = value_sums[a] / counts[a]
         populated = counts > 0
         logits = np.full(n, -np.inf)
         logits[populated] = seq.beta * (dict_k[populated] @ seq.q[t]) + np.log(
             counts[populated].astype(np.float64)
         )
         w = masked_softmax(logits[None, :])[0]
-        means_v = np.zeros((n, seq.d))
-        means_v[populated] = value_sums[populated] / counts[populated, None]
         out[t] = w @ means_v
 
     result = AttentionOutput(out)
     if return_state:
-        means_v = np.zeros((n, seq.d))
-        populated = counts > 0
-        means_v[populated] = value_sums[populated] / counts[populated, None]
         return result, counts, means_v
     return result
 
@@ -233,14 +221,9 @@ def vq_attention_chunked(seq: HeadSequence, dict_k, chunk_len: int) -> Attention
     """
     if chunk_len < 1:
         raise ConfigurationError(f"chunk_len must be >= 1, got {chunk_len}")
-    dict_k = _as_f64(dict_k)
-    n = dict_k.shape[0]
-    if n < 1:
-        raise InvalidStateError("empty key dictionary")
-    if dict_k.shape[1] != seq.d:
-        raise ConfigurationError("dictionary dimension does not match sequence")
-
-    k_hat, assignments = quantize_keys(seq.k, Dictionary.from_keys(dict_k))
+    dictionary = Dictionary(dict_k)
+    k_hat, assignments = quantize_keys(seq.k, dictionary)
+    dict_k, n = dictionary.means_k, dictionary.n
 
     out = np.empty((seq.T, seq.d))
     # Dictionary state lags two windows behind the one being predicted.

@@ -13,7 +13,7 @@ import struct
 import numpy as np
 
 from .engine import ABLATIONS, DTYPES, OvqConfig, OvqState
-from .errors import ParseError
+from .errors import ConfigurationError, ParseError
 
 MAGIC = b"OVQS"
 VERSION = 1
@@ -93,17 +93,22 @@ def load_state(path) -> OvqState:
     if len(raw) != expected:
         raise ParseError(f"state file has {len(raw)} bytes, expected {expected}")
 
-    cfg = OvqConfig(
-        n_max=n_max,
-        chunk_len=chunk_len,
-        beta=beta,
-        ablation=_CODE_ABLATION[ablation_code],
-        constant_lr_rate=const_rate,
-        sequential_merge=bool(sequential_merge),
-        seed=seed,
-        planned_chunks=None if planned < 0 else planned,
-        dtype=dtype,
-    )
+    if d < 1:
+        raise ParseError(f"state has head width d = {d}, expected >= 1")
+    try:
+        cfg = OvqConfig(
+            n_max=n_max,
+            chunk_len=chunk_len,
+            beta=beta,
+            ablation=_CODE_ABLATION[ablation_code],
+            constant_lr_rate=const_rate,
+            sequential_merge=bool(sequential_merge),
+            seed=seed,
+            planned_chunks=None if planned < 0 else planned,
+            dtype=dtype,
+        )
+    except ConfigurationError as exc:
+        raise ParseError(f"state configuration out of range: {exc}") from exc
     off = _HEADER.size
     means_k = np.frombuffer(raw, dtype=f"<f{itemsize}", count=n_max * d, offset=off)
     off += mat_bytes

@@ -8,6 +8,7 @@ import pytest
 
 from ovq import (
     ConfigurationError,
+    HeadSequence,
     MixerSpec,
     OvqConfig,
     gen_basic_icr,
@@ -16,10 +17,11 @@ from ovq import (
     state_size_sweep,
     token_task_eval,
     verify_all,
+    vq_attention_linear,
 )
-from ovq.bench import rows_to_csv, rows_to_json, token_embeddings
+from ovq.bench import _fixed_vq_state, rows_to_csv, rows_to_json, token_embeddings
 
-from helpers import random_sequence
+from helpers import random_sequence, unit_rows
 
 
 def ovq_mixer(n_max, d=64, beta=16.0, chunk_len=128, **kw):
@@ -83,6 +85,23 @@ class TestRecallBenchmark:
     def test_rejects_more_probes_than_pairs(self):
         with pytest.raises(ConfigurationError):
             recall_benchmark(MixerSpec(kind="full_attention"), T=16, d=64, num_probes=32, seed=0)
+
+
+class TestFixedVqState:
+    """The vq_fixed recall state is the linear-form oracle's final state."""
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_counts_and_value_means_equal_the_oracle_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        t, d, n = rng.integers(1, 48), rng.integers(1, 9), rng.integers(1, 17)
+        keys, values = unit_rows(rng, t, d), rng.standard_normal((t, d))
+        dict_k = unit_rows(rng, n, d)
+        _, counts, means_v = vq_attention_linear(
+            HeadSequence(keys, keys, values, 4.0), dict_k, return_state=True
+        )
+        fixed_counts, fixed_means = _fixed_vq_state(dict_k, keys, values)
+        assert np.array_equal(fixed_counts, counts)
+        assert np.array_equal(fixed_means, means_v)
 
 
 class TestStateSizeSweep:

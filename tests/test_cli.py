@@ -1,6 +1,7 @@
 """Command-line surface: subcommand wiring, report meta, exit codes, and
 state snapshot flags."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,9 @@ import sys
 import pytest
 
 from ovq import load_state, load_streams
-from ovq.cli import main
+from ovq.bench import MIXER_KINDS
+from ovq.cli import _ablation_flag, _parse_ablation, build_parser, main
+from ovq.engine import ABLATIONS, FAULTS
 
 
 def run_cli(*args, **kw):
@@ -196,6 +199,17 @@ class TestBench:
         assert code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["16", "128,16"])
+    def test_probes_above_the_smallest_context_is_config_error(self, capsys, grid):
+        code = main(["bench", "--mixers", "full-attention", "--T", grid, "--probes", "64"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--probes 64" in err and "16" in err
+
+    def test_state_size_ignores_probes(self):
+        argv = ["bench", "--bench", "state-size", "--mixers", "full-attention", "--T", "16"]
+        assert main([*argv, "--probes", "64"]) == 0
+
     def test_bad_ablation_is_config_error(self, tmp_path):
         out = tmp_path / "s.jsonl"
         run_cli("gen", "--task", "icl", "--num-functions", "2", "--num-examples", "2", "--out", str(out))
@@ -232,6 +246,35 @@ class TestLinearGrowthAblation:
             "--dim", "32", "--ablation", "linear-growth", "--out", str(tmp_path / "b.csv"),
         ])
         assert code == 0
+
+
+def _choices(subcommand: str, flag: str) -> set[str]:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return set(next(a for a in sub.choices[subcommand]._actions if flag in a.option_strings).choices)
+
+
+class TestNameTables:
+    """The CLI spells the library's names with dashes and adds none of its own."""
+
+    def test_inject_fault_accepts_exactly_the_engine_faults(self):
+        assert _choices("verify", "--inject-fault") == {f.replace("_", "-") for f in FAULTS}
+
+    def test_mixer_accepts_exactly_the_mixer_kinds(self):
+        assert _choices("run", "--mixer") == {k.replace("_", "-") for k in MIXER_KINDS}
+
+    @pytest.mark.parametrize("kind", MIXER_KINDS)
+    def test_mixers_accepts_each_kind_dash_spelled(self, capsys, kind):
+        argv = ["bench", "--bench", "state-size", "--T", "8", "--dim", "4", "--format", "json"]
+        assert main([*argv, "--mixers", kind.replace("_", "-")]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"][0]["mixer"].startswith(kind)
+        if "_" in kind:
+            assert main([*argv, "--mixers", kind]) == 2
+
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_every_ablation_round_trips_through_its_flag(self, ablation):
+        rate = 0.3 if ablation == "constant_lr" else None
+        assert _parse_ablation(_ablation_flag(ablation, rate)) == (ablation, rate)
 
 
 class TestVerify:

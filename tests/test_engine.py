@@ -451,6 +451,48 @@ class TestNonFiniteInput:
             assert np.array_equal(now, then)
 
 
+class TestUnitNormRule:
+    """One rule for query and key rows: finite and unit norm, and the error
+    names the array and the first row that breaks it."""
+
+    def _state(self, rng):
+        state = OvqState.fresh(OvqConfig(n_max=8, chunk_len=4), 3)
+        absorb_chunk(state, unit_rows(rng, 4, 3), rng.standard_normal((4, 3)))
+        return state
+
+    @pytest.mark.parametrize("row", [0, 2, 3])
+    @pytest.mark.parametrize(
+        "name,bad", [("q", 2.0), ("q", np.nan), ("k", 0.5), ("k", np.nan)]
+    )
+    def test_forward_chunk_names_the_array_and_row(self, row, name, bad):
+        rng = np.random.default_rng(45)
+        state = self._state(rng)
+        arrays = {"q": unit_rows(rng, 4, 3), "k": unit_rows(rng, 4, 3)}
+        arrays[name][row] *= bad
+        with pytest.raises(ConfigurationError, match=rf"^{name} chunk .* row {row} has norm"):
+            ovq_forward_chunk(state, arrays["q"], arrays["k"], rng.standard_normal((4, 3)))
+
+    @pytest.mark.parametrize("row", [1, 3])
+    @pytest.mark.parametrize("bad", [3.0, np.nan])
+    def test_absorb_names_the_key_row(self, row, bad):
+        rng = np.random.default_rng(46)
+        state = self._state(rng)
+        k = unit_rows(rng, 4, 3)
+        k[row] *= bad
+        with pytest.raises(ConfigurationError, match=rf"^k chunk .* row {row} has norm"):
+            absorb_chunk(state, k, rng.standard_normal((4, 3)))
+
+    @pytest.mark.parametrize("row", [0, 4])
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_readout_names_the_probe_row(self, row, bad):
+        rng = np.random.default_rng(47)
+        state = self._state(rng)
+        probes = unit_rows(rng, 5, 3)
+        probes[row, 1] = bad
+        with pytest.raises(ConfigurationError, match=rf"^queries .* row {row} has norm"):
+            dictionary_readout(state, probes)
+
+
 class TestForwardSequence:
     def test_single_chunk_sequence_equals_plain_attention(self):
         rng = np.random.default_rng(18)

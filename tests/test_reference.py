@@ -17,6 +17,7 @@ from ovq import (
     vq_attention_linear,
     vq_attention_quadratic,
 )
+from ovq.reference import check_unit_rows
 
 from helpers import (
     random_sequence,
@@ -48,6 +49,15 @@ class TestHeadSequence:
         with pytest.raises(ConfigurationError, match=rf"\b{name}\b.*non-finite"):
             HeadSequence(arrays["q"], arrays["k"], arrays["v"], 1.0)
 
+    @pytest.mark.parametrize("name", ["q", "k"])
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_non_unit_row_names_the_array_and_row(self, name, row):
+        rng = np.random.default_rng(0)
+        arrays = {"q": unit_rows(rng, 4, 3), "k": unit_rows(rng, 4, 3)}
+        arrays[name][row] *= 1.5
+        with pytest.raises(ConfigurationError, match=rf"^{name} rows .* row {row} has norm 1\.5"):
+            HeadSequence(arrays["q"], arrays["k"], np.zeros((4, 3)), 1.0)
+
     def test_rejects_negative_beta(self):
         rng = np.random.default_rng(0)
         q = unit_rows(rng, 2, 3)
@@ -59,6 +69,18 @@ class TestHeadSequence:
         q = unit_rows(np.random.default_rng(0), 2, 3)
         with pytest.raises(ConfigurationError, match="beta"):
             HeadSequence(q, q, np.zeros((2, 3)), beta)
+
+
+class TestCheckUnitRows:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, 1.01])
+    def test_fails_the_first_bad_row_by_name(self, bad):
+        m = np.eye(3)
+        m[1, 1], m[2, 2] = bad, bad
+        with pytest.raises(ConfigurationError, match=r"^m rows must be finite .* row 1 has norm"):
+            check_unit_rows(m, "m")
+
+    def test_passes_rows_within_tolerance(self):
+        check_unit_rows(np.eye(4) * (1.0 + 9e-7), "m")
 
 
 class TestSoftmaxAttention:
@@ -121,19 +143,13 @@ class TestQuantizeKeys:
         means = unit_rows(rng, 6, 6)
         means[2] = base
         means[5] = base  # identical centroids at 2 and 5: equidistant
-        _, assign = quantize_keys(base[None, :], Dictionary(means, np.zeros_like(means), np.ones(6)))
+        _, assign = quantize_keys(base[None, :], Dictionary(means))
         assert assign[0] == 2
 
     def test_empty_dictionary_raises(self):
         rng = np.random.default_rng(9)
         with pytest.raises(InvalidStateError):
             quantize_keys(unit_rows(rng, 3, 4), Dictionary.from_keys(np.empty((0, 4))))
-
-    def test_dictionary_rejects_fractional_counts_below_one(self):
-        rng = np.random.default_rng(90)
-        means = unit_rows(rng, 3, 4)
-        with pytest.raises(ConfigurationError):
-            Dictionary(means, np.zeros_like(means), np.array([1.0, 0.5, 2.0]))
 
 
 class TestQuadraticForm:

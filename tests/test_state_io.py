@@ -1,5 +1,7 @@
 """Engine state snapshots: exact round trips and corruption handling."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from ovq import (
     ovq_forward_chunk,
     save_state,
 )
+from ovq.cli import main
+from ovq.state_io import _HEADER
 
 from helpers import unit_rows
 
@@ -171,3 +175,68 @@ class TestImpossibleSnapshots:
         path.write_bytes(bytes(raw))
         with pytest.raises(ParseError):
             load_state(path)
+
+
+# Header byte offsets (little-endian, no padding): magic 0, version 4, d 8,
+# n_max 12, n_active 16, tokens 20, chunks 28, beta 36, chunk_len 44.
+_D, _N_MAX, _TOKENS, _BETA, _CHUNK_LEN = 8, 12, 20, 36, 44
+
+
+class TestOutOfRangeHeader:
+    def _saved(self, tmp_path):
+        rng = np.random.default_rng(7)
+        state = _streamed_state(rng, OvqConfig(n_max=16, chunk_len=8), 4, chunks=1)
+        path = tmp_path / "cfg.bin"
+        save_state(state, path)
+        return state, path
+
+    @pytest.mark.parametrize(
+        "fmt,offset,value",
+        [
+            pytest.param("<d", _BETA, float("inf"), id="beta-inf"),
+            pytest.param("<d", _BETA, -1.0, id="beta-negative"),
+            pytest.param("<d", _BETA, float("nan"), id="beta-nan"),
+            pytest.param("<I", _CHUNK_LEN, 0, id="chunk-len-0"),
+        ],
+    )
+    def test_config_field_out_of_range_is_a_parse_error(self, tmp_path, fmt, offset, value):
+        _, path = self._saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, offset, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="configuration"):
+            load_state(path)
+
+    def test_zero_capacity_is_a_parse_error(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        # n_max, n_active, tokens and chunks 0, with a body of matching (zero) length.
+        struct.pack_into("<II", raw, _N_MAX, 0, 0)
+        struct.pack_into("<QQ", raw, _TOKENS, 0, 0)
+        path.write_bytes(bytes(raw[: _HEADER.size]))
+        with pytest.raises(ParseError, match="configuration"):
+            load_state(path)
+
+    def test_zero_width_is_a_parse_error(self, tmp_path):
+        state, path = self._saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, _D, 0)
+        # With d = 0 the two mean matrices are empty; keep only the counts.
+        body = state.counts.astype("<i8").tobytes()
+        path.write_bytes(bytes(raw[: _HEADER.size]) + body)
+        with pytest.raises(ParseError, match=r"\bd\b"):
+            load_state(path)
+
+    def test_cli_load_of_a_bad_header_exits_2(self, tmp_path, capsys):
+        _, path = self._saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, _BETA, float("inf"))
+        path.write_bytes(bytes(raw))
+        stream = tmp_path / "s.jsonl"
+        assert main([
+            "gen", "--task", "icl", "--num-functions", "2", "--num-examples", "2",
+            "--out", str(stream),
+        ]) == 0
+        code = main(["run", "--stream", str(stream), "--dim", "4", "--load-state", str(path)])
+        assert code == 2
+        assert "beta" in capsys.readouterr().err
