@@ -3,9 +3,9 @@
 State is a pair of centroid matrices (key side, value side) plus integer
 assignment counts. Each chunk is processed in two phases, prediction first:
 
-1. predict: every chunk row attends over the frozen dictionary (always
-   visible, biased by log counts) concatenated with the raw in-chunk keys
-   and values under a causal mask;
+1. predict: every chunk row attends, in one softmax over two blocks, to
+   the frozen dictionary (always visible, biased by log counts) and to the
+   raw in-chunk keys and values under a causal mask;
 2. absorb: the schedule decides how many chunk keys seed brand-new
    centroids (lowest similarity to the existing dictionary wins), and the
    rest are folded into their nearest centroid with a running-mean step.
@@ -344,47 +344,47 @@ def _dictionary_sims(state: OvqState, x: np.ndarray) -> np.ndarray:
     return x @ state.means_k[: state.n_active].T
 
 
-def _dictionary_logits(beta: float, sims, counts, out=None) -> np.ndarray:
+def _dictionary_logits(beta: float, sims, counts) -> np.ndarray:
     """beta * sims + log counts, where sims = q . D_k^T, in the dtype of
-    sims and written into ``out`` when given; a row with count 0 gets
-    -inf, so it never receives weight."""
-    out = np.multiply(sims, beta, out=out)
+    sims; a row with count 0 gets -inf, so it never receives weight."""
+    out = np.multiply(sims, beta)
     with np.errstate(divide="ignore"):
         out += np.log(counts.astype(np.float64)).astype(out.dtype, copy=False)
     return out
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Turn each row of ``logits`` into softmax weights, in place."""
-    logits -= np.max(logits, axis=1, keepdims=True)
+def _softmax_block(logits: np.ndarray, row_max, values) -> tuple[np.ndarray, np.ndarray]:
+    """Exponentiate one column block of a row softmax against ``row_max``,
+    in place, and return its weighted values and its weight row sums."""
+    logits -= row_max
     np.exp(logits, out=logits)
-    logits /= np.sum(logits, axis=1, keepdims=True)
-    return logits
+    return logits @ values, np.sum(logits, axis=1, keepdims=True)
 
 
 def count_readout(beta: float, queries, means_k, counts, means_v) -> np.ndarray:
     """softmax(beta * q . D_k^T + log counts) . D_v over the rows whose
     count is nonzero: the mixture readout of a count-weighted dictionary."""
-    return _softmax_rows(_dictionary_logits(beta, queries @ means_k.T, counts)) @ means_v
+    logits = _dictionary_logits(beta, queries @ means_k.T, counts)
+    out, total = _softmax_block(logits, np.max(logits, axis=1, keepdims=True), means_v)
+    return out / total
 
 
 def _predict_chunk(state: OvqState, q_chunk, k_chunk, v_chunk, sims) -> np.ndarray:
-    """softmax([beta q.D_k^T + log counts | causal beta q.k^T]) . [D_v; v],
-    built in one [L, n_active + L] buffer. ``sims`` is k_chunk . D_k^T and
-    stands in for q . D_k^T when the query chunk equals the key chunk."""
+    """softmax([beta q.D_k^T + log counts | causal beta q.k^T]) . [D_v; v]
+    as two blocks exponentiated against one row max, the summed values
+    divided by the summed row sums. ``sims`` is k_chunk . D_k^T and stands
+    in for q . D_k^T when the query chunk equals the key chunk."""
     cfg = state.config
-    na = state.n_active
-    lc = q_chunk.shape[0]
-    logits = np.empty((lc, na + lc), dtype=q_chunk.dtype)
     q_sims = sims if np.array_equal(q_chunk, k_chunk) else _dictionary_sims(state, q_chunk)
-    _dictionary_logits(cfg.beta, q_sims, state.counts[:na], out=logits[:, :na])
-    in_chunk = logits[:, na:]
-    np.matmul(q_chunk, k_chunk.T, out=in_chunk)
-    in_chunk *= cfg.beta
-    local = np.arange(lc)
-    horizon = local[:, None] + (1 if cfg._fault == "mask_off_by_one" else 0)
-    np.copyto(in_chunk, -np.inf, where=horizon < local[None, :])
-    return _softmax_rows(logits) @ np.concatenate([state.means_v[:na], v_chunk], axis=0)
+    dict_logits = _dictionary_logits(cfg.beta, q_sims, state.counts[: state.n_active])
+    visible = np.tri(len(q_chunk), k=1 if cfg._fault == "mask_off_by_one" else 0, dtype=bool)
+    chunk_logits = np.where(visible, cfg.beta * (q_chunk @ k_chunk.T), -np.inf)
+    # With an empty dictionary the in-chunk block alone sets the row max.
+    row_max = np.max(chunk_logits, axis=1, keepdims=True)
+    np.maximum(row_max, np.max(dict_logits, axis=1, keepdims=True, initial=-np.inf), out=row_max)
+    out, total = _softmax_block(chunk_logits, row_max, v_chunk)
+    dict_out, dict_total = _softmax_block(dict_logits, row_max, state.means_v[: state.n_active])
+    return (out + dict_out) / (total + dict_total)
 
 
 def _validate_chunk(state: OvqState, q_chunk, k_chunk, v_chunk):

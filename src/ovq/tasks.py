@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -78,6 +79,14 @@ class TokenStream:
         self.targets = np.asarray(self.targets, dtype=np.int64)
         if self.tokens.shape != self.targets.shape:
             raise ConfigurationError("tokens and targets must have equal length")
+        total = SpecialTokens(operator.index(self.vocab_size)).total_vocab
+        # Targets may also be IGNORE, which is -1, one below the range.
+        for name, ids, low in (("token", self.tokens, 0), ("target", self.targets, IGNORE)):
+            bad = np.flatnonzero((ids < low) | (ids >= total))
+            if len(bad):
+                raise ConfigurationError(
+                    f"{name} id {ids[bad[0]]} at position {bad[0]} is outside [0, {total})"
+                )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TokenStream):
@@ -331,39 +340,27 @@ GENERATORS = {
 # On-disk formats
 
 
-def _stream_to_record(stream: TokenStream) -> dict:
-    return {
-        "tokens": stream.tokens.tolist(),
-        "targets": stream.targets.tolist(),
-        "vocab_size": stream.vocab_size,
-        "meta": stream.meta,
-    }
-
-
-def _record_to_stream(rec: dict, line: int | None = None) -> TokenStream:
-    try:
-        return TokenStream(rec["tokens"], rec["targets"], rec["vocab_size"], rec.get("meta", {}))
-    except (KeyError, TypeError, ConfigurationError) as exc:
-        raise ParseError(f"bad stream record: {exc}", line=line) from exc
-
-
 def save_streams(streams, path, fmt: str = "jsonl") -> None:
     streams = list(streams)
     if fmt == "jsonl":
         with open(path, "w", encoding="utf-8") as f:
             for stream in streams:
-                f.write(json.dumps(_stream_to_record(stream)) + "\n")
+                rec = {
+                    "tokens": stream.tokens.tolist(),
+                    "targets": stream.targets.tolist(),
+                    "vocab_size": stream.vocab_size,
+                    "meta": stream.meta,
+                }
+                f.write(json.dumps(rec) + "\n")
     elif fmt == "bin":
         with open(path, "wb") as f:
             f.write(STREAM_MAGIC)
             f.write(struct.pack("<II", STREAM_VERSION, len(streams)))
             for stream in streams:
-                toks = stream.tokens.astype("<u4")
-                tgts = np.where(stream.targets == IGNORE, _BIN_IGNORE, stream.targets).astype("<u4")
+                tgts = np.where(stream.targets == IGNORE, _BIN_IGNORE, stream.targets)
                 meta = json.dumps(stream.meta).encode("utf-8")
-                f.write(struct.pack("<I", len(toks)))
-                f.write(toks.tobytes())
-                f.write(tgts.tobytes())
+                f.write(struct.pack("<I", len(stream)))
+                f.write(np.concatenate([stream.tokens, tgts]).astype("<u4").tobytes())
                 f.write(struct.pack("<II", stream.vocab_size, len(meta)))
                 f.write(meta)
     else:
@@ -371,21 +368,24 @@ def save_streams(streams, path, fmt: str = "jsonl") -> None:
 
 
 def load_streams(path, fmt: str = "jsonl") -> list[TokenStream]:
+    streams = []
     if fmt == "jsonl":
-        streams = []
-        with open(path, "r", encoding="utf-8") as f:
-            for i, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
+        with open(path, "rb") as f:
+            for i, raw in enumerate(f, start=1):
                 try:
+                    line = raw.decode("utf-8")
+                    if not line.strip():
+                        continue
                     rec = json.loads(line)
+                    fields = rec["tokens"], rec["targets"], rec["vocab_size"], rec.get("meta", {})
+                    streams.append(TokenStream(*fields))
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"invalid UTF-8: {exc.reason}", line=i) from exc
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"invalid JSON: {exc.msg}", line=i) from exc
-                streams.append(_record_to_stream(rec, line=i))
-        if not streams:
-            raise ParseError("no stream records in file")
-        return streams
-    if fmt == "bin":
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    raise ParseError(f"bad stream record: {exc}", line=i) from exc
+    elif fmt == "bin":
         with open(path, "rb") as f:
             raw = f.read()
         if len(raw) < 12 or raw[:4] != STREAM_MAGIC:
@@ -393,26 +393,24 @@ def load_streams(path, fmt: str = "jsonl") -> list[TokenStream]:
         version, count = struct.unpack_from("<II", raw, 4)
         if version != STREAM_VERSION:
             raise ParseError(f"unsupported stream version {version}")
-        if count == 0:
-            raise ParseError("no stream records in file")
-        streams = []
         off = 12
-        try:
-            for _ in range(count):
+        for record in range(1, count + 1):
+            try:
                 (n,) = struct.unpack_from("<I", raw, off)
                 off += 4
-                toks = np.frombuffer(raw, dtype="<u4", count=n, offset=off).astype(np.int64)
-                off += 4 * n
-                tgts_u = np.frombuffer(raw, dtype="<u4", count=n, offset=off)
-                off += 4 * n
-                tgts = np.where(tgts_u == _BIN_IGNORE, IGNORE, tgts_u.astype(np.int64))
+                ids = np.frombuffer(raw, dtype="<u4", count=2 * n, offset=off).astype(np.int64)
+                off += 8 * n
+                toks, tgts = ids[:n], np.where(ids[n:] == _BIN_IGNORE, IGNORE, ids[n:])
                 vocab_size, meta_len = struct.unpack_from("<II", raw, off)
                 off += 8
                 meta = json.loads(raw[off : off + meta_len].decode("utf-8"))
                 off += meta_len
                 streams.append(TokenStream(toks, tgts, int(vocab_size), meta))
-        except (struct.error, ValueError, json.JSONDecodeError) as exc:
-            raise ParseError(f"truncated or corrupt binary stream file: {exc}") from exc
-        return streams
-    raise ConfigurationError(f"unknown stream format {fmt!r}")
+            except (struct.error, ValueError) as exc:
+                raise ParseError(f"record {record}: truncated or corrupt: {exc}") from exc
+    else:
+        raise ConfigurationError(f"unknown stream format {fmt!r}")
+    if not streams:
+        raise ParseError("no stream records in file")
+    return streams
 

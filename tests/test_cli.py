@@ -141,6 +141,26 @@ class TestRun:
         assert code == 2
         assert "beta" in capsys.readouterr().err
 
+    def test_undecodable_stream_exits_two_naming_the_line(self, stream_file, tmp_path, capsys):
+        raw = stream_file.read_bytes()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(raw[:10] + b"\xff\xfe" + raw[12:])
+        assert main(["run", "--stream", str(bad), "--dim", "32"]) == 2
+        assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("tokens", 99999), ("targets", 99999), ("tokens", -5)])
+    def test_out_of_range_id_exits_two(self, tmp_path, capsys, field, value):
+        path = tmp_path / "s.jsonl"
+        assert main([
+            "gen", "--task", "basic_icr", "--num-pairs", "10", "--key-len", "2", "--val-len", "2",
+            "--num-queries", "2", "--vocab-size", "50", "--out", str(path),
+        ]) == 0
+        rec = json.loads(path.read_text())
+        rec[field][-1] = value
+        path.write_text(json.dumps(rec) + "\n")
+        assert main(["run", "--stream", str(path), "--dim", "32"]) == 2
+        assert "line 1" in capsys.readouterr().err
+
     def test_missing_stream_is_config_error(self):
         res = run_cli("run", "--stream", "/nonexistent/stream.jsonl")
         assert res.returncode == 2

@@ -366,8 +366,28 @@ class TestForwardChunk:
 
 
 def unfused_predict(state, q, k, v):
-    """softmax([beta q.D_k^T + log c | causal beta q.k^T]) . [D_v; v], written
-    out with one temporary per step."""
+    """The engine's two-block predict written out with one temporary per
+    step: the dictionary block [beta q.D_k^T + log c] and the causal
+    in-chunk block [beta q.k^T] are exponentiated against their shared row
+    max, and the sum of their weighted values is divided by the sum of
+    their row sums."""
+    na, beta, lc = state.n_active, state.config.beta, len(q)
+    with np.errstate(divide="ignore"):
+        dict_logits = beta * (q @ state.means_k[:na].T) + np.log(state.counts[:na].astype(np.float64))
+    chunk_logits = beta * (q @ k.T)
+    chunk_logits = np.where(np.arange(lc)[None, :] > np.arange(lc)[:, None], -np.inf, chunk_logits)
+    row_max = np.max(chunk_logits, axis=1, keepdims=True)
+    if na:
+        row_max = np.maximum(row_max, np.max(dict_logits, axis=1, keepdims=True))
+    dict_w = np.exp(dict_logits - row_max)
+    chunk_w = np.exp(chunk_logits - row_max)
+    weighted = chunk_w @ v + dict_w @ state.means_v[:na]
+    return weighted / (np.sum(chunk_w, axis=1, keepdims=True) + np.sum(dict_w, axis=1, keepdims=True))
+
+
+def one_buffer_predict(state, q, k, v):
+    """softmax([beta q.D_k^T + log c | causal beta q.k^T]) . [D_v; v], with
+    the two blocks concatenated into one logits buffer."""
     na, beta, lc = state.n_active, state.config.beta, len(q)
     with np.errstate(divide="ignore"):
         dict_logits = beta * (q @ state.means_k[:na].T) + np.log(state.counts[:na].astype(np.float64))
@@ -391,6 +411,19 @@ class TestSharedKeyDictionaryProduct:
             expected = unfused_predict(state, q, k, v)
             out, _ = ovq_forward_chunk(state, q, k, v)
             assert np.array_equal(out, expected)
+        assert state.n_active > 0
+
+    @pytest.mark.parametrize("queries", ["q is k", "q equals k", "q differs"])
+    def test_forward_chunk_matches_the_one_buffer_softmax(self, queries):
+        rng = np.random.default_rng(47)
+        seq = random_sequence(rng, 96, 8, 8.0)
+        state = OvqState.fresh(OvqConfig(n_max=24, chunk_len=16, beta=8.0), 8)
+        for start in range(0, seq.T, 16):
+            k, v = seq.k[start : start + 16], seq.v[start : start + 16]
+            q = {"q is k": k, "q equals k": k.copy(), "q differs": seq.q[start : start + 16]}[queries]
+            expected = one_buffer_predict(state, q, k, v)
+            out, _ = ovq_forward_chunk(state, q, k, v)
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
         assert state.n_active > 0
 
     @pytest.mark.parametrize("queries,products", [("q is k", 1), ("q equals k", 1), ("q differs", 2)])

@@ -2,11 +2,14 @@
 dtypes, capacities 1..64 and chunk lengths 1..32, with stream lengths that
 leave a short last chunk as often as not."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ovq import HeadSequence, OvqConfig, OvqState, ovq_forward_chunk, ovq_forward_sequence
 from ovq.engine import ABLATIONS, DTYPES, stream_chunks
+from ovq.reference import masked_softmax
 
 from helpers import random_sequence
 
@@ -88,3 +91,33 @@ def test_predicting_never_changes_the_state(case):
         assert getattr(forward, field) == getattr(absorbed, field)
     for field in ("means_k", "means_v", "counts"):
         assert np.array_equal(getattr(forward, field), getattr(absorbed, field))
+
+
+@PROPERTY_SETTINGS
+@given(streams())
+def test_predict_is_the_concatenated_softmax_within_tolerance(case):
+    """Every float64 chunk is within 1e-10 of masked_softmax over
+    [beta q.D_k^T + log c | causal beta q.k^T] times [D_v; v], and a
+    float32 run's first chunk is within 1e-4 of the float64 one."""
+    cfg, seq = case
+    state = OvqState.fresh(replace(cfg, dtype="float64"), seq.d)
+    outputs = []
+    for start in range(0, seq.T, cfg.chunk_len):
+        chunk = slice(start, start + cfg.chunk_len)
+        q, k, v = seq.q[chunk], seq.k[chunk], seq.v[chunk]
+        na, lc = state.n_active, len(q)
+        logits = np.concatenate(
+            [
+                cfg.beta * (q @ state.means_k[:na].T) + np.log(state.counts[:na]),
+                np.where(np.tri(lc, dtype=bool), cfg.beta * (q @ k.T), -np.inf),
+            ],
+            axis=1,
+        )
+        expected = masked_softmax(logits) @ np.concatenate([state.means_v[:na], v])
+        outputs.append(ovq_forward_chunk(state, q, k, v)[0])
+        np.testing.assert_allclose(outputs[-1], expected, rtol=0, atol=1e-10)
+    if cfg.dtype == "float32":
+        head = slice(0, cfg.chunk_len)
+        state32 = OvqState.fresh(cfg, seq.d)
+        out32, _ = ovq_forward_chunk(state32, seq.q[head], seq.k[head], seq.v[head])
+        np.testing.assert_allclose(out32, outputs[0], rtol=0, atol=1e-4)

@@ -1,8 +1,14 @@
 """Task generators: layouts, determinism, uniqueness, targeting, and the
 two stream file formats."""
 
+import functools
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ovq import (
     ConfigurationError,
@@ -291,3 +297,118 @@ class TestStreamFiles:
         save_streams([s], path, fmt="bin")
         (back,) = load_streams(path, fmt="bin")
         np.testing.assert_array_equal(back.targets, [IGNORE, 2, IGNORE])
+
+
+def _two_small_streams():
+    """Two short recall streams over vocab_size 50 (total vocabulary 181)."""
+    return [gen_basic_icr(3, 2, 2, vocab_size=50, num_queries=1, seed=s) for s in (1, 2)]
+
+
+class TestStreamIds:
+    """Token ids lie in [0, total_vocab); targets are IGNORE or in that
+    range. With vocab_size 50 the total vocabulary is 181."""
+
+    @pytest.mark.parametrize(
+        "tokens,targets",
+        [([1, 99999], [IGNORE, IGNORE]), ([1, 2], [IGNORE, 99999]), ([1, -5], [IGNORE, IGNORE]),
+         ([1, 181], [IGNORE, IGNORE]), ([1, 2], [IGNORE, -5]), ([1, 2], [IGNORE, 181])],
+        ids=["token-high", "target-high", "token-negative", "token-total-vocab",
+             "target-negative", "target-total-vocab"],
+    )
+    def test_out_of_range_id_is_rejected_and_named(self, tokens, targets):
+        with pytest.raises(ConfigurationError, match=r"position 1.*\[0, 181\)"):
+            TokenStream(tokens, targets, 50)
+
+    @pytest.mark.parametrize("vocab_size", [50.0, float("nan"), "50", None])
+    def test_vocab_size_that_is_not_an_integer_is_rejected(self, vocab_size):
+        with pytest.raises(TypeError):
+            TokenStream([1, 2], [IGNORE, 2], vocab_size)
+
+    @pytest.mark.parametrize("vocab_size", [50.0, float("nan")])
+    def test_jsonl_loader_rejects_a_vocab_size_that_is_not_an_integer(self, tmp_path, vocab_size):
+        path = tmp_path / "s.jsonl"
+        save_streams(_two_small_streams()[:1], path)
+        rec = json.loads(path.read_text())
+        rec["vocab_size"] = vocab_size
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(ParseError, match=r"^line 1: "):
+            load_streams(path)
+
+    def test_ids_at_the_range_edges_are_accepted(self):
+        s = TokenStream([0, 180], [IGNORE, 180], 50)
+        assert s.tokens.tolist() == [0, 180] and s.targets.tolist() == [IGNORE, 180]
+
+    @pytest.mark.parametrize("field,value", [("tokens", 99999), ("targets", 99999), ("tokens", -5)])
+    def test_jsonl_loader_names_the_line(self, tmp_path, field, value):
+        path = tmp_path / "s.jsonl"
+        save_streams(_two_small_streams(), path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec[field][-1] = value
+        lines[1] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"^line 2: .*outside") as err:
+            load_streams(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("field,value", [("tokens", 99999), ("targets", 99999)])
+    def test_bin_loader_names_the_record(self, tmp_path, field, value):
+        streams = _two_small_streams()
+        path = tmp_path / "s.bin"
+        save_streams(streams, path, fmt="bin")
+        raw = bytearray(path.read_bytes())
+        # The second record's tokens start after the header, the first
+        # record and the second record's length word.
+        n0, n1 = len(streams[0]), len(streams[1])
+        first = 4 + 8 * n0 + 8 + len(json.dumps(streams[0].meta).encode())
+        start = 12 + first + 4 + (0 if field == "tokens" else 4 * n1)
+        raw[start : start + 4] = value.to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match=r"record 2: .*outside"):
+            load_streams(path, fmt="bin")
+
+
+class TestUndecodableStreamFile:
+    def test_invalid_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        save_streams([gen_icl(2, 3, seed=s) for s in (1, 2)], path)
+        raw = path.read_bytes()
+        second = raw.index(b"\n") + 1
+        bad = raw[: second + 10] + b"\xff\xfe" + raw[second + 12 :]
+        path.write_bytes(bad)
+        with pytest.raises(ParseError, match=r"^line 2: .*UTF-8") as err:
+            load_streams(path)
+        assert err.value.line == 2
+
+
+@functools.cache
+def _saved_stream_bytes(fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"s.{fmt}"
+        save_streams(_two_small_streams(), path, fmt=fmt)
+        return path.read_bytes()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["jsonl", "bin"]),
+    st.sampled_from(["mutate", "truncate"]),
+    st.floats(0, 1, exclude_max=True),
+    st.integers(0, 255),
+)
+def test_mutated_or_truncated_stream_file_loads_or_is_a_parse_error(fmt, how, where, byte):
+    """Any single-byte change or truncation of a saved stream file either
+    loads or raises ParseError; nothing else escapes the loader."""
+    raw = bytearray(_saved_stream_bytes(fmt))
+    at = int(where * len(raw))
+    if how == "mutate":
+        raw[at] = byte
+    else:
+        del raw[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"m.{fmt}"
+        path.write_bytes(bytes(raw))
+        try:
+            load_streams(path, fmt=fmt)
+        except ParseError:
+            pass
