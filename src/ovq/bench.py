@@ -147,9 +147,7 @@ def _fixed_vq_state(dict_k: np.ndarray, keys: np.ndarray, values: np.ndarray):
     return counts, means_v
 
 
-def recall_benchmark(
-    mixer: MixerSpec, T: int, d: int, num_probes: int, seed: int
-) -> RecallRow:
+def recall_benchmark(mixer: MixerSpec, T: int, num_probes: int, seed: int) -> RecallRow:
     """Associative recall fidelity of one mixer's memory.
 
     T random unit-norm keys are paired with values taken from a codebook
@@ -161,8 +159,7 @@ def recall_benchmark(
     """
     if T < num_probes:
         raise ConfigurationError("need T >= num_probes")
-    if mixer.d != d:
-        raise ConfigurationError(f"mixer built for d={mixer.d}, benchmark asked d={d}")
+    d = mixer.d
     rng = np.random.default_rng(seed)
     keys = unit_rows(rng, T, d)
     codebook = unit_rows(rng, T, d)

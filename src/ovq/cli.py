@@ -246,9 +246,7 @@ def _cmd_bench(args) -> int:
         for mixer in mixers:
             for T in t_grid:
                 for s in range(args.seeds):
-                    rows.append(
-                        recall_benchmark(mixer, T, args.dim, args.probes, args.seed + s)
-                    )
+                    rows.append(recall_benchmark(mixer, T, args.probes, args.seed + s))
         rows.sort(key=lambda r: (r.mixer, r.T, r.seed))
         schema = RECALL_SCHEMA
 
@@ -283,9 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, action=_StoreTyped, help="base random seed")
         p.add_argument(
             "--chunk-len", type=int, default=128, action=_StoreTyped, help="engine chunk length"
-        )
-        p.add_argument(
-            "--n-max", type=int, default=2048, action=_StoreTyped, help="dictionary capacity"
         )
         p.add_argument(
             "--beta", type=float, default=16.0, action=_StoreTyped, help="attention logit scale"
@@ -335,13 +330,18 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--embedding-seed", type=int, default=0)
     r.add_argument("--save-state", default=None, help="write final engine state here")
     r.add_argument("--load-state", default=None, help="start from this engine state")
+    r.add_argument(
+        "--n-max", type=int, default=2048, action=_StoreTyped, help="dictionary capacity"
+    )
     add_common(r)
     r.set_defaults(func=_cmd_run)
 
+    # No prefix matching, or ``--n-max`` would silently mean --n-max-grid.
     b = sub.add_parser(
         "bench",
         help="sweep a benchmark grid",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        allow_abbrev=False,
     )
     b.add_argument("--bench", choices=("recall", "state-size"), default="recall")
     b.add_argument("--mixers", default="full-attention,ovq,linear-baseline")

@@ -173,35 +173,32 @@ def vq_attention_linear(
     Streams positions in order. At each step the current value is folded
     into the running value mean of its key's centroid and the centroid
     count is incremented, then the output is read out as
-    softmax(beta * q . D_k^T + log(counts)) over populated centroids times
-    the running value means. Zero-count centroids are excluded from the
-    softmax outright, never evaluated through log(0).
+    softmax(beta * q . D_k^T + log(counts)) times the running value means.
 
-    Each step rewrites only the assigned centroid's value mean. With
-    ``return_state`` the (counts, value means) held at the end are also
-    returned, which is how the mixture-readout cross-checks grab a shared
-    dictionary state.
+    The state is held across steps: counts, value means and log counts,
+    and each step rewrites only the assigned centroid's entries. Log
+    counts start at -inf, so a centroid no key has reached yet gets weight
+    exactly 0 and log(0) is never evaluated. With ``return_state`` the
+    (counts, value means) held at the end are also returned, which is how
+    the mixture-readout cross-checks grab a shared dictionary state.
     """
     dict_k = _key_dictionary(dict_k, seq.d)
     n = dict_k.shape[0]
     assignments = np.argmax(seq.k @ dict_k.T, axis=1)
 
     counts = np.zeros(n, dtype=np.int64)
+    log_counts = np.full(n, -np.inf)
     value_sums = np.zeros((n, seq.d))
     means_v = np.zeros((n, seq.d))
     out = np.empty((seq.T, seq.d))
     for t in range(seq.T):
         a = assignments[t]
         counts[a] += 1
+        log_counts[a] = np.log(counts[a])
         value_sums[a] += seq.v[t]
         means_v[a] = value_sums[a] / counts[a]
-        populated = counts > 0
-        logits = np.full(n, -np.inf)
-        logits[populated] = seq.beta * (dict_k[populated] @ seq.q[t]) + np.log(
-            counts[populated].astype(np.float64)
-        )
-        w = masked_softmax(logits[None, :])[0]
-        out[t] = w @ means_v
+        logits = seq.beta * (dict_k @ seq.q[t]) + log_counts
+        out[t] = masked_softmax(logits[None, :])[0] @ means_v
 
     result = AttentionOutput(out)
     if return_state:
@@ -214,10 +211,15 @@ def vq_attention_chunked(seq: HeadSequence, dict_k, chunk_len: int) -> Attention
 
     The sequence is cut into windows of ``chunk_len``. Queries in window c
     see three blocks: the centroid dictionary with counts and value means
-    frozen at the end of window c-2, the quantized keys of window c-1
-    (fully visible), and the quantized keys of window c under a causal
-    mask. The combined softmax reproduces the quadratic form exactly. A
-    short final window is processed as-is, without padding.
+    as of the end of window c-2, the quantized keys of window c-1 (fully
+    visible), and the quantized keys of window c under a causal mask. The
+    combined softmax reproduces the quadratic form exactly. A short final
+    window is processed as-is, without padding.
+
+    One dictionary state trails the predicted window by two. At the start
+    of window c >= 2 it folds in window c-2 and refreshes the log counts
+    and value means of only the centroids that window reached; the others
+    keep log count -inf (weight exactly 0) and value mean 0.
     """
     if chunk_len < 1:
         raise ConfigurationError(f"chunk_len must be >= 1, got {chunk_len}")
@@ -226,47 +228,38 @@ def vq_attention_chunked(seq: HeadSequence, dict_k, chunk_len: int) -> Attention
     dict_k, n = dictionary.means_k, dictionary.n
 
     out = np.empty((seq.T, seq.d))
-    # Dictionary state lags two windows behind the one being predicted.
-    counts_old = np.zeros(n, dtype=np.int64)        # end of window c-2
-    value_sums_old = np.zeros((n, seq.d))
-    counts_prev = np.zeros(n, dtype=np.int64)       # end of window c-1
-    value_sums_prev = np.zeros((n, seq.d))
+    # Dictionary state as of the end of window c-2.
+    counts = np.zeros(n, dtype=np.int64)
+    value_sums = np.zeros((n, seq.d))
+    log_counts = np.full(n, -np.inf)
+    means_v = np.zeros((n, seq.d))
 
-    starts = list(range(0, seq.T, chunk_len))
-    for c, start in enumerate(starts):
+    for start in range(0, seq.T, chunk_len):
         stop = min(start + chunk_len, seq.T)
+        prev = max(start - chunk_len, 0)  # window c-1 is [prev, start)
+        if start >= 2 * chunk_len:
+            folded = slice(prev - chunk_len, prev)  # window c-2
+            # A repeated index rewrites its row with the same value.
+            touched = assignments[folded]
+            np.add.at(counts, touched, 1)
+            np.add.at(value_sums, touched, seq.v[folded])
+            log_counts[touched] = np.log(counts[touched])
+            means_v[touched] = value_sums[touched] / counts[touched, None]
+
         q_c = seq.q[start:stop]
-        lc = stop - start
-
-        populated = counts_old > 0
-        dict_logits = np.full((lc, n), -np.inf)
-        if np.any(populated):
-            dict_logits[:, populated] = seq.beta * (
-                q_c @ dict_k[populated].T
-            ) + np.log(counts_old[populated].astype(np.float64))
-        means_v_old = np.zeros((n, seq.d))
-        means_v_old[populated] = value_sums_old[populated] / counts_old[populated, None]
-
-        logit_blocks = [dict_logits]
-        value_blocks = [means_v_old]
-        if c >= 1:
-            pstart = starts[c - 1]
-            logit_blocks.append(seq.beta * (q_c @ k_hat[pstart:start].T))
-            value_blocks.append(seq.v[pstart:start])
         intra = seq.beta * (q_c @ k_hat[start:stop].T)
-        local = np.arange(lc)
+        local = np.arange(stop - start)
         intra[local[:, None] < local[None, :]] = -np.inf
-        logit_blocks.append(intra)
-        value_blocks.append(seq.v[start:stop])
-
-        weights = masked_softmax(np.concatenate(logit_blocks, axis=1))
-        out[start:stop] = weights @ np.concatenate(value_blocks, axis=0)
-
-        # Roll the lagged state forward by one window.
-        counts_old = counts_prev.copy()
-        value_sums_old = value_sums_prev.copy()
-        np.add.at(counts_prev, assignments[start:stop], 1)
-        np.add.at(value_sums_prev, assignments[start:stop], seq.v[start:stop])
+        logits = np.concatenate(
+            [
+                seq.beta * (q_c @ dict_k.T) + log_counts,
+                seq.beta * (q_c @ k_hat[prev:start].T),
+                intra,
+            ],
+            axis=1,
+        )
+        values = np.concatenate([means_v, seq.v[prev:start], seq.v[start:stop]], axis=0)
+        out[start:stop] = masked_softmax(logits) @ values
 
     return AttentionOutput(out)
 

@@ -80,6 +80,11 @@ class TokenStream:
         if self.tokens.shape != self.targets.shape:
             raise ConfigurationError("tokens and targets must have equal length")
         total = SpecialTokens(operator.index(self.vocab_size)).total_vocab
+        # Every id must fit a u32 field of the binary format below _BIN_IGNORE.
+        if not N_SPECIALS <= total <= _BIN_IGNORE:
+            raise ConfigurationError(
+                f"vocab_size {self.vocab_size} is outside [0, {_BIN_IGNORE - N_SPECIALS}]"
+            )
         # Targets may also be IGNORE, which is -1, one below the range.
         for name, ids, low in (("token", self.tokens, 0), ("target", self.targets, IGNORE)):
             bad = np.flatnonzero((ids < low) | (ids >= total))

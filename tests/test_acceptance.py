@@ -310,7 +310,7 @@ def test_criterion_09_exact_recall_ceiling():
         kind="ovq", beta=16.0, d=64, ovq=OvqConfig(n_max=n_max, chunk_len=1, beta=16.0)
     )
     for seed in range(5):
-        row = recall_benchmark(mixer, T=t, d=64, num_probes=64, seed=seed)
+        row = recall_benchmark(mixer, T=t, num_probes=64, seed=seed)
         assert row.top1_accuracy == 1.0, f"seed {seed}: top1 {row.top1_accuracy}"
     _report(9, "exact-recall ceiling, top1 = 1.0 on 5 seeds")
 
@@ -325,7 +325,7 @@ def test_criterion_10_comparative_ordering():
 
     def median_top1(mixer):
         return float(
-            np.median([recall_benchmark(mixer, t, d, 128, s).top1_accuracy for s in seeds])
+            np.median([recall_benchmark(mixer, t, 128, s).top1_accuracy for s in seeds])
         )
 
     full = median_top1(MixerSpec(kind="full_attention", beta=beta, d=d))

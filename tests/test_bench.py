@@ -45,7 +45,7 @@ class TestMixerSpec:
 
 class TestRecallBenchmark:
     def test_full_attention_is_a_clean_ceiling(self):
-        row = recall_benchmark(MixerSpec(kind="full_attention"), T=256, d=64, num_probes=64, seed=0)
+        row = recall_benchmark(MixerSpec(kind="full_attention"), T=256, num_probes=64, seed=0)
         assert row.top1_accuracy == 1.0
         assert row.state_scalars == 256 * 2 * 64
 
@@ -54,28 +54,28 @@ class TestRecallBenchmark:
         # pair its own centroid, so probes decode perfectly.
         t = 128
         row = recall_benchmark(
-            ovq_mixer(t * (t - 1), chunk_len=1), T=t, d=64, num_probes=64, seed=1
+            ovq_mixer(t * (t - 1), chunk_len=1), T=t, num_probes=64, seed=1
         )
         assert row.top1_accuracy == 1.0
         assert row.state_scalars == t * (2 * 64 + 1)
 
     def test_baseline_degrades_below_clustered_memory(self):
         t = 1024
-        lin = recall_benchmark(MixerSpec(kind="linear_baseline"), T=t, d=64, num_probes=64, seed=2)
-        clustered = recall_benchmark(ovq_mixer(t), T=t, d=64, num_probes=64, seed=2)
+        lin = recall_benchmark(MixerSpec(kind="linear_baseline"), T=t, num_probes=64, seed=2)
+        clustered = recall_benchmark(ovq_mixer(t), T=t, num_probes=64, seed=2)
         assert lin.top1_accuracy < clustered.top1_accuracy
         assert lin.state_scalars == 64 * 64 + 64
 
     def test_fixed_dictionary_mixer_runs(self):
         row = recall_benchmark(
-            MixerSpec(kind="vq_fixed", vq_n=64), T=256, d=64, num_probes=32, seed=3
+            MixerSpec(kind="vq_fixed", vq_n=64), T=256, num_probes=32, seed=3
         )
         assert 0.0 <= row.top1_accuracy <= 1.0
         assert row.state_scalars == 64 * (2 * 64 + 1)
 
     def test_deterministic_apart_from_wall_time(self):
-        a = recall_benchmark(ovq_mixer(512), T=256, d=64, num_probes=32, seed=4)
-        b = recall_benchmark(ovq_mixer(512), T=256, d=64, num_probes=32, seed=4)
+        a = recall_benchmark(ovq_mixer(512), T=256, num_probes=32, seed=4)
+        b = recall_benchmark(ovq_mixer(512), T=256, num_probes=32, seed=4)
         assert (a.top1_accuracy, a.mean_cosine, a.state_scalars) == (
             b.top1_accuracy,
             b.mean_cosine,
@@ -84,7 +84,7 @@ class TestRecallBenchmark:
 
     def test_rejects_more_probes_than_pairs(self):
         with pytest.raises(ConfigurationError):
-            recall_benchmark(MixerSpec(kind="full_attention"), T=16, d=64, num_probes=32, seed=0)
+            recall_benchmark(MixerSpec(kind="full_attention"), T=16, num_probes=32, seed=0)
 
 
 class TestFixedVqState:
@@ -128,7 +128,7 @@ class TestStateSizeSweep:
         _, state, trace = ovq_forward_sequence(cfg, seq)
         mixer = MixerSpec(kind="ovq", beta=8.0, d=8, ovq=cfg)
         (row,) = state_size_sweep([mixer], [1500])
-        recall = recall_benchmark(mixer, T=1500, d=8, num_probes=16, seed=5)
+        recall = recall_benchmark(mixer, T=1500, num_probes=16, seed=5)
         assert row.state_scalars == recall.state_scalars == trace[-1][1] == state.scalars_stored()
 
 
@@ -176,7 +176,7 @@ class TestTokenTaskEval:
 
 class TestReportFormats:
     def test_csv_has_versioned_header_and_meta(self):
-        rows = [recall_benchmark(MixerSpec(kind="full_attention"), 64, 64, 16, 0)]
+        rows = [recall_benchmark(MixerSpec(kind="full_attention"), 64, 16, 0)]
         text = rows_to_csv(rows, "ovq-recall-report-v1", {"seed": 0})
         lines = text.splitlines()
         assert lines[0] == "# schema: ovq-recall-report-v1"
@@ -184,7 +184,7 @@ class TestReportFormats:
         assert lines[2].split(",")[0] == "mixer"
 
     def test_json_carries_schema_and_meta(self):
-        rows = [recall_benchmark(MixerSpec(kind="full_attention"), 64, 64, 16, 0)]
+        rows = [recall_benchmark(MixerSpec(kind="full_attention"), 64, 16, 0)]
         doc = json.loads(rows_to_json(rows, "ovq-recall-report-v1", {"seed": 0}))
         assert doc["schema"] == "ovq-recall-report-v1"
         assert doc["meta"] == {"seed": 0}

@@ -161,6 +161,19 @@ class TestRun:
         assert main(["run", "--stream", str(path), "--dim", "32"]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_vocab_size_too_wide_for_u32_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "s.jsonl"
+        assert main([
+            "gen", "--task", "basic_icr", "--num-pairs", "10", "--key-len", "2", "--val-len", "2",
+            "--num-queries", "2", "--vocab-size", "50", "--out", str(path),
+        ]) == 0
+        rec = json.loads(path.read_text())
+        rec["vocab_size"] = 10**30
+        path.write_text(json.dumps(rec) + "\n")
+        assert main(["run", "--stream", str(path), "--dim", "32"]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "vocab_size" in err
+
     def test_missing_stream_is_config_error(self):
         res = run_cli("run", "--stream", "/nonexistent/stream.jsonl")
         assert res.returncode == 2
@@ -225,6 +238,23 @@ class TestBench:
         assert code == 2
         err = capsys.readouterr().err
         assert "--probes 64" in err and "16" in err
+
+    def test_n_max_is_not_a_bench_flag(self, capsys):
+        # bench takes its capacities from --n-max-grid only.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--mixers", "ovq", "--T", "256", "--probes", "8", "--n-max", "16"])
+        assert exc.value.code == 2
+        assert "--n-max" in capsys.readouterr().err
+
+    def test_recall_meta_and_rows_carry_the_capacity_that_ran(self, capsys):
+        code = main([
+            "bench", "--mixers", "ovq", "--T", "64", "--probes", "8", "--n-max-grid", "16",
+            "--format", "json",
+        ])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "n_max" not in doc["meta"] and doc["meta"]["n_max_grid"] == "16"
+        assert [r["n_max"] for r in doc["rows"]] == [16]
 
     def test_state_size_ignores_probes(self):
         argv = ["bench", "--bench", "state-size", "--mixers", "full-attention", "--T", "16"]

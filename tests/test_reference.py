@@ -284,6 +284,33 @@ class TestOracleChainProperty:
             np.testing.assert_allclose(chunked, quad, atol=1e-10)
 
 
+class TestHeldDictionaryState:
+    """The linear and chunked forms hold their dictionary state across
+    steps. A centroid no key reaches keeps log count -inf, so it gets
+    weight exactly 0 without log(0) ever being evaluated."""
+
+    @pytest.mark.parametrize("beta", [0.0, 8.0])
+    def test_never_hit_rows_stay_empty_and_forms_agree(self, beta):
+        rng = np.random.default_rng(31)
+        t, d = 40, 6
+        # Keys and live rows lie in the positive orthant, dead rows in the
+        # negative one, so every key is nearer some live row.
+        keys = np.abs(unit_rows(rng, t, d))
+        live, dead = np.abs(unit_rows(rng, 5, d)), -np.abs(unit_rows(rng, 3, d))
+        dict_k = np.concatenate([live[:2], dead, live[2:]])
+        never = [2, 3, 4]
+        seq = HeadSequence(unit_rows(rng, t, d), keys, rng.standard_normal((t, d)), beta)
+        with np.errstate(divide="raise", invalid="raise"):
+            quad = vq_attention_quadratic(seq, Dictionary.from_keys(dict_k)).o
+            lin, counts, means_v = vq_attention_linear(seq, dict_k, return_state=True)
+            chunked = {L: vq_attention_chunked(seq, dict_k, L).o for L in (1, 7, t)}
+        np.testing.assert_allclose(lin.o, quad, atol=1e-10)
+        for out in chunked.values():
+            np.testing.assert_allclose(out, quad, atol=1e-10)
+        assert counts[never].tolist() == [0, 0, 0] and counts.sum() == t
+        assert not means_v[never].any()
+
+
 class TestLinearBaseline:
     def test_single_token_returns_value(self):
         rng = np.random.default_rng(23)

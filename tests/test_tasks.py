@@ -24,6 +24,7 @@ from ovq import (
     save_streams,
 )
 from ovq.tasks import (
+    N_SPECIALS,
     apply_linear_function,
     basic_icr_length,
     icl_length,
@@ -337,6 +338,31 @@ class TestStreamIds:
     def test_ids_at_the_range_edges_are_accepted(self):
         s = TokenStream([0, 180], [IGNORE, 180], 50)
         assert s.tokens.tolist() == [0, 180] and s.targets.tolist() == [IGNORE, 180]
+
+    @pytest.mark.parametrize(
+        "vocab_size,token", [(2**32 - 5, 2**32 + 8), (2**32, 7), (10**30, 7), (-1, 7)]
+    )
+    def test_vocab_size_whose_ids_do_not_fit_u32_is_rejected_and_named(self, vocab_size, token):
+        # The binary format stores ids, and vocab_size, as u32 below the
+        # IGNORE sentinel 0xFFFFFFFF; a wider id would wrap on save.
+        with pytest.raises(ConfigurationError, match="vocab_size"):
+            TokenStream([1, token], [IGNORE, 2], vocab_size)
+
+    def test_largest_vocab_round_trips_through_bin(self, tmp_path):
+        top = 0xFFFFFFFE  # the largest id below the IGNORE sentinel
+        s = TokenStream([0, top], [IGNORE, top], top + 1 - N_SPECIALS, {"task": "manual"})
+        path = tmp_path / "edge.bin"
+        save_streams([s], path, fmt="bin")
+        assert load_streams(path, fmt="bin") == [s]
+
+    def test_jsonl_loader_rejects_a_vocab_size_too_wide_for_u32(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        save_streams(_two_small_streams()[:1], path)
+        rec = json.loads(path.read_text())
+        rec["vocab_size"] = 10**30
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(ParseError, match=r"^line 1: .*vocab_size"):
+            load_streams(path)
 
     @pytest.mark.parametrize("field,value", [("tokens", 99999), ("targets", 99999), ("tokens", -5)])
     def test_jsonl_loader_names_the_line(self, tmp_path, field, value):
