@@ -209,6 +209,12 @@ def _cmd_run(args) -> int:
         rows = _run_with_snapshots(args, streams)
     else:
         mixer = _mixer_spec(args, kind, args.n_max)
+        shortest = min(len(s) for s in streams)
+        if kind == "vq_fixed" and shortest < args.n_max:
+            raise ConfigurationError(
+                f"vq-fixed seeds --n-max {args.n_max} centroids from each stream's keys, "
+                f"but a stream has only {shortest} tokens; lower --n-max"
+            )
         rows = [
             token_task_eval(mixer, stream, embedding_seed=args.embedding_seed)
             for stream in streams
@@ -237,6 +243,11 @@ def _cmd_bench(args) -> int:
         kind = _MIXER_FLAGS[m]
         capacities = n_max_grid if kind == "ovq" else n_max_grid[:1]
         mixers.extend(_mixer_spec(args, kind, n) for n in capacities)
+        if kind == "vq_fixed" and args.bench == "recall" and min(t_grid) < n_max_grid[0]:
+            raise ConfigurationError(
+                f"vq-fixed seeds its capacity, the first --n-max-grid value, from each run's "
+                f"keys: --n-max-grid {n_max_grid[0]} exceeds --T {min(t_grid)}"
+            )
 
     rows = []
     if args.bench == "state-size":

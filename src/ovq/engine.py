@@ -264,79 +264,134 @@ def update_dictionary(
     Seeding tokens are installed verbatim as new rows with count 1. Every
     other token increments its centroid's count, and the centroid row
     moves by lr * (token - row) where lr = 1 / (count after this chunk's
-    increments). All merge deltas for one centroid are applied against the
+    increments). All merge deltas for one centroid are taken against the
     same pre-merge row, which makes the result the exact running mean of
-    everything the centroid has absorbed.
+    everything the centroid has absorbed. The deltas are added in rank
+    passes: every target's first delta, then every target's second, and
+    so on, so each row receives its additions one at a time in chunk
+    order.
 
     ``sequential_merge`` applies the merge deltas one token at a time against
     the evolving row instead (same fixed lr); the two modes agree whenever
     a chunk assigns at most one token per centroid. The constant_lr
     ablation swaps the adaptive lr for a fixed rate. Rows the chunk never
     touches are left bitwise unchanged.
+
+    This is the checked entry point for callers that choose their own
+    assignments and seeds: it rejects, before any state change, chunk and
+    assignment shapes that disagree, growth past n_max, repeated or out-of-chunk seed positions, assignments
+    outside the grown dictionary and seeds that do not point at the fresh
+    rows. ``absorb_chunk`` and ``ovq_forward_chunk`` build valid inputs
+    themselves and merge without these checks.
     """
     cfg = state.config
     lc = k_chunk.shape[0]
-    n_new = len(new_centroid_positions)
-    prev_active = state.n_active
-    fresh = np.arange(prev_active, prev_active + n_new)
+    shapes = (k_chunk.shape, np.shape(v_chunk), np.shape(assignments))
+    if shapes != ((lc, state.d), (lc, state.d), (lc,)):
+        raise ConfigurationError(
+            f"update needs [L, {state.d}] k and v chunks and L assignments, got shapes {shapes}"
+        )
+    positions = np.asarray(new_centroid_positions)
+    n_new = len(positions)
+    grown = state.n_active + n_new
 
-    if prev_active + n_new > cfg.n_max:
+    if grown > cfg.n_max:
         raise InvalidStateError("new centroids would exceed n_max")
-    if n_new != len(np.unique(new_centroid_positions)):
+    if n_new != len(np.unique(positions)):
         raise InvalidStateError("new centroid positions must be distinct")
-    if lc and not 0 <= int(np.min(assignments)) <= int(np.max(assignments)) < prev_active + n_new:
+    outside = positions[(positions < 0) | (positions >= lc)]
+    if len(outside):
+        raise InvalidStateError(
+            f"new centroid position {outside[0]} is outside the chunk positions [0, {lc})"
+        )
+    if lc and not 0 <= int(np.min(assignments)) <= int(np.max(assignments)) < grown:
         raise InvalidStateError("assignment index outside the grown dictionary")
-    if n_new and not np.array_equal(np.sort(assignments[new_centroid_positions]), fresh):
-        raise InvalidStateError("seeding tokens must point at the fresh indices")
+    if n_new:
+        positions = positions[np.argsort(assignments[positions])]
+        if not np.array_equal(assignments[positions], np.arange(state.n_active, grown)):
+            raise InvalidStateError("seeding tokens must point at the fresh indices")
 
     dt = DTYPES[cfg.dtype]
-    k_chunk = np.asarray(k_chunk, dtype=dt)
-    v_chunk = np.asarray(v_chunk, dtype=dt)
-
-    # Install seeds first: exact token rows, count 1.
-    if n_new:
-        seed_order = new_centroid_positions[np.argsort(assignments[new_centroid_positions])]
-        state.means_k[fresh] = k_chunk[seed_order]
-        state.means_v[fresh] = v_chunk[seed_order]
-        state.counts[fresh] = 1
-        state.n_active = prev_active + n_new
-
-    merge_mask = np.ones(lc, dtype=bool)
-    merge_mask[new_centroid_positions] = False
-    merge_idx = np.flatnonzero(merge_mask)
-    targets = assignments[merge_idx]
-
-    lrs = np.ones(lc)
-
-    if len(merge_idx):
-        counts_pre = state.counts[targets]
-        per_target = np.bincount(targets, minlength=state.n_active)
-        if cfg._fault != "count_skip":
-            state.counts[: state.n_active] += per_target
-        if cfg.ablation == "constant_lr":
-            merge_lrs = np.full(len(merge_idx), cfg.constant_lr_rate)
-        else:
-            merge_lrs = 1.0 / (counts_pre + per_target[targets]).astype(np.float64)
-        lrs[merge_idx] = merge_lrs
-
-        if cfg.sequential_merge:
-            for j, tok in enumerate(merge_idx):
-                tgt = targets[j]
-                lr = dt(merge_lrs[j])
-                state.means_k[tgt] += lr * (k_chunk[tok] - state.means_k[tgt])
-                state.means_v[tgt] += lr * (v_chunk[tok] - state.means_v[tgt])
-        else:
-            mu_k_pre = state.means_k[targets]
-            mu_v_pre = state.means_v[targets]
-            lr_col = merge_lrs.astype(dt)[:, None]
-            np.add.at(state.means_k, targets, lr_col * (k_chunk[merge_idx] - mu_k_pre))
-            np.add.at(state.means_v, targets, lr_col * (v_chunk[merge_idx] - mu_v_pre))
-
+    lrs = _merge(
+        state, np.asarray(k_chunk, dtype=dt), np.asarray(v_chunk, dtype=dt), assignments, positions
+    )
     return ChunkUpdateRecord(
         assignments=assignments.copy(),
         new_centroid_positions=np.asarray(new_centroid_positions, dtype=np.int64),
         learning_rates=lrs,
     )
+
+
+def _merge(state: OvqState, k_chunk, v_chunk, assignments, seeds) -> np.ndarray:
+    """The dictionary update behind ``update_dictionary``, for inputs that
+    are valid by construction: ``seeds`` lists the seeding chunk positions
+    in the order of the fresh rows they take. Returns the [L] learning
+    rates, 1.0 for seeding tokens."""
+    cfg = state.config
+    lc = len(assignments)
+    n_new = len(seeds)
+    if n_new:
+        fresh = slice(state.n_active, state.n_active + n_new)
+        state.means_k[fresh] = k_chunk[seeds]
+        state.means_v[fresh] = v_chunk[seeds]
+        state.counts[fresh] = 1
+        state.n_active += n_new
+        merging = np.ones(lc, dtype=bool)
+        merging[seeds] = False
+        targets, k_chunk, v_chunk = assignments[merging], k_chunk[merging], v_chunk[merging]
+    else:
+        targets = assignments
+    if not len(targets):  # every token seeded, or the chunk is empty
+        return np.ones(lc)
+
+    per_target = np.bincount(targets, minlength=state.n_active)
+    counts = state.counts[: state.n_active]
+    if cfg._fault == "count_skip":
+        counts = counts.copy()  # the rates still see the increments; the state does not
+    counts += per_target
+    if cfg.ablation == "constant_lr":
+        rates = np.full(len(targets), cfg.constant_lr_rate)
+    else:
+        rates = 1.0 / counts[targets]
+
+    if cfg.sequential_merge:
+        dt = state.means_k.dtype.type
+        for j, tgt in enumerate(targets):
+            lr = dt(rates[j])
+            state.means_k[tgt] += lr * (k_chunk[j] - state.means_k[tgt])
+            state.means_v[tgt] += lr * (v_chunk[j] - state.means_v[tgt])
+    else:
+        lr_col = rates.astype(state.means_k.dtype, copy=False)[:, None]
+        most = int(per_target.max())
+        passes = None if most == 1 else _rank_passes(targets, most)
+        for means, x in ((state.means_k, k_chunk), (state.means_v, v_chunk)):
+            rows = means[targets]
+            delta = x - rows
+            delta *= lr_col
+            if passes is None:
+                rows += delta
+                means[targets] = rows
+            else:
+                for p, rows_p in passes:
+                    means[rows_p] += delta[p]
+
+    if not n_new:
+        return rates
+    lrs = np.ones(lc)
+    lrs[merging] = rates
+    return lrs
+
+
+def _rank_passes(targets: np.ndarray, n_passes: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(indices into ``targets``, their targets) grouped by occurrence:
+    pass r holds the r-th occurrence of every target that has one, so no
+    pass repeats a target, and a target's occurrences fall in passes 0, 1,
+    ... in their chunk order. ``n_passes`` is the largest multiplicity."""
+    order = np.argsort(targets, kind="stable")
+    ranked = targets[order]
+    rank = np.arange(len(ranked)) - np.searchsorted(ranked, ranked)
+    passes = [order[rank == r] for r in range(n_passes)]
+    return [(p, targets[p]) for p in passes]
 
 
 def _dictionary_sims(state: OvqState, x: np.ndarray) -> np.ndarray:
@@ -408,44 +463,48 @@ def _validate_chunk(state: OvqState, q_chunk, k_chunk, v_chunk):
             raise ConfigurationError("v chunk has non-finite entries")
 
 
-def absorb_chunk(state: OvqState, k_chunk, v_chunk, *, sims=None) -> ChunkUpdateRecord:
+def absorb_chunk(state: OvqState, k_chunk, v_chunk) -> ChunkUpdateRecord:
     """State update alone (seed selection, assignment, dictionary merge),
-    without computing predictions. Used when only the final memory matters.
-
-    ``sims`` is the key–dictionary product ``k_chunk @ means_k[:n_active].T``
-    against the pre-update dictionary; it is computed when omitted, and
-    seed selection and assignment both read it."""
-    cfg = state.config
-    dt = DTYPES[cfg.dtype]
+    without computing predictions. Used when only the final memory matters."""
+    dt = DTYPES[state.config.dtype]
     k_chunk = np.asarray(k_chunk, dtype=dt)
     v_chunk = np.asarray(v_chunk, dtype=dt)
     _validate_chunk(state, None, k_chunk, v_chunk)
+    return _absorb(state, k_chunk, v_chunk, _dictionary_sims(state, k_chunk))
+
+
+def _absorb(state: OvqState, k_chunk, v_chunk, sims) -> ChunkUpdateRecord:
+    """The absorb step shared by ``absorb_chunk`` and ``ovq_forward_chunk``,
+    on a chunk they have converted and validated. ``sims`` is the
+    key–dictionary product ``k_chunk @ means_k[:n_active].T`` against the
+    pre-update dictionary; seed selection and assignment both read it."""
+    cfg = state.config
     lc = k_chunk.shape[0]
-    if sims is None:
-        sims = _dictionary_sims(state, k_chunk)
-    elif sims.shape != (lc, state.n_active):
-        raise ConfigurationError(f"sims must be [{lc}, {state.n_active}], got {sims.shape}")
     n_new = _chunk_budget(state.tokens_seen, lc, state.chunks_seen + 1, state.n_active, cfg)
     new_pos = select_new_centroids(k_chunk, state, n_new, sims=sims)
 
-    assignments = np.zeros(lc, dtype=np.int64)
     if state.n_active > 0:
-        assignments = np.argmax(sims, axis=1).astype(np.int64)
-    if len(new_pos):
-        assignments[new_pos] = state.n_active + np.arange(len(new_pos))
-    if state.n_active == 0:
+        assignments = np.argmax(sims, axis=1)
+        if len(new_pos):
+            assignments[new_pos] = state.n_active + np.arange(len(new_pos))
+    else:
         # Bootstrap: the freshly seeded rows are the only possible homes
         # for the rest of the first chunk.
         if not len(new_pos):
             raise InvalidStateError("empty dictionary with no centroid budget")
+        assignments = np.zeros(lc, dtype=np.int64)
+        assignments[new_pos] = np.arange(len(new_pos))
         others = np.setdiff1d(np.arange(lc), new_pos, assume_unique=False)
         if len(others):
             assignments[others] = np.argmax(k_chunk[others] @ k_chunk[new_pos].T, axis=1)
 
-    record = update_dictionary(state, k_chunk, v_chunk, assignments, new_pos)
+    # The seeds are sorted, so they take the fresh rows in their own order.
+    lrs = _merge(state, k_chunk, v_chunk, assignments, new_pos)
     state.tokens_seen += lc
     state.chunks_seen += 1
-    return record
+    return ChunkUpdateRecord(
+        assignments=assignments, new_centroid_positions=new_pos, learning_rates=lrs
+    )
 
 
 def ovq_forward_chunk(
@@ -462,8 +521,7 @@ def ovq_forward_chunk(
     _validate_chunk(state, q_chunk, k_chunk, v_chunk)
     sims = _dictionary_sims(state, k_chunk)
     out = _predict_chunk(state, q_chunk, k_chunk, v_chunk, sims)
-    record = absorb_chunk(state, k_chunk, v_chunk, sims=sims)
-    return out, record
+    return out, _absorb(state, k_chunk, v_chunk, sims)
 
 
 def dictionary_readout(state: OvqState, queries: np.ndarray) -> np.ndarray:

@@ -174,6 +174,11 @@ class TestRun:
         err = capsys.readouterr().err
         assert "line 1" in err and "vocab_size" in err
 
+    def test_vq_fixed_on_a_stream_shorter_than_n_max_names_the_flag(self, stream_file, capsys):
+        assert main(["run", "--stream", str(stream_file), "--mixer", "vq-fixed", "--dim", "32"]) == 2
+        err = capsys.readouterr().err
+        assert "vq-fixed" in err and "--n-max 2048" in err
+
     def test_missing_stream_is_config_error(self):
         res = run_cli("run", "--stream", "/nonexistent/stream.jsonl")
         assert res.returncode == 2
@@ -238,6 +243,13 @@ class TestBench:
         assert code == 2
         err = capsys.readouterr().err
         assert "--probes 64" in err and "16" in err
+
+    def test_vq_fixed_recall_below_its_capacity_names_the_flag(self, capsys):
+        argv = ["bench", "--mixers", "vq-fixed", "--T", "64,256", "--probes", "8", "--dim", "8"]
+        assert main([*argv, "--n-max-grid", "128"]) == 2
+        err = capsys.readouterr().err
+        assert "vq-fixed" in err and "--n-max-grid 128" in err and "--T 64" in err
+        assert main([*argv, "--n-max-grid", "64", "--format", "json"]) == 0
 
     def test_n_max_is_not_a_bench_flag(self, capsys):
         # bench takes its capacities from --n-max-grid only.

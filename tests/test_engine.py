@@ -290,6 +290,47 @@ class TestUpdateDictionary:
                 np.array([0, 0]),
             )
 
+    @pytest.mark.parametrize("position", [-1, 2])
+    def test_rejects_seed_position_outside_the_chunk_and_leaves_state_alone(self, position):
+        # -1 would seed from the last token by wraparound; 2 == L is past the end.
+        rng = np.random.default_rng(46)
+        state = self._seeded_state()
+        state.means_k[0] = unit_rows(rng, 1, 4)
+        state.counts[0] = 1
+        state.n_active = 1
+        before = (state.means_k.copy(), state.means_v.copy(), state.counts.copy())
+        with pytest.raises(InvalidStateError, match=rf"position {position} "):
+            update_dictionary(
+                state,
+                unit_rows(rng, 2, 4),
+                rng.standard_normal((2, 4)),
+                np.array([0, 1]),
+                np.array([position]),
+            )
+        assert state.n_active == 1
+        for now, then in zip((state.means_k, state.means_v, state.counts), before):
+            assert np.array_equal(now, then)
+
+    @pytest.mark.parametrize("rows", [(2, 2, 1), (2, 1, 2), (1, 2, 2)])
+    def test_rejects_mismatched_shapes_and_leaves_state_alone(self, rows):
+        rng = np.random.default_rng(48)
+        state = self._seeded_state()
+        state.means_k[0] = unit_rows(rng, 1, 4)
+        state.counts[0] = 1
+        state.n_active = 1
+        before = (state.means_k.copy(), state.means_v.copy(), state.counts.copy())
+        n_k, n_v, n_a = rows
+        with pytest.raises(ConfigurationError, match="assignments"):
+            update_dictionary(
+                state,
+                unit_rows(rng, n_k, 4),
+                rng.standard_normal((n_v, 4)),
+                np.zeros(n_a, dtype=int),
+                np.empty(0, dtype=np.int64),
+            )
+        for now, then in zip((state.means_k, state.means_v, state.counts), before):
+            assert np.array_equal(now, then)
+
     def test_rejects_growth_past_capacity(self):
         rng = np.random.default_rng(42)
         state = self._seeded_state(n_max=1)
@@ -504,6 +545,21 @@ class TestUnitNormRule:
         arrays[name][row] *= bad
         with pytest.raises(ConfigurationError, match=rf"^{name} chunk .* row {row} has norm"):
             ovq_forward_chunk(state, arrays["q"], arrays["k"], rng.standard_normal((4, 3)))
+
+    def test_each_chunk_is_checked_once(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        state = self._state(rng)
+        checked = []
+        original = engine.check_unit_rows
+        monkeypatch.setattr(
+            engine, "check_unit_rows", lambda m, name: checked.append(name) or original(m, name)
+        )
+        q, k = unit_rows(rng, 4, 3), unit_rows(rng, 4, 3)
+        ovq_forward_chunk(state, q, k, rng.standard_normal((4, 3)))
+        assert sorted(checked) == ["k chunk", "q chunk"]
+        checked.clear()
+        absorb_chunk(state, unit_rows(rng, 4, 3), rng.standard_normal((4, 3)))
+        assert checked == ["k chunk"]
 
     @pytest.mark.parametrize("row", [1, 3])
     @pytest.mark.parametrize("bad", [3.0, np.nan])

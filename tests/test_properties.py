@@ -7,11 +7,18 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ovq import HeadSequence, OvqConfig, OvqState, ovq_forward_chunk, ovq_forward_sequence
+from ovq import (
+    HeadSequence,
+    OvqConfig,
+    OvqState,
+    absorb_chunk,
+    ovq_forward_chunk,
+    ovq_forward_sequence,
+)
 from ovq.engine import ABLATIONS, DTYPES, stream_chunks
 from ovq.reference import masked_softmax
 
-from helpers import random_sequence
+from helpers import absorb_by_add_at, random_sequence, unit_rows
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -121,3 +128,46 @@ def test_predict_is_the_concatenated_softmax_within_tolerance(case):
         state32 = OvqState.fresh(cfg, seq.d)
         out32, _ = ovq_forward_chunk(state32, seq.q[head], seq.k[head], seq.v[head])
         np.testing.assert_allclose(out32, outputs[0], rtol=0, atol=1e-4)
+
+
+@st.composite
+def repeating_streams(draw):
+    """Keys near a few directions, so chunks send many tokens to one
+    centroid; capacities from 1, so seeding chunks and the bootstrap chunk
+    come often; the merge's rate and count variants all appear."""
+    ablation = draw(st.sampled_from(ABLATIONS))
+    chunk_len = draw(st.integers(1, 32))
+    cfg = OvqConfig(
+        n_max=draw(st.integers(1, 24)),
+        chunk_len=chunk_len,
+        ablation=ablation,
+        constant_lr_rate=draw(st.sampled_from([0.25, 1.0])),
+        sequential_merge=draw(st.booleans()),
+        planned_chunks=draw(st.integers(1, 8)) if ablation == "linear_growth" else None,
+        seed=draw(st.integers(0, 2**16)),
+        dtype=draw(st.sampled_from(sorted(DTYPES))),
+        _fault=draw(st.sampled_from(["none", "count_skip"])),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t, d = draw(st.integers(1, 6 * chunk_len)), draw(st.integers(1, 8))
+    centers = unit_rows(rng, draw(st.integers(1, 4)), d)
+    k = centers[rng.integers(0, len(centers), t)] + 0.05 * rng.standard_normal((t, d))
+    k /= np.linalg.norm(k, axis=1, keepdims=True)
+    return cfg, k, rng.standard_normal((t, d)), draw(st.booleans())
+
+
+@PROPERTY_SETTINGS
+@given(repeating_streams())
+def test_merge_is_bitwise_the_add_at_merge(case):
+    cfg, k, v, forward = case
+    state = OvqState.fresh(cfg, k.shape[1])
+    expected = OvqState.fresh(cfg, k.shape[1])
+    for start in range(0, len(k), cfg.chunk_len):
+        kc, vc = k[start : start + cfg.chunk_len], v[start : start + cfg.chunk_len]
+        record = ovq_forward_chunk(state, kc, kc, vc)[1] if forward else absorb_chunk(state, kc, vc)
+        fields = (record.assignments, record.new_centroid_positions, record.learning_rates)
+        for got, want in zip(fields, absorb_by_add_at(expected, kc, vc)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for field in ("means_k", "means_v", "counts"):
+            assert np.array_equal(getattr(state, field), getattr(expected, field))
+        assert (state.n_active, state.tokens_seen) == (expected.n_active, expected.tokens_seen)
