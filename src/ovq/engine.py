@@ -485,15 +485,15 @@ def _absorb(state: OvqState, k_chunk, v_chunk, sims) -> ChunkUpdateRecord:
 
     if state.n_active > 0:
         assignments = np.argmax(sims, axis=1)
-        if len(new_pos):
-            assignments[new_pos] = state.n_active + np.arange(len(new_pos))
     else:
+        assignments = np.zeros(lc, dtype=np.int64)
+    if len(new_pos):
+        assignments[new_pos] = state.n_active + np.arange(len(new_pos))
+    if state.n_active == 0:
         # Bootstrap: the freshly seeded rows are the only possible homes
         # for the rest of the first chunk.
         if not len(new_pos):
             raise InvalidStateError("empty dictionary with no centroid budget")
-        assignments = np.zeros(lc, dtype=np.int64)
-        assignments[new_pos] = np.arange(len(new_pos))
         others = np.setdiff1d(np.arange(lc), new_pos, assume_unique=False)
         if len(others):
             assignments[others] = np.argmax(k_chunk[others] @ k_chunk[new_pos].T, axis=1)
