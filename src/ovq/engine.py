@@ -206,7 +206,7 @@ def select_new_centroids(
     state: OvqState,
     n_new: int,
     *,
-    sims: np.ndarray | None = None,
+    best_sim: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pick which chunk positions seed new centroids.
 
@@ -218,9 +218,9 @@ def select_new_centroids(
     taken, repeating until the budget is filled. The random_assign
     ablation replaces all of this with a uniform sample seeded by the
     config seed and the chunk's index, so a reloaded snapshot draws what
-    an uninterrupted stream would have drawn. ``sims`` is
-    the key–dictionary product ``k_chunk @ means_k[:n_active].T`` when the
-    caller already holds it.
+    an uninterrupted stream would have drawn. ``best_sim`` is each
+    position's largest dot product against the active dictionary rows when
+    the caller already holds it.
     """
     lc = k_chunk.shape[0]
     if n_new > lc:
@@ -245,9 +245,8 @@ def select_new_centroids(
                 best[pick] = np.inf
         return np.array(sorted(selected), dtype=np.int64)
 
-    if sims is None:
-        sims = _dictionary_sims(state, k_chunk)
-    best_sim = np.max(sims, axis=1)
+    if best_sim is None:
+        best_sim = np.max(_dictionary_sims(state, k_chunk), axis=1)
     order = np.argsort(best_sim, kind="stable")
     return np.sort(order[:n_new]).astype(np.int64)
 
@@ -481,12 +480,15 @@ def _absorb(state: OvqState, k_chunk, v_chunk, sims) -> ChunkUpdateRecord:
     cfg = state.config
     lc = k_chunk.shape[0]
     n_new = _chunk_budget(state.tokens_seen, lc, state.chunks_seen + 1, state.n_active, cfg)
-    new_pos = select_new_centroids(k_chunk, state, n_new, sims=sims)
-
+    best_sim = None
     if state.n_active > 0:
         assignments = np.argmax(sims, axis=1)
+        if n_new > 0:
+            # A row's max is its value at its argmax: one reduction serves both.
+            best_sim = sims[np.arange(lc), assignments]
     else:
         assignments = np.zeros(lc, dtype=np.int64)
+    new_pos = select_new_centroids(k_chunk, state, n_new, best_sim=best_sim)
     if len(new_pos):
         assignments[new_pos] = state.n_active + np.arange(len(new_pos))
     if state.n_active == 0:

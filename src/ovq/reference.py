@@ -2,9 +2,15 @@
 quantized-key attention family (quadratic, linear-state, chunk-recurrent),
 plus a running sum-state linear attention baseline.
 
-Everything here is written for 64-bit exactness and clarity, not speed.
+Everything here is written for 64-bit exactness and clarity first.
 These functions are the oracles the streaming engine is checked against.
 All operations are pure; nothing holds mutable state between calls.
+
+Softmax attention and the quadratic form share one causal mixing routine
+that scores queries in tiles of 64 rows. Every product it runs has a shape
+set by the tile index alone, with a partial last tile zero-padded to its
+full shape, so appending tokens leaves earlier output rows bitwise
+unchanged.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from .errors import ConfigurationError, InvalidStateError
 
 UNIT_NORM_ATOL = 1e-6
 BASELINE_EPS = 1e-9
+_QUERY_TILE = 64  # query rows per tile of the causal softmax oracle
 
 
 def _as_f64(a) -> np.ndarray:
@@ -26,7 +33,7 @@ def _as_f64(a) -> np.ndarray:
 def check_unit_rows(m: np.ndarray, name: str) -> None:
     """Every row of the [n, d] matrix ``m`` must have norm within
     UNIT_NORM_ATOL of 1; a NaN or infinite norm fails too."""
-    norms = np.linalg.norm(m, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", m, m))
     good = np.abs(norms - 1.0) <= UNIT_NORM_ATOL
     if not good.all():
         i = int(np.argmin(good))
@@ -147,15 +154,29 @@ def _key_dictionary(dict_k, d: int) -> np.ndarray:
 
 
 def _causal_weighted_mix(q, keys, values, beta) -> np.ndarray:
-    # Row by row over causal prefixes. Every array an output row touches
-    # has a shape fixed by its own position, so appending tokens to the
-    # sequence leaves earlier rows bitwise unchanged.
-    out = np.empty((q.shape[0], values.shape[1]))
-    for t in range(q.shape[0]):
-        logits = beta * (keys[: t + 1] @ q[t])
-        w = np.exp(logits - np.max(logits))
-        out[t] = (w / np.sum(w)) @ values[: t + 1]
-    return out
+    # Queries in tiles of B = _QUERY_TILE rows. Tile i scores its rows against
+    # keys[:(i+1)B], sets the columns after each row's position to -inf and
+    # mixes values[:(i+1)B], so every product it runs has a shape fixed by
+    # the tile index alone. A partial last tile is zero-padded to that full
+    # shape: its padded key columns are masked and its padded query rows are
+    # dropped. BLAS results can depend on operand shapes, and none of these
+    # depends on T, so appending tokens leaves earlier rows bitwise unchanged.
+    t_total, b = q.shape[0], _QUERY_TILE
+    pad = -t_total % b
+    if pad:
+        q, keys, values = (np.pad(a, ((0, pad), (0, 0))) for a in (q, keys, values))
+    after_position = np.triu(np.ones((b, b), dtype=bool), k=1)
+    out = np.empty((t_total + pad, values.shape[1]))
+    for start in range(0, t_total, b):
+        stop = start + b
+        w = q[start:stop] @ keys[:stop].T
+        w *= beta
+        w[:, start:][after_position] = -np.inf
+        w -= np.max(w, axis=1, keepdims=True)
+        np.exp(w, out=w)
+        w /= np.sum(w, axis=1, keepdims=True)
+        out[start:stop] = w @ values[:stop]
+    return out[:t_total]
 
 
 def vq_attention_quadratic(seq: HeadSequence, dictionary: Dictionary) -> AttentionOutput:

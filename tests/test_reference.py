@@ -4,6 +4,7 @@ chunk-recurrent quantized-key forms."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ovq import (
     ConfigurationError,
@@ -82,6 +83,14 @@ class TestCheckUnitRows:
     def test_passes_rows_within_tolerance(self):
         check_unit_rows(np.eye(4) * (1.0 + 9e-7), "m")
 
+    def test_tolerance_edge_rejects_just_outside_and_keeps_just_inside(self):
+        m = np.eye(3)
+        m[1] *= 1.0 + 1.1e-6
+        with pytest.raises(ConfigurationError, match=r"row 1 has norm 1\.0000011"):
+            check_unit_rows(m, "m")
+        m[1] = np.eye(3)[1] * (1.0 + 9e-7)
+        check_unit_rows(m, "m")
+
 
 class TestSoftmaxAttention:
     def test_single_token_returns_value(self):
@@ -120,6 +129,34 @@ class TestSoftmaxAttention:
         assert np.all(w >= 0)
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(w @ seq.v, softmax_attention(seq).o, atol=1e-12)
+
+
+@st.composite
+def cut_sequences(draw):
+    """A sequence of up to 256 rows (four 64-row query tiles), a cut point
+    anywhere in it, and a key dictionary for the quadratic form."""
+    t = draw(st.integers(1, 256))
+    d = draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seq = random_sequence(rng, t, d, draw(st.sampled_from([0.0, 1.0, 8.0, 32.0])))
+    return seq, draw(st.integers(1, t)), unit_rows(rng, draw(st.integers(1, 16)), d)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(cut_sequences())
+def test_cut_sequence_outputs_are_bitwise_the_full_prefix(case):
+    """Cutting a sequence anywhere leaves the oracles' rows before the cut
+    bitwise unchanged, across query-tile boundaries too, and the full output
+    stays within 1e-12 of the scalar loop."""
+    seq, cut, dict_k = case
+    head = HeadSequence(seq.q[:cut], seq.k[:cut], seq.v[:cut], seq.beta)
+    full = softmax_attention(seq).o
+    assert np.array_equal(softmax_attention(head).o, full[:cut])
+    dictionary = Dictionary.from_keys(dict_k)
+    quad = vq_attention_quadratic(seq, dictionary).o
+    assert np.array_equal(vq_attention_quadratic(head, dictionary).o, quad[:cut])
+    expected = scalar_softmax_attention(seq.q, seq.k, seq.v, seq.beta)
+    np.testing.assert_allclose(full, expected, rtol=0, atol=1e-12)
 
 
 class TestQuantizeKeys:

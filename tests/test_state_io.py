@@ -1,9 +1,13 @@
 """Engine state snapshots: exact round trips and corruption handling."""
 
+import functools
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ovq import (
     OvqConfig,
@@ -240,3 +244,39 @@ class TestOutOfRangeHeader:
         code = main(["run", "--stream", str(stream), "--dim", "4", "--load-state", str(path)])
         assert code == 2
         assert "beta" in capsys.readouterr().err
+
+
+@functools.cache
+def _saved_state_bytes(dtype):
+    """A small snapshot, so single-byte changes often land in the header."""
+    rng = np.random.default_rng(8)
+    cfg = OvqConfig(n_max=6, chunk_len=4, ablation="constant_lr", planned_chunks=3, dtype=dtype)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.bin"
+        save_state(_streamed_state(rng, cfg, 3, chunks=2), path)
+        return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["float64", "float32"]),
+    st.sampled_from(["mutate", "truncate"]),
+    st.floats(0, 1, exclude_max=True),
+    st.integers(0, 255),
+)
+def test_mutated_or_truncated_state_file_loads_or_is_a_parse_error(dtype, how, where, byte):
+    """Any single-byte change or truncation of a saved snapshot either
+    loads or raises ParseError; nothing else escapes the loader."""
+    raw = bytearray(_saved_state_bytes(dtype))
+    at = int(where * len(raw))
+    if how == "mutate":
+        raw[at] = byte
+    else:
+        del raw[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.bin"
+        path.write_bytes(bytes(raw))
+        try:
+            load_state(path)
+        except ParseError:
+            pass
