@@ -56,6 +56,17 @@ class _StoreTyped(argparse.Action):
         namespace.typed = getattr(namespace, "typed", ()) + (self.dest,)
 
 
+def _seed(text: str) -> int:
+    """argparse type of the seed flags: numpy seeds from integers >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_ablation(text: str) -> tuple[str, float | None]:
     if text in _ABLATION_FLAGS:
         return _ABLATION_FLAGS[text], None
@@ -289,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=0, action=_StoreTyped, help="base random seed")
+        p.add_argument("--seed", type=_seed, default=0, action=_StoreTyped, help="base random seed")
         p.add_argument(
             "--chunk-len", type=int, default=128, action=_StoreTyped, help="engine chunk length"
         )
@@ -315,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g.add_argument("--task", choices=sorted(GENERATORS), required=True)
     g.add_argument("--count", type=int, default=1, help="number of instances")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--out", required=True, help="output file")
     g.add_argument("--format", choices=("jsonl", "bin"), default="jsonl")
     g.add_argument("--vocab-size", type=int, default=10000)
@@ -338,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--stream", required=True, help="stream file from gen")
     r.add_argument("--stream-format", choices=("jsonl", "bin"), default="jsonl")
     r.add_argument("--mixer", choices=sorted(_MIXER_FLAGS), default="ovq")
-    r.add_argument("--embedding-seed", type=int, default=0)
+    r.add_argument("--embedding-seed", type=_seed, default=0)
     r.add_argument("--save-state", default=None, help="write final engine state here")
     r.add_argument("--load-state", default=None, help="start from this engine state")
     r.add_argument(
@@ -370,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the equivalence and invariant suite",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--scale", choices=("small", "default", "large"), default="default")
     v.add_argument(
         "--inject-fault",

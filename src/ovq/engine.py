@@ -39,7 +39,8 @@ class OvqConfig:
     orders of magnitude over the [0.5, 1.0] similarity band; it is a
     tunable, not a calibrated constant. ``planned_chunks`` is only needed
     by the linear_growth ablation, which spreads the centroid budget evenly
-    and therefore must know the expected chunk count up front.
+    and therefore must know the expected chunk count up front. ``seed``,
+    which only the random_assign ablation reads, must be >= 0.
     ``_fault`` is a verification-harness hook that deliberately breaks one
     internal step; leave it at "none" for real use.
     """
@@ -49,7 +50,6 @@ class OvqConfig:
     beta: float = 8.0
     ablation: str = "none"
     constant_lr_rate: float = 0.25
-    sequential_merge: bool = False
     seed: int = 0
     planned_chunks: int | None = None
     dtype: str = "float64"
@@ -67,6 +67,8 @@ class OvqConfig:
             raise ConfigurationError(
                 f"constant learning rate must be in (0, 1], got {self.constant_lr_rate}"
             )
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.planned_chunks is not None and self.planned_chunks < 1:
             raise ConfigurationError("planned_chunks must be >= 1 when given")
         if self.dtype not in DTYPES:
@@ -268,20 +270,16 @@ def update_dictionary(
     everything the centroid has absorbed. The deltas are added in rank
     passes: every target's first delta, then every target's second, and
     so on, so each row receives its additions one at a time in chunk
-    order.
-
-    ``sequential_merge`` applies the merge deltas one token at a time against
-    the evolving row instead (same fixed lr); the two modes agree whenever
-    a chunk assigns at most one token per centroid. The constant_lr
-    ablation swaps the adaptive lr for a fixed rate. Rows the chunk never
-    touches are left bitwise unchanged.
+    order. The constant_lr ablation swaps the adaptive lr for a fixed
+    rate. Rows the chunk never touches are left bitwise unchanged.
 
     This is the checked entry point for callers that choose their own
     assignments and seeds: it rejects, before any state change, chunk and
-    assignment shapes that disagree, growth past n_max, repeated or out-of-chunk seed positions, assignments
-    outside the grown dictionary and seeds that do not point at the fresh
-    rows. ``absorb_chunk`` and ``ovq_forward_chunk`` build valid inputs
-    themselves and merge without these checks.
+    assignment shapes that disagree, growth past n_max, repeated or
+    out-of-chunk seed positions, assignments outside the grown dictionary
+    and seeds that do not point at the fresh rows. ``absorb_chunk`` and
+    ``ovq_forward_chunk`` build valid inputs themselves and merge without
+    these checks.
     """
     cfg = state.config
     lc = k_chunk.shape[0]
@@ -353,26 +351,19 @@ def _merge(state: OvqState, k_chunk, v_chunk, assignments, seeds) -> np.ndarray:
     else:
         rates = 1.0 / counts[targets]
 
-    if cfg.sequential_merge:
-        dt = state.means_k.dtype.type
-        for j, tgt in enumerate(targets):
-            lr = dt(rates[j])
-            state.means_k[tgt] += lr * (k_chunk[j] - state.means_k[tgt])
-            state.means_v[tgt] += lr * (v_chunk[j] - state.means_v[tgt])
-    else:
-        lr_col = rates.astype(state.means_k.dtype, copy=False)[:, None]
-        most = int(per_target.max())
-        passes = None if most == 1 else _rank_passes(targets, most)
-        for means, x in ((state.means_k, k_chunk), (state.means_v, v_chunk)):
-            rows = means[targets]
-            delta = x - rows
-            delta *= lr_col
-            if passes is None:
-                rows += delta
-                means[targets] = rows
-            else:
-                for p, rows_p in passes:
-                    means[rows_p] += delta[p]
+    lr_col = rates.astype(state.means_k.dtype, copy=False)[:, None]
+    most = int(per_target.max())
+    passes = None if most == 1 else _rank_passes(targets, most)
+    for means, x in ((state.means_k, k_chunk), (state.means_v, v_chunk)):
+        rows = means[targets]
+        delta = x - rows
+        delta *= lr_col
+        if passes is None:
+            rows += delta
+            means[targets] = rows
+        else:
+            for p, rows_p in passes:
+                means[rows_p] += delta[p]
 
     if not n_new:
         return rates

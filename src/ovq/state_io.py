@@ -3,7 +3,7 @@
 Layout (all little-endian): a 4-byte magic and u32 version, a fixed
 header carrying dimensions, counters, and the full configuration, then
 the row-major key means, value means, and counts for all n_max rows.
-Two header flag bytes belong to retired configuration fields and must be 0.
+Three header flag bytes belong to retired configuration fields and must be 0.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def save_state(state: OvqState, path) -> None:
         cfg.beta,
         cfg.chunk_len,
         0,
-        int(cfg.sequential_merge),
+        0,
         0,
         _ABLATION_CODE[cfg.ablation] | (_DTYPE_CODE[cfg.dtype] << 4),
         cfg.constant_lr_rate,
@@ -68,8 +68,8 @@ def load_state(path) -> OvqState:
         beta,
         chunk_len,
         retired_a,
-        sequential_merge,
         retired_b,
+        retired_c,
         packed_codes,
         const_rate,
         seed,
@@ -79,7 +79,7 @@ def load_state(path) -> OvqState:
         raise ParseError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise ParseError(f"unsupported state version {version}")
-    if retired_a or retired_b:
+    if retired_a or retired_b or retired_c:
         raise ParseError("state uses a retired configuration flag")
     ablation_code = packed_codes & 0x0F
     dtype_code = packed_codes >> 4
@@ -102,7 +102,6 @@ def load_state(path) -> OvqState:
             beta=beta,
             ablation=_CODE_ABLATION[ablation_code],
             constant_lr_rate=const_rate,
-            sequential_merge=bool(sequential_merge),
             seed=seed,
             planned_chunks=None if planned < 0 else planned,
             dtype=dtype,

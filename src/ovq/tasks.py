@@ -128,7 +128,7 @@ def icl_length(num_examples, io_len) -> int:
 
 
 def _check_tuple_capacity(count: int, length: int, vocab_size: int, what: str) -> None:
-    if length * math.log(max(vocab_size, 1)) < math.log(max(count, 1)):
+    if vocab_size < 1 or length * math.log(vocab_size) < math.log(max(count, 1)):
         raise GenerationError(
             f"vocab of {vocab_size} cannot supply {count} unique {what} of length {length}"
         )

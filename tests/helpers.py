@@ -123,18 +123,11 @@ def absorb_by_add_at(state, k_chunk, v_chunk):
         else:
             merge_lrs = 1.0 / (counts_pre + per_target[targets]).astype(np.float64)
         lrs[merge_idx] = merge_lrs
-        if cfg.sequential_merge:
-            for j, tok in enumerate(merge_idx):
-                tgt = targets[j]
-                lr = dt(merge_lrs[j])
-                state.means_k[tgt] += lr * (k_chunk[tok] - state.means_k[tgt])
-                state.means_v[tgt] += lr * (v_chunk[tok] - state.means_v[tgt])
-        else:
-            mu_k_pre = state.means_k[targets]
-            mu_v_pre = state.means_v[targets]
-            lr_col = merge_lrs.astype(dt)[:, None]
-            np.add.at(state.means_k, targets, lr_col * (k_chunk[merge_idx] - mu_k_pre))
-            np.add.at(state.means_v, targets, lr_col * (v_chunk[merge_idx] - mu_v_pre))
+        mu_k_pre = state.means_k[targets]
+        mu_v_pre = state.means_v[targets]
+        lr_col = merge_lrs.astype(dt)[:, None]
+        np.add.at(state.means_k, targets, lr_col * (k_chunk[merge_idx] - mu_k_pre))
+        np.add.at(state.means_v, targets, lr_col * (v_chunk[merge_idx] - mu_v_pre))
 
     state.tokens_seen += lc
     state.chunks_seen += 1

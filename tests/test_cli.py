@@ -7,11 +7,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ovq import load_state, load_streams
 from ovq.bench import MIXER_KINDS
-from ovq.cli import _ablation_flag, _parse_ablation, build_parser, main
+from ovq.cli import _MIXER_FLAGS, _ablation_flag, _parse_ablation, build_parser, main
 from ovq.engine import ABLATIONS, FAULTS
+from ovq.tasks import GENERATORS
 
 
 def run_cli(*args, **kw):
@@ -353,3 +355,106 @@ class TestVerify:
         )
         assert res.returncode == 1
         assert "count_conservation" in res.stderr
+
+
+@pytest.fixture(scope="module")
+def tiny_stream(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny") / "s.jsonl"
+    assert main([
+        "gen", "--task", "basic_icr", "--num-pairs", "4", "--key-len", "2", "--val-len", "2",
+        "--num-queries", "2", "--vocab-size", "8", "--out", str(out),
+    ]) == 0
+    return out
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejected a flag value
+        return exc.code
+
+
+class TestNegativeSeeds:
+    """numpy seeds its generators from integers >= 0; a negative seed flag
+    is a configuration error that names the flag."""
+
+    @pytest.mark.parametrize("flag,argv", [
+        pytest.param("--seed", ["gen", "--task", "icl", "--out", "{out}"], id="gen"),
+        pytest.param(
+            "--seed", ["run", "--stream", "{stream}", "--ablation", "rand-assign"],
+            id="run-rand-assign",
+        ),
+        pytest.param("--seed", ["run", "--stream", "{stream}"], id="run"),
+        pytest.param("--embedding-seed", ["run", "--stream", "{stream}"], id="run-embedding-seed"),
+        pytest.param(
+            "--seed", ["bench", "--mixers", "full-attention", "--T", "16", "--probes", "4"],
+            id="bench",
+        ),
+        pytest.param("--seed", ["verify", "--scale", "small"], id="verify"),
+    ])
+    def test_exits_two_naming_the_flag(self, tiny_stream, tmp_path, capsys, flag, argv):
+        out = tmp_path / "o"
+        argv = [a.format(stream=tiny_stream, out=out) for a in argv]
+        assert _exit_code([*argv, flag, "-1"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+# Every integer flag of each subcommand, at a tiny value that runs. The
+# property overrides some of them from a range with negatives. --T and
+# --n-max-grid take one-value grids. ``run`` reads one fixed tiny stream,
+# so no drawn vocab is ever embedded.
+_SEED_FLAGS = ("--seed", "--embedding-seed")
+_INT_FLAGS = {
+    "gen": {
+        "--count": 1, "--seed": 0, "--vocab-size": 8, "--num-pairs": 2, "--key-len": 2,
+        "--val-len": 1, "--num-queries": 1, "--num-keys": 1, "--copies": 2,
+        "--num-functions": 1, "--num-examples": 2, "--io-len": 1,
+    },
+    "run": {"--seed": 0, "--embedding-seed": 0, "--chunk-len": 4, "--dim": 4, "--n-max": 4},
+    "bench": {
+        "--seed": 0, "--chunk-len": 4, "--dim": 4, "--probes": 2, "--seeds": 1, "--T": 8,
+        "--n-max-grid": 4,
+    },
+    "verify": {"--seed": 0},
+}
+
+
+@st.composite
+def cli_argvs(draw, sub):
+    if sub == "gen":
+        argv = ["--task", draw(st.sampled_from(sorted(GENERATORS)))]
+    elif sub == "verify":
+        argv = ["--scale", "small"]
+    else:
+        argv = [
+            "--mixer" if sub == "run" else "--mixers", draw(st.sampled_from(sorted(_MIXER_FLAGS))),
+            "--ablation", draw(st.sampled_from(["none", "rand-assign"])),
+        ]
+        if sub == "bench":
+            argv += ["--bench", draw(st.sampled_from(["recall", "state-size"]))]
+    values = {
+        flag: draw(st.integers(-2, 3)) if draw(st.booleans()) else base
+        for flag, base in _INT_FLAGS[sub].items()
+    }
+    for flag, value in values.items():
+        argv += [flag, str(value)]
+    negative_seed = any(values.get(flag, 0) < 0 for flag in _SEED_FLAGS)
+    return argv, negative_seed
+
+
+@pytest.mark.parametrize("sub", sorted(_INT_FLAGS))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_generated_integer_flags_exit_cleanly(tiny_stream, sub, data):
+    """Any subcommand with any small integer flag values exits 0 or 2, and
+    1 only for ``verify``; a negative seed is always 2."""
+    argv, negative_seed = data.draw(cli_argvs(sub))
+    out = ["--out", str(tiny_stream.with_name(f"{sub}.out"))]
+    if sub == "run":
+        out += ["--stream", str(tiny_stream)]
+    code = _exit_code([sub, *argv, *out])
+    assert code in ((0, 1, 2) if sub == "verify" else (0, 2))
+    if negative_seed:
+        assert code == 2

@@ -185,17 +185,17 @@ class TestUpdateDictionary:
             assert np.array_equal(state.means_v[row], before_v[row])
         assert state.counts[1] == 7
 
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_streamed_points_converge_to_arithmetic_mean(self, strict):
-        # One point per chunk into a single centroid: the adaptive rate
-        # makes the row the exact running mean in both update modes.
+    @pytest.mark.parametrize("chunk_len", [1, 4])
+    def test_streamed_points_converge_to_arithmetic_mean(self, chunk_len):
+        # Every point lands in a single centroid, one or four per chunk:
+        # the adaptive rate makes the row the exact running mean, also when
+        # a chunk sends several points to it.
         rng = np.random.default_rng(8)
-        cfg = OvqConfig(n_max=1, chunk_len=1, sequential_merge=strict)
-        state = OvqState.fresh(cfg, 6)
+        state = OvqState.fresh(OvqConfig(n_max=1, chunk_len=chunk_len), 6)
         ks = unit_rows(rng, 40, 6)
         vs = rng.standard_normal((40, 6))
-        for i in range(40):
-            absorb_chunk(state, ks[i : i + 1], vs[i : i + 1])
+        for i in range(0, 40, chunk_len):
+            absorb_chunk(state, ks[i : i + chunk_len], vs[i : i + chunk_len])
         np.testing.assert_allclose(state.means_k[0], ks.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(state.means_v[0], vs.mean(axis=0), atol=1e-12)
         assert state.counts[0] == 40
@@ -713,6 +713,12 @@ class TestConfigValidation:
     def test_rejects_unknown_ablation(self):
         with pytest.raises(ConfigurationError):
             OvqConfig(n_max=8, ablation="bogus")
+
+    def test_rejects_a_negative_seed(self):
+        # numpy seeds its generators from integers >= 0 only.
+        with pytest.raises(ConfigurationError, match="seed"):
+            OvqConfig(n_max=8, ablation="random_assign", seed=-1)
+        assert OvqConfig(n_max=8, seed=0).seed == 0
 
     @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf"), -3.0])
     def test_rejects_beta_that_is_not_finite_and_nonnegative(self, beta):

@@ -142,7 +142,6 @@ def repeating_streams(draw):
         chunk_len=chunk_len,
         ablation=ablation,
         constant_lr_rate=draw(st.sampled_from([0.25, 1.0])),
-        sequential_merge=draw(st.booleans()),
         planned_chunks=draw(st.integers(1, 8)) if ablation == "linear_growth" else None,
         seed=draw(st.integers(0, 2**16)),
         dtype=draw(st.sampled_from(sorted(DTYPES))),

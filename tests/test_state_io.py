@@ -164,7 +164,7 @@ class TestImpossibleSnapshots:
         with pytest.raises(ParseError):
             load_state(path)
 
-    @pytest.mark.parametrize("offset", [0, 2])
+    @pytest.mark.parametrize("offset", [0, 1, 2])
     def test_retired_header_bytes_must_be_zero(self, tmp_path, offset):
         rng = np.random.default_rng(6)
         state = _streamed_state(rng, OvqConfig(n_max=16, chunk_len=8), 4, chunks=1)
@@ -172,7 +172,7 @@ class TestImpossibleSnapshots:
         save_state(state, path)
         raw = bytearray(path.read_bytes())
         # magic, version, d, n_max, n_active, tokens, chunks, beta, chunk_len,
-        # then four flag bytes: retired, sequential_merge, retired, codes.
+        # then four flag bytes: three retired, then the codes.
         flags = 4 + 4 + 3 * 4 + 2 * 8 + 8 + 4
         assert raw[flags + offset] == 0
         raw[flags + offset] = 1
@@ -182,8 +182,9 @@ class TestImpossibleSnapshots:
 
 
 # Header byte offsets (little-endian, no padding): magic 0, version 4, d 8,
-# n_max 12, n_active 16, tokens 20, chunks 28, beta 36, chunk_len 44.
-_D, _N_MAX, _TOKENS, _BETA, _CHUNK_LEN = 8, 12, 20, 36, 44
+# n_max 12, n_active 16, tokens 20, chunks 28, beta 36, chunk_len 44,
+# flag bytes 48, constant rate 52, seed 60, planned chunks 68.
+_D, _N_MAX, _TOKENS, _BETA, _CHUNK_LEN, _SEED = 8, 12, 20, 36, 44, 60
 
 
 class TestOutOfRangeHeader:
@@ -201,6 +202,7 @@ class TestOutOfRangeHeader:
             pytest.param("<d", _BETA, -1.0, id="beta-negative"),
             pytest.param("<d", _BETA, float("nan"), id="beta-nan"),
             pytest.param("<I", _CHUNK_LEN, 0, id="chunk-len-0"),
+            pytest.param("<q", _SEED, -1, id="seed-negative"),
         ],
     )
     def test_config_field_out_of_range_is_a_parse_error(self, tmp_path, fmt, offset, value):

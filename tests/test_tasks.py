@@ -99,6 +99,14 @@ class TestBasicIcr:
         with pytest.raises(GenerationError):
             gen_basic_icr(num_pairs=10, key_len=1, val_len=1, num_queries=1, vocab_size=5)
 
+    @pytest.mark.parametrize("vocab_size", [0, -2])
+    def test_empty_vocab_is_a_generation_error(self, vocab_size):
+        # One key of one pair still needs a token to draw it from.
+        with pytest.raises(GenerationError, match="vocab"):
+            gen_basic_icr(num_pairs=1, key_len=3, val_len=1, num_queries=1, vocab_size=vocab_size)
+        with pytest.raises(GenerationError, match="vocab"):
+            gen_positional_icr(num_keys=1, copies=2, key_len=1, val_len=1, vocab_size=vocab_size)
+
 
 class TestPositionalIcr:
     def test_length_formula(self):
