@@ -456,10 +456,7 @@ def _check_growth_schedule(rng, sizes, fault: str) -> CheckResult:
         while tokens < t_total:
             lc = min(chunk_len, t_total - tokens)
             c += 1
-            if lc == chunk_len:
-                total += new_centroid_budget(c, cfg)
-            else:
-                total += growth_count(tokens + lc, n_max) - growth_count(tokens, n_max)
+            total += new_centroid_budget(tokens, lc, c, cfg)
             tokens += lc
         if total != growth_count(t_total, n_max):
             ok = False

@@ -29,7 +29,7 @@ from .bench import (
     token_task_eval,
     verify_all,
 )
-from .engine import FAULTS, OvqConfig, OvqState, stream_chunks, with_planned_chunks
+from .engine import FAULTS, SEED_MAX, OvqConfig, OvqState, stream_chunks, with_planned_chunks
 from .errors import ConfigurationError, GenerationError, ParseError
 from .state_io import load_state, save_state
 from .tasks import GENERATORS, SpecialTokens, load_streams, save_streams
@@ -57,13 +57,16 @@ class _StoreTyped(argparse.Action):
 
 
 def _seed(text: str) -> int:
-    """argparse type of the seed flags: numpy seeds from integers >= 0."""
+    """argparse type of the seed flags: numpy seeds from integers >= 0, and
+    a snapshot stores the seed in a signed 64-bit field."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value > SEED_MAX:
+        raise argparse.ArgumentTypeError(f"must be <= 2**63 - 1, got {value}")
     return value
 
 
@@ -400,7 +403,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigurationError, GenerationError, ParseError, FileNotFoundError) as exc:
+    except (ConfigurationError, GenerationError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,6 +29,8 @@ from .reference import AttentionOutput, HeadSequence, check_beta, check_unit_row
 ABLATIONS = ("none", "random_assign", "linear_growth", "constant_lr")
 FAULTS = ("none", "count_skip", "mask_off_by_one", "growth_over_alloc")
 DTYPES = {"float64": np.float64, "float32": np.float32}
+# Seeds must fit the snapshot header's signed 64-bit field.
+SEED_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class OvqConfig:
     tunable, not a calibrated constant. ``planned_chunks`` is only needed
     by the linear_growth ablation, which spreads the centroid budget evenly
     and therefore must know the expected chunk count up front. ``seed``,
-    which only the random_assign ablation reads, must be >= 0.
+    which only the random_assign ablation reads, must lie in [0, SEED_MAX].
     ``_fault`` is a verification-harness hook that deliberately breaks one
     internal step; leave it at "none" for real use.
     """
@@ -67,8 +69,8 @@ class OvqConfig:
             raise ConfigurationError(
                 f"constant learning rate must be in (0, 1], got {self.constant_lr_rate}"
             )
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed <= SEED_MAX:
+            raise ConfigurationError(f"seed must be in [0, 2**63 - 1], got {self.seed}")
         if self.planned_chunks is not None and self.planned_chunks < 1:
             raise ConfigurationError("planned_chunks must be >= 1 when given")
         if self.dtype not in DTYPES:
@@ -129,23 +131,17 @@ def growth_count(t: int, n_max: int) -> int:
         raise ConfigurationError(f"t must be >= 0, got {t}")
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
-    if t == 0:
-        return 0
     return (t * n_max) // (t + n_max)
 
 
-def new_centroid_budget(chunk_index: int, config: OvqConfig) -> int:
-    """Centroids to add after chunk ``chunk_index`` (1-based), i.e. the
-    capacity step between L*(c-1) and L*c tokens. Under the linear_growth
-    ablation the cap is instead spread evenly over ``config.planned_chunks``."""
+def new_centroid_budget(tokens_before: int, lc: int, chunk_index: int, config: OvqConfig) -> int:
+    """The schedule's step across chunk ``chunk_index`` (1-based) of ``lc``
+    tokens after ``tokens_before``: capacity growth between those token
+    counts, so a short last chunk gets only its share. Under the
+    linear_growth ablation the cap is instead spread evenly over
+    ``config.planned_chunks``. ``_chunk_budget`` realizes it per chunk."""
     if chunk_index < 1:
         raise ConfigurationError(f"chunk_index must be >= 1, got {chunk_index}")
-    tokens_before = config.chunk_len * (chunk_index - 1)
-    return _schedule_step(tokens_before, config.chunk_len, chunk_index, config)
-
-
-def _schedule_step(tokens_before: int, lc: int, chunk_index: int, config: OvqConfig) -> int:
-    """Growth of the capacity schedule across one chunk of ``lc`` tokens."""
     if config.ablation == "linear_growth":
         if config.planned_chunks is None:
             raise ConfigurationError(
@@ -189,9 +185,10 @@ def planned_active_components(total_tokens: int, config: OvqConfig) -> int:
 def _chunk_budget(
     tokens_before: int, lc: int, chunk_index: int, n_active: int, config: OvqConfig
 ) -> int:
-    """Budget for one concrete chunk, evaluated at true token counts so a
-    short final chunk never over-allocates."""
-    n_new = _schedule_step(tokens_before, lc, chunk_index, config)
+    """Centroids the engine seeds for one chunk: the ``new_centroid_budget``
+    step, then the bootstrap seed and the fault hook, clamped to the
+    chunk's tokens and the free rows."""
+    n_new = new_centroid_budget(tokens_before, lc, chunk_index, config)
     # A nonempty chunk facing an empty dictionary must seed at least one
     # centroid, otherwise its tokens have nowhere to go. This only fires
     # when the schedule rounds the first step to zero (tiny chunks or

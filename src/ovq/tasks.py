@@ -28,6 +28,8 @@ from .errors import ConfigurationError, GenerationError, ParseError
 IGNORE = -1
 N_FUNCTION_MARKERS = 128
 N_SPECIALS = 3 + N_FUNCTION_MARKERS
+# Function-learning coefficients a and b are drawn from [1, ICL_COEFF_MAX].
+ICL_COEFF_MAX = 5
 
 REJECTION_CAP = 10**6
 
@@ -275,11 +277,9 @@ def gen_icl(
     io_len: int = 12,
     vocab_size: int = 10000,
     seed: int = 0,
-    a_max: int = 5,
-    b_max: int = 5,
 ) -> TokenStream:
     """Function-learning stream: per-function integer coefficients a, b in
-    [1, a_max] x [1, b_max] and a coordinate permutation; examples drawn
+    [1, ICL_COEFF_MAX] and a coordinate permutation; examples drawn
     i.i.d. over functions. Inputs are capped so that every output id stays
     below the vocabulary size. All output tokens are supervised."""
     if not (1 <= num_functions <= N_FUNCTION_MARKERS):
@@ -288,16 +288,14 @@ def gen_icl(
         )
     if io_len < 1 or num_examples < 1:
         raise ConfigurationError("io_len and num_examples must be >= 1")
-    if a_max < 1 or b_max < 1:
-        raise ConfigurationError("a_max and b_max must be >= 1")
-    x_max = (vocab_size - 1 - b_max) // a_max
+    x_max = (vocab_size - 1 - ICL_COEFF_MAX) // ICL_COEFF_MAX
     if x_max < 0:
-        raise GenerationError(f"vocab of {vocab_size} too small for a_max={a_max}, b_max={b_max}")
+        raise GenerationError(f"vocab of {vocab_size} too small for the icl coefficients")
     rng = np.random.default_rng(seed)
     sp = SpecialTokens(vocab_size)
 
-    a = rng.integers(1, a_max + 1, size=num_functions)
-    b = rng.integers(1, b_max + 1, size=num_functions)
+    a = rng.integers(1, ICL_COEFF_MAX + 1, size=num_functions)
+    b = rng.integers(1, ICL_COEFF_MAX + 1, size=num_functions)
     perms = [rng.permutation(io_len) for _ in range(num_functions)]
     markers = sp.function_marker_ids
 
@@ -326,8 +324,8 @@ def gen_icl(
             "num_functions": num_functions,
             "num_examples": num_examples,
             "io_len": io_len,
-            "a_max": a_max,
-            "b_max": b_max,
+            "a_max": ICL_COEFF_MAX,
+            "b_max": ICL_COEFF_MAX,
         },
     )
     assert len(stream) == icl_length(num_examples, io_len)

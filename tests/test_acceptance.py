@@ -202,10 +202,7 @@ def test_criterion_06_growth_schedule():
         while tokens < t_total:
             lc = min(chunk_len, t_total - tokens)
             c += 1
-            if lc == chunk_len:
-                total += new_centroid_budget(c, cfg)
-            else:
-                total += growth_count(tokens + lc, n_max) - growth_count(tokens, n_max)
+            total += new_centroid_budget(tokens, lc, c, cfg)
             tokens += lc
         assert total == growth_count(t_total, n_max)
     _report(6, "growth schedule exactness, monotonicity, telescoping")

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ovq import load_state, load_streams
 from ovq.bench import MIXER_KINDS
@@ -367,6 +367,10 @@ def tiny_stream(tmp_path_factory):
     return out
 
 
+# Engine flags that keep ``run`` on the tiny stream fast.
+_TINY_RUN = ["--dim", "4", "--n-max", "4", "--chunk-len", "4"]
+
+
 def _exit_code(argv) -> int:
     try:
         return main(argv)
@@ -374,31 +378,77 @@ def _exit_code(argv) -> int:
         return exc.code
 
 
+# Every seed flag, on a command that would otherwise run.
+_SEED_CASES = [
+    pytest.param("--seed", ["gen", "--task", "icl", "--out", "{out}"], id="gen"),
+    pytest.param(
+        "--seed", ["run", "--stream", "{stream}", "--ablation", "rand-assign"],
+        id="run-rand-assign",
+    ),
+    pytest.param("--seed", ["run", "--stream", "{stream}"], id="run"),
+    pytest.param("--embedding-seed", ["run", "--stream", "{stream}"], id="run-embedding-seed"),
+    pytest.param(
+        "--seed", ["bench", "--mixers", "full-attention", "--T", "16", "--probes", "4"],
+        id="bench",
+    ),
+    pytest.param("--seed", ["verify", "--scale", "small"], id="verify"),
+]
+
+
 class TestNegativeSeeds:
     """numpy seeds its generators from integers >= 0; a negative seed flag
     is a configuration error that names the flag."""
 
-    @pytest.mark.parametrize("flag,argv", [
-        pytest.param("--seed", ["gen", "--task", "icl", "--out", "{out}"], id="gen"),
-        pytest.param(
-            "--seed", ["run", "--stream", "{stream}", "--ablation", "rand-assign"],
-            id="run-rand-assign",
-        ),
-        pytest.param("--seed", ["run", "--stream", "{stream}"], id="run"),
-        pytest.param("--embedding-seed", ["run", "--stream", "{stream}"], id="run-embedding-seed"),
-        pytest.param(
-            "--seed", ["bench", "--mixers", "full-attention", "--T", "16", "--probes", "4"],
-            id="bench",
-        ),
-        pytest.param("--seed", ["verify", "--scale", "small"], id="verify"),
-    ])
+    bad_seed = "-1"
+
+    @pytest.mark.parametrize("flag,argv", _SEED_CASES)
     def test_exits_two_naming_the_flag(self, tiny_stream, tmp_path, capsys, flag, argv):
         out = tmp_path / "o"
         argv = [a.format(stream=tiny_stream, out=out) for a in argv]
-        assert _exit_code([*argv, flag, "-1"]) == 2
+        assert _exit_code([*argv, flag, self.bad_seed]) == 2
         err = capsys.readouterr().err
         assert f"argument {flag}:" in err and "Traceback" not in err
         assert not out.exists()
+
+
+class TestSeedsWiderThanTheSnapshotField(TestNegativeSeeds):
+    """A snapshot stores the seed as a signed 64-bit integer, so every seed
+    flag takes values up to 2**63 - 1 and rejects larger ones up front."""
+
+    bad_seed = str(2**63)
+
+    def test_save_state_run_exits_two_before_any_work(self, tiny_stream, tmp_path, capsys):
+        big = tmp_path / "big.bin"
+        argv = ["run", "--stream", str(tiny_stream), *_TINY_RUN, "--save-state", str(big)]
+        assert _exit_code([*argv, "--seed", str(2**63)]) == 2
+        assert "argument --seed:" in capsys.readouterr().err
+        assert not big.exists()
+
+    def test_the_largest_seed_round_trips_through_a_snapshot(self, tiny_stream, tmp_path):
+        path = tmp_path / "max.bin"
+        argv = ["run", "--stream", str(tiny_stream), *_TINY_RUN, "--ablation", "rand-assign"]
+        assert main([*argv, "--seed", str(2**63 - 1), "--save-state", str(path)]) == 0
+        assert load_state(path).config.seed == 2**63 - 1
+
+
+class TestPathErrors:
+    """A path that cannot be opened as asked is a configuration error that
+    names the path, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["gen", "--task", "icl", "--out", "{dir}"], id="gen-out"),
+        pytest.param(["run", "--stream", "{dir}"], id="run-stream"),
+        pytest.param(["run", "--stream", "{stream}", "--out", "{dir}"], id="run-out"),
+        pytest.param(["run", "--stream", "{stream}", "--save-state", "{dir}"], id="run-save-state"),
+        pytest.param(["run", "--stream", "{stream}", "--load-state", "{dir}"], id="run-load-state"),
+    ])
+    def test_a_directory_exits_two_naming_it(self, tiny_stream, tmp_path, capsys, argv):
+        argv = [a.format(stream=tiny_stream, dir=tmp_path) for a in argv]
+        if argv[0] == "run":
+            argv += _TINY_RUN
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err and "Traceback" not in err
 
 
 # Every integer flag of each subcommand, at a tiny value that runs. The
@@ -458,3 +508,34 @@ def test_generated_integer_flags_exit_cleanly(tiny_stream, sub, data):
     assert code in ((0, 1, 2) if sub == "verify" else (0, 2))
     if negative_seed:
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def tiny_snapshot(tiny_stream):
+    out = tiny_stream.with_name("tiny.bin")
+    argv = ["run", "--stream", str(tiny_stream), *_TINY_RUN, "--save-state", str(out)]
+    assert main([*argv, "--out", str(tiny_stream.with_name("tiny.csv"))]) == 0
+    return out
+
+
+_PATH_KINDS = ("valid", "missing", "directory")
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(kinds=st.tuples(*[st.sampled_from(_PATH_KINDS)] * 4))
+@example(kinds=("valid",) * 4)
+def test_generated_path_flags_exit_cleanly(tiny_stream, tiny_snapshot, kinds):
+    """``run`` with each path flag a valid path, a missing one or a
+    directory exits 0 when every path is valid and 2 otherwise."""
+    root = tiny_stream.parent
+    paths = {
+        # flag: (valid, missing)
+        "--stream": (tiny_stream, root / "missing.jsonl"),
+        "--load-state": (tiny_snapshot, root / "missing.bin"),
+        "--out": (root / "paths.csv", root / "missing" / "paths.csv"),
+        "--save-state": (root / "paths.bin", root / "missing" / "paths.bin"),
+    }
+    argv = ["run", *_TINY_RUN]
+    for (flag, (valid, missing)), kind in zip(paths.items(), kinds):
+        argv += [flag, str({"valid": valid, "missing": missing, "directory": root}[kind])]
+    assert _exit_code(argv) == (0 if set(kinds) == {"valid"} else 2)

@@ -51,32 +51,66 @@ class TestGrowthCount:
             growth_count(5, 0)
 
 
+def _full_chunk_step(c: int, cfg: OvqConfig) -> int:
+    """The schedule step across full chunk ``c`` (1-based)."""
+    return new_centroid_budget(cfg.chunk_len * (c - 1), cfg.chunk_len, c, cfg)
+
+
 class TestNewCentroidBudget:
     def test_first_chunk_matches_schedule(self):
         cfg = OvqConfig(n_max=2048, chunk_len=128)
-        assert new_centroid_budget(1, cfg) == 120
+        assert _full_chunk_step(1, cfg) == 120
 
     def test_plateau_gives_zero(self):
         cfg = OvqConfig(n_max=8, chunk_len=128)
         # Far past the plateau the schedule stops moving.
-        assert new_centroid_budget(10_000, cfg) == 0
+        assert _full_chunk_step(10_000, cfg) == 0
 
     def test_unit_chunks_step_by_at_most_one(self):
         cfg = OvqConfig(n_max=64, chunk_len=1)
         for c in range(1, 400):
-            assert new_centroid_budget(c, cfg) in (0, 1)
+            assert _full_chunk_step(c, cfg) in (0, 1)
 
     def test_linear_growth_needs_planned_chunks(self):
         cfg = OvqConfig(n_max=64, chunk_len=8, ablation="linear_growth")
         with pytest.raises(ConfigurationError):
-            new_centroid_budget(1, cfg)
+            _full_chunk_step(1, cfg)
 
     def test_linear_growth_spreads_evenly_until_exhausted(self):
         cfg = OvqConfig(n_max=100, chunk_len=8, ablation="linear_growth", planned_chunks=8)
-        budgets = [new_centroid_budget(c, cfg) for c in range(1, 12)]
+        budgets = [_full_chunk_step(c, cfg) for c in range(1, 12)]
         assert sum(budgets) == 100
         assert budgets[:7] == [12] * 7  # round(100/8) per chunk
         assert all(b == 0 for b in budgets[9:])
+
+    def test_rejects_a_chunk_index_below_one(self):
+        cfg = OvqConfig(n_max=64, chunk_len=8)
+        with pytest.raises(ConfigurationError, match="chunk_index"):
+            new_centroid_budget(0, 8, 0, cfg)
+
+    @pytest.mark.parametrize("n_max,chunk_len", [(2048, 128), (64, 8), (5, 3), (1, 4)])
+    def test_short_chunk_steps_to_its_true_token_count(self, n_max, chunk_len):
+        cfg = OvqConfig(n_max=n_max, chunk_len=chunk_len)
+        for c in range(1, 12):
+            t = chunk_len * (c - 1)
+            for lc in range(1, chunk_len):
+                step = growth_count(t + lc, n_max) - growth_count(t, n_max)
+                assert new_centroid_budget(t, lc, c, cfg) == step
+
+    @pytest.mark.parametrize("total", [130, 200, 257])
+    def test_stream_grows_by_the_sum_of_the_steps(self, total):
+        # The first step is 120 > 0, so no bootstrap seed fires, and the
+        # last chunk is short: the engine follows the steps exactly.
+        cfg = OvqConfig(n_max=2048, chunk_len=128)
+        assert total % cfg.chunk_len and _full_chunk_step(1, cfg) > 0
+        rng = np.random.default_rng(total)
+        state = OvqState.fresh(cfg, 8)
+        engine.stream_chunks(state, unit_rows(rng, total, 8), rng.standard_normal((total, 8)))
+        steps = [
+            new_centroid_budget(t, min(cfg.chunk_len, total - t), c, cfg)
+            for c, t in enumerate(range(0, total, cfg.chunk_len), start=1)
+        ]
+        assert state.n_active == sum(steps) == growth_count(total, 2048)
 
 
 class TestSelectNewCentroids:
@@ -719,6 +753,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="seed"):
             OvqConfig(n_max=8, ablation="random_assign", seed=-1)
         assert OvqConfig(n_max=8, seed=0).seed == 0
+
+    def test_rejects_a_seed_wider_than_the_snapshot_field(self):
+        # A snapshot stores the seed as a signed 64-bit integer.
+        with pytest.raises(ConfigurationError, match="seed"):
+            OvqConfig(n_max=8, ablation="random_assign", seed=2**63)
+        assert OvqConfig(n_max=8, seed=2**63 - 1).seed == 2**63 - 1
 
     @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf"), -3.0])
     def test_rejects_beta_that_is_not_finite_and_nonnegative(self, beta):

@@ -193,10 +193,6 @@ class TestIcl:
             assert int(s.tokens[e * block + 4]) in markers
             assert int(s.tokens[e * block + block - 1]) == sp.separator_id
 
-    def test_coefficient_range_is_configurable(self):
-        s = gen_icl(num_functions=128, num_examples=50, io_len=4, seed=13, a_max=4, b_max=4)
-        assert s.meta["a_max"] == 4
-
     def test_rejects_too_many_functions(self):
         with pytest.raises(ConfigurationError):
             gen_icl(num_functions=129, num_examples=1)
