@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -39,6 +40,7 @@ from .engine import (
 )
 from .errors import ConfigurationError
 from .reference import (
+    BASELINE_EPS,
     Dictionary,
     HeadSequence,
     check_beta,
@@ -49,7 +51,7 @@ from .reference import (
     vq_attention_linear,
     vq_attention_quadratic,
 )
-from .tasks import SpecialTokens, TokenStream
+from .tasks import N_SPECIALS, SpecialTokens, TokenStream
 
 MIXER_KINDS = ("full_attention", "ovq", "vq_fixed", "linear_baseline")
 
@@ -173,7 +175,7 @@ def recall_benchmark(mixer: MixerSpec, T: int, num_probes: int, seed: int) -> Re
     elif mixer.kind == "linear_baseline":
         s = keys.T @ values
         z = keys.sum(axis=0)
-        out = (probe_q @ s) / (probe_q @ z + 1e-9)[:, None]
+        out = (probe_q @ s) / (probe_q @ z + BASELINE_EPS)[:, None]
     elif mixer.kind == "vq_fixed":
         dict_k = _fixed_vq_dictionary(mixer, keys, seed)
         counts, means_v = _fixed_vq_state(dict_k, keys, values)
@@ -226,7 +228,17 @@ def token_embeddings(total_vocab: int, dim: int, seed: int):
     """Seeded id-to-vector tables. One unit-norm base table serves the
     query and key roles directly; the value role reuses the same table
     under a seeded coordinate permutation and sign flip, so value vectors
-    stay unit norm but decorrelate from the key space."""
+    stay unit norm but decorrelate from the key space.
+
+    Two float64 tables that together exceed the machine's physical memory
+    are refused before anything is allocated."""
+    need = 2 * total_vocab * dim * 8
+    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > ram:
+        raise ConfigurationError(
+            f"vocab_size {total_vocab - N_SPECIALS} with --dim {dim} needs {need} bytes of "
+            f"embedding tables, more than the {ram} bytes of physical memory"
+        )
     rng = np.random.default_rng(seed)
     base = unit_rows(rng, total_vocab, dim)
     perm = rng.permutation(dim)
@@ -249,8 +261,8 @@ def token_task_eval(
         warnings.warn("embedding dim below 16; nearest-neighbor decoding is unreliable")
     sp = SpecialTokens(stream.vocab_size)
     qk_table, v_table = token_embeddings(sp.total_vocab, mixer.d, embedding_seed)
-    toks = stream.tokens
-    seq = HeadSequence(qk_table[toks], qk_table[toks], v_table[toks], beta=mixer.beta)
+    x = qk_table[stream.tokens]
+    seq = HeadSequence(x, x, v_table[stream.tokens], beta=mixer.beta)
 
     if mixer.kind == "full_attention":
         out = softmax_attention(seq).o
@@ -322,10 +334,10 @@ VERIFY_SIZES = {
 }
 
 
-def _random_head_sequence(rng, t_max, d_max, betas=(1.0, 8.0, 32.0)) -> HeadSequence:
+def _random_head_sequence(rng, t_max, d_max) -> HeadSequence:
     t = int(rng.integers(1, t_max + 1))
     d = int(rng.integers(1, d_max + 1))
-    beta = float(rng.choice(betas))
+    beta = float(rng.choice((1.0, 8.0, 32.0)))
     return HeadSequence(
         unit_rows(rng, t, d), unit_rows(rng, t, d), rng.standard_normal((t, d)), beta
     )
@@ -371,7 +383,7 @@ def _check_gmr_bridge(rng, sizes) -> CheckResult:
         mix = gmr.GaussianMixture(
             np.concatenate([dict_k, means_v], axis=1),
             counts / counts.sum(),
-            beta=seq.beta if seq.beta > 0 else 1.0,
+            beta=seq.beta,
         )
         q = seq.q[-1]
         soft = gmr.gmr_predict(mix, counts, q, seq.beta)
@@ -428,8 +440,7 @@ def _check_running_mean(rng, sizes) -> CheckResult:
         state = OvqState.fresh(OvqConfig(n_max=1, chunk_len=1), d)
         ks = unit_rows(rng, m, d)
         vs = rng.standard_normal((m, d))
-        for i in range(m):
-            absorb_chunk(state, ks[i : i + 1], vs[i : i + 1])
+        stream_chunks(state, ks, vs)
         worst = max(worst, float(np.max(np.abs(state.means_k[0] - ks.mean(axis=0)))))
         worst = max(worst, float(np.max(np.abs(state.means_v[0] - vs.mean(axis=0)))))
     return CheckResult(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -154,6 +155,21 @@ def _emit(text: str, out_path: str | None) -> None:
             f.write(text)
 
 
+def _check_outputs(args) -> None:
+    """Refuse an output path that cannot be written before any work runs:
+    a directory, or a file in a missing directory. Nothing is opened, so
+    nothing is created or truncated."""
+    for flag in ("--out", "--save-state"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path in (None, "-"):
+            continue
+        if os.path.isdir(path):
+            raise ConfigurationError(f"{flag} {path} is a directory")
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise ConfigurationError(f"{flag} {path}: no directory {parent}")
+
+
 def _int_grid(text: str, flag: str) -> list[int]:
     """A comma-separated grid of sizes: one or more integers, each >= 1."""
     try:
@@ -214,7 +230,7 @@ def _run_with_snapshots(args, streams) -> list[dict]:
 
 
 def _cmd_run(args) -> int:
-    streams = load_streams(args.stream, fmt=args.stream_format)
+    streams = load_streams(args.stream)
     kind = _MIXER_FLAGS[args.mixer]
     if (args.save_state or args.load_state) and kind != "ovq":
         raise ConfigurationError("--save-state/--load-state only apply to the ovq mixer")
@@ -349,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate one mixer over a stream file",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    r.add_argument("--stream", required=True, help="stream file from gen")
-    r.add_argument("--stream-format", choices=("jsonl", "bin"), default="jsonl")
+    r.add_argument("--stream", required=True, help="stream file from gen, either format")
     r.add_argument("--mixer", choices=sorted(_MIXER_FLAGS), default="ovq")
     r.add_argument("--embedding-seed", type=_seed, default=0)
     r.add_argument("--save-state", default=None, help="write final engine state here")
@@ -402,6 +417,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_outputs(args)
         return args.func(args)
     except (ConfigurationError, GenerationError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -254,7 +254,6 @@ def gmr_predict_expectation(
 @dataclass(frozen=True)
 class NewtonReport:
     max_abs_deviation: float
-    per_cluster: dict[int, float]
     skipped: list[int]
 
 
@@ -273,7 +272,7 @@ def verify_newton_equivalence(
     init_assignments = np.asarray(init_assignments)
     rng = np.random.default_rng(seed)
     n_clusters = int(np.max(init_assignments)) + 1 if len(init_assignments) else 0
-    per_cluster: dict[int, float] = {}
+    max_dev = 0.0
     skipped: list[int] = []
     for n in range(n_clusters):
         members = data_joint[init_assignments == n]
@@ -284,9 +283,8 @@ def verify_newton_equivalence(
         grad = 2.0 * np.sum(mu0[None, :] - members, axis=0)
         newton = mu0 - grad / (2.0 * len(members))
         mean = np.sum(members, axis=0) / len(members)
-        per_cluster[n] = float(np.max(np.abs(newton - mean)))
-    max_dev = max(per_cluster.values()) if per_cluster else 0.0
-    return NewtonReport(max_dev, per_cluster, skipped)
+        max_dev = max(max_dev, float(np.max(np.abs(newton - mean))))
+    return NewtonReport(max_dev, skipped)
 
 
 @dataclass(frozen=True)

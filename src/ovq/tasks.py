@@ -370,10 +370,37 @@ def save_streams(streams, path, fmt: str = "jsonl") -> None:
         raise ConfigurationError(f"unknown stream format {fmt!r}")
 
 
-def load_streams(path, fmt: str = "jsonl") -> list[TokenStream]:
+def load_streams(path) -> list[TokenStream]:
+    """Read a stream file in either format ``save_streams`` writes. A file
+    that starts with ``STREAM_MAGIC`` is binary, anything else is JSON
+    lines: no valid JSON line starts with those bytes."""
     streams = []
-    if fmt == "jsonl":
-        with open(path, "rb") as f:
+    with open(path, "rb") as f:
+        if f.read(len(STREAM_MAGIC)) == STREAM_MAGIC:
+            f.seek(0)
+            raw = f.read()
+            if len(raw) < 12:
+                raise ParseError("binary stream file shorter than its 12-byte header")
+            version, count = struct.unpack_from("<II", raw, 4)
+            if version != STREAM_VERSION:
+                raise ParseError(f"unsupported stream version {version}")
+            off = 12
+            for record in range(1, count + 1):
+                try:
+                    (n,) = struct.unpack_from("<I", raw, off)
+                    off += 4
+                    ids = np.frombuffer(raw, dtype="<u4", count=2 * n, offset=off).astype(np.int64)
+                    off += 8 * n
+                    toks, tgts = ids[:n], np.where(ids[n:] == _BIN_IGNORE, IGNORE, ids[n:])
+                    vocab_size, meta_len = struct.unpack_from("<II", raw, off)
+                    off += 8
+                    meta = json.loads(raw[off : off + meta_len].decode("utf-8"))
+                    off += meta_len
+                    streams.append(TokenStream(toks, tgts, int(vocab_size), meta))
+                except (struct.error, ValueError) as exc:
+                    raise ParseError(f"record {record}: truncated or corrupt: {exc}") from exc
+        else:
+            f.seek(0)
             for i, raw in enumerate(f, start=1):
                 try:
                     line = raw.decode("utf-8")
@@ -388,31 +415,6 @@ def load_streams(path, fmt: str = "jsonl") -> list[TokenStream]:
                     raise ParseError(f"invalid JSON: {exc.msg}", line=i) from exc
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise ParseError(f"bad stream record: {exc}", line=i) from exc
-    elif fmt == "bin":
-        with open(path, "rb") as f:
-            raw = f.read()
-        if len(raw) < 12 or raw[:4] != STREAM_MAGIC:
-            raise ParseError("not a binary stream file")
-        version, count = struct.unpack_from("<II", raw, 4)
-        if version != STREAM_VERSION:
-            raise ParseError(f"unsupported stream version {version}")
-        off = 12
-        for record in range(1, count + 1):
-            try:
-                (n,) = struct.unpack_from("<I", raw, off)
-                off += 4
-                ids = np.frombuffer(raw, dtype="<u4", count=2 * n, offset=off).astype(np.int64)
-                off += 8 * n
-                toks, tgts = ids[:n], np.where(ids[n:] == _BIN_IGNORE, IGNORE, ids[n:])
-                vocab_size, meta_len = struct.unpack_from("<II", raw, off)
-                off += 8
-                meta = json.loads(raw[off : off + meta_len].decode("utf-8"))
-                off += meta_len
-                streams.append(TokenStream(toks, tgts, int(vocab_size), meta))
-            except (struct.error, ValueError) as exc:
-                raise ParseError(f"record {record}: truncated or corrupt: {exc}") from exc
-    else:
-        raise ConfigurationError(f"unknown stream format {fmt!r}")
     if not streams:
         raise ParseError("no stream records in file")
     return streams

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ovq import load_state, load_streams
+from ovq import cli, load_state, load_streams, save_streams
 from ovq.bench import MIXER_KINDS
 from ovq.cli import _MIXER_FLAGS, _ablation_flag, _parse_ablation, build_parser, main
 from ovq.engine import ABLATIONS, FAULTS
@@ -41,7 +41,7 @@ class TestGen:
             "--io-len", "3", "--format", "bin", "--out", str(out),
         )
         assert res.returncode == 0
-        assert len(load_streams(out, fmt="bin")) == 1
+        assert len(load_streams(out)) == 1
 
     def test_count_below_one_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "s.jsonl"
@@ -184,6 +184,63 @@ class TestRun:
     def test_missing_stream_is_config_error(self):
         res = run_cli("run", "--stream", "/nonexistent/stream.jsonl")
         assert res.returncode == 2
+
+    def test_binary_stream_runs_like_its_jsonl_twin(self, tmp_path, capsys):
+        gen = [
+            "gen", "--task", "basic_icr", "--num-pairs", "10", "--key-len", "2",
+            "--val-len", "2", "--num-queries", "2", "--count", "2",
+        ]
+        reports = []
+        for fmt in ("jsonl", "bin"):
+            path = tmp_path / f"s.{fmt}"
+            assert main([*gen, "--format", fmt, "--out", str(path)]) == 0
+            capsys.readouterr()
+            argv = ["run", "--stream", str(path), "--dim", "32", "--n-max", "64"]
+            assert main([*argv, "--chunk-len", "16", "--format", "json"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        jsonl, binary = reports
+        assert binary["rows"] == jsonl["rows"]
+        assert {**binary["meta"], "stream": ""} == {**jsonl["meta"], "stream": ""}
+
+    def test_stream_format_is_an_unknown_flag(self, stream_file, capsys):
+        argv = ["run", "--stream", str(stream_file), "--stream-format", "jsonl"]
+        assert _exit_code(argv) == 2
+        assert "unrecognized arguments: --stream-format" in capsys.readouterr().err
+
+
+class TestMultiStreamRun:
+    """A plain ``run`` gives each stream of the file a fresh engine state;
+    with --save-state or --load-state all streams share one state."""
+
+    ENGINE = ["--dim", "32", "--n-max", "64", "--chunk-len", "32", "--format", "json"]
+
+    @pytest.fixture()
+    def three_streams(self, tmp_path, capsys):
+        path = tmp_path / "three.jsonl"
+        assert main([
+            "gen", "--task", "basic_icr", "--num-pairs", "60", "--key-len", "2",
+            "--val-len", "2", "--num-queries", "2", "--count", "3", "--out", str(path),
+        ]) == 0
+        capsys.readouterr()
+        return path
+
+    def _rows(self, capsys, argv):
+        assert main(["run", *self.ENGINE, *argv]) == 0
+        return json.loads(capsys.readouterr().out)["rows"]
+
+    def test_plain_run_gives_each_stream_a_fresh_state(self, three_streams, tmp_path, capsys):
+        rows = self._rows(capsys, ["--stream", str(three_streams)])
+        for i, stream in enumerate(load_streams(three_streams)):
+            one = tmp_path / f"one{i}.jsonl"
+            save_streams([stream], one)
+            assert self._rows(capsys, ["--stream", str(one)]) == [rows[i]]
+
+    def test_snapshot_run_streams_every_stream_through_one_state(
+        self, three_streams, tmp_path, capsys
+    ):
+        snap = tmp_path / "shared.bin"
+        self._rows(capsys, ["--stream", str(three_streams), "--save-state", str(snap)])
+        assert load_state(snap).tokens_seen == sum(len(s) for s in load_streams(three_streams))
 
 
 class TestBench:
@@ -451,6 +508,76 @@ class TestPathErrors:
         assert str(tmp_path) in err and "Traceback" not in err
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the output paths were checked")
+
+
+class TestOutputsCheckedFirst:
+    """Every output path (--out, and run's --save-state) is checked before
+    any stream is read or any work runs: a directory, or a file in a
+    missing directory, exits 2 naming the path and writes nothing."""
+
+    @pytest.mark.parametrize("old", [None, b"keep"], ids=["absent", "present"])
+    def test_bad_out_leaves_the_snapshot_path_as_it_was(self, tiny_stream, tmp_path, capsys, old):
+        snap, out = tmp_path / "x.bin", tmp_path / "nodir" / "o.csv"
+        if old is not None:
+            snap.write_bytes(old)
+        argv = ["run", "--stream", str(tiny_stream), *_TINY_RUN, "--save-state", str(snap)]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert (snap.read_bytes() if snap.exists() else None) == old
+
+    @pytest.mark.parametrize("bad", ["missing", "directory"])
+    @pytest.mark.parametrize("argv,work", [
+        pytest.param(["gen", "--task", "icl", "--out", "{bad}"], "GENERATORS", id="gen-out"),
+        pytest.param(
+            ["run", "--stream", "{stream}", "--out", "{bad}"], "load_streams", id="run-out"
+        ),
+        pytest.param(
+            ["run", "--stream", "{stream}", "--save-state", "{bad}"], "load_streams",
+            id="run-save-state",
+        ),
+        pytest.param(
+            ["bench", "--mixers", "ovq", "--T", "8", "--probes", "2", "--out", "{bad}"],
+            "recall_benchmark", id="bench-out",
+        ),
+        pytest.param(
+            ["verify", "--scale", "small", "--out", "{bad}"], "verify_all", id="verify-out"
+        ),
+    ])
+    def test_exits_two_naming_the_path_before_any_work(
+        self, tiny_stream, tmp_path, capsys, monkeypatch, argv, work, bad
+    ):
+        if work == "GENERATORS":
+            monkeypatch.setitem(cli.GENERATORS, "icl", _no_work)
+        else:
+            monkeypatch.setattr(cli, work, _no_work)
+        path = tmp_path / "missing" / "o" if bad == "missing" else tmp_path
+        assert main([a.format(stream=tiny_stream, bad=path) for a in argv]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
+
+class TestVocabTooLargeToEmbed:
+    """Embedding tables larger than physical memory exit 2 naming vocab_size
+    and --dim before anything is allocated. The u32-max vocab at --dim 64
+    asks for about 4.4 TB."""
+
+    @pytest.mark.parametrize("mixer", [
+        ["--mixer", "full-attention"], ["--mixer", "ovq"], ["--mixer", "vq-fixed"],
+        ["--mixer", "linear-baseline"], ["--mixer", "ovq", "--save-state", "{snap}"],
+    ], ids=["full-attention", "ovq", "vq-fixed", "linear-baseline", "ovq-save-state"])
+    def test_exits_two_naming_vocab_size_and_dim(self, tmp_path, capsys, mixer):
+        path, snap = tmp_path / "huge.jsonl", tmp_path / "x.bin"
+        rec = {"tokens": list(range(8)), "targets": [-1] * 7 + [3], "vocab_size": 2**32 - 132}
+        path.write_text(json.dumps(rec) + "\n")
+        argv = ["run", "--stream", str(path), "--dim", "64", "--n-max", "4", "--chunk-len", "4"]
+        assert main([*argv, *[a.format(snap=snap) for a in mixer]]) == 2
+        err = capsys.readouterr().err
+        assert "vocab_size 4294967164" in err and "--dim 64" in err and "Traceback" not in err
+        assert not snap.exists()
+
+
 # Every integer flag of each subcommand, at a tiny value that runs. The
 # property overrides some of them from a range with negatives. --T and
 # --n-max-grid take one-value grids. ``run`` reads one fixed tiny stream,
@@ -539,3 +666,42 @@ def test_generated_path_flags_exit_cleanly(tiny_stream, tiny_snapshot, kinds):
     for (flag, (valid, missing)), kind in zip(paths.items(), kinds):
         argv += [flag, str({"valid": valid, "missing": missing, "directory": root}[kind])]
     assert _exit_code(argv) == (0 if set(kinds) == {"valid"} else 2)
+
+
+# Odd spellings of the float, ablation and grid flags. ``None`` keeps the
+# tiny value that runs.
+_ODD_VALUES = {
+    "--beta": [None, "nan", "inf", "-1", "0", "1e308"],
+    "--ablation": [
+        None, "const-lr=0", "const-lr=1.5", "const-lr=nan", "const-lr=", "const-lr=1e-300"
+    ],
+    "--T": [None, "", "1,,2", "-1", "8,-2"],
+    "--n-max-grid": [None, "", "1,,2", "-1", "4,-2"],
+}
+_ODD_BASE = {
+    "run": {"--chunk-len": "4", "--dim": "4", "--n-max": "4"},
+    "bench": {"--chunk-len": "4", "--dim": "4", "--probes": "2", "--T": "8", "--n-max-grid": "4"},
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_ODD_BASE))
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_generated_float_ablation_and_grid_flags_exit_cleanly(tiny_stream, sub, data):
+    """``run`` and ``bench`` with a non-finite, negative or huge --beta, an
+    odd const-lr rate, or an empty, gapped or negative grid exit 0 or 2."""
+    flags = dict(_ODD_BASE[sub])
+    for flag, values in _ODD_VALUES.items():
+        if flag in ("--beta", "--ablation") or flag in flags:
+            value = data.draw(st.sampled_from(values), label=flag)
+            if value is not None:
+                flags[flag] = value
+    if sub == "run":
+        argv = ["run", "--stream", str(tiny_stream), "--mixer"]
+    else:
+        kind = data.draw(st.sampled_from(["recall", "state-size"]))
+        argv = ["bench", "--bench", kind, "--mixers"]
+    argv.append(data.draw(st.sampled_from(sorted(_MIXER_FLAGS))))
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    out = str(tiny_stream.with_name(f"{sub}-odd.out"))
+    assert _exit_code([*argv, "--out", out]) in (0, 2)

@@ -253,14 +253,14 @@ class TestStreamFiles:
         s = gen_positional_icr(num_keys=4, seed=16)
         path = tmp_path / "s.bin"
         save_streams([s], path, fmt="bin")
-        assert load_streams(path, fmt="bin") == [s]
+        assert load_streams(path) == [s]
 
     def test_many_streams_round_trip_both_formats(self, tmp_path):
         streams = [gen_icl(4, 10, seed=s) for s in range(5)]
         for fmt in ("jsonl", "bin"):
             path = tmp_path / f"m.{fmt}"
             save_streams(streams, path, fmt=fmt)
-            assert load_streams(path, fmt=fmt) == streams
+            assert load_streams(path) == streams
 
     def test_large_stream_round_trips_identically(self, tmp_path):
         # ~64k tokens in both formats.
@@ -269,7 +269,7 @@ class TestStreamFiles:
         for fmt in ("jsonl", "bin"):
             path = tmp_path / f"big.{fmt}"
             save_streams([s], path, fmt=fmt)
-            assert load_streams(path, fmt=fmt) == [s]
+            assert load_streams(path) == [s]
 
     def test_empty_file_is_a_parse_error(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -294,13 +294,13 @@ class TestStreamFiles:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(ParseError):
-            load_streams(path, fmt="bin")
+            load_streams(path)
 
     def test_ignore_marker_survives_binary_encoding(self, tmp_path):
         s = TokenStream([1, 2, 3], [IGNORE, 2, IGNORE], 10, {"task": "manual"})
         path = tmp_path / "i.bin"
         save_streams([s], path, fmt="bin")
-        (back,) = load_streams(path, fmt="bin")
+        (back,) = load_streams(path)
         np.testing.assert_array_equal(back.targets, [IGNORE, 2, IGNORE])
 
 
@@ -357,7 +357,7 @@ class TestStreamIds:
         s = TokenStream([0, top], [IGNORE, top], top + 1 - N_SPECIALS, {"task": "manual"})
         path = tmp_path / "edge.bin"
         save_streams([s], path, fmt="bin")
-        assert load_streams(path, fmt="bin") == [s]
+        assert load_streams(path) == [s]
 
     def test_jsonl_loader_rejects_a_vocab_size_too_wide_for_u32(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -395,7 +395,7 @@ class TestStreamIds:
         raw[start : start + 4] = value.to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(ParseError, match=r"record 2: .*outside"):
-            load_streams(path, fmt="bin")
+            load_streams(path)
 
 
 class TestUndecodableStreamFile:
@@ -439,6 +439,6 @@ def test_mutated_or_truncated_stream_file_loads_or_is_a_parse_error(fmt, how, wh
         path = Path(tmp) / f"m.{fmt}"
         path.write_bytes(bytes(raw))
         try:
-            load_streams(path, fmt=fmt)
+            load_streams(path)
         except ParseError:
             pass
