@@ -50,6 +50,7 @@ from .reference import (
     softmax_attention,
     vq_attention_chunked,
     vq_attention_linear,
+    vq_attention_online,
     vq_attention_quadratic,
 )
 from .state_io import load_state, save_state

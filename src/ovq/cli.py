@@ -157,8 +157,11 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _check_outputs(args) -> None:
     """Refuse an output path that cannot be written before any work runs:
-    a directory, or a file in a missing directory. Nothing is opened, so
-    nothing is created or truncated."""
+    a directory, a file in a missing directory, or ``gen``'s ``-``, which
+    means standard output only for reports. Nothing is opened, so nothing
+    is created or truncated."""
+    if args.command == "gen" and args.out == "-":
+        raise ConfigurationError("gen --out needs a file path; '-' (standard output) is not one")
     for flag in ("--out", "--save-state"):
         path = getattr(args, flag[2:].replace("-", "_"), None)
         if path in (None, "-"):

@@ -267,8 +267,11 @@ def update_dictionary(
     everything the centroid has absorbed. The deltas are added in rank
     passes: every target's first delta, then every target's second, and
     so on, so each row receives its additions one at a time in chunk
-    order. The constant_lr ablation swaps the adaptive lr for a fixed
-    rate. Rows the chunk never touches are left bitwise unchanged.
+    order. The constant_lr ablation takes lr = rate / m for a centroid
+    that m of the chunk's tokens merge into, so the row moves that fixed
+    fraction of the way to their mean (mini-batch k-means with a constant
+    step); with m = 1 that is the rate itself. Rows the chunk never
+    touches are left bitwise unchanged.
 
     This is the checked entry point for callers that choose their own
     assignments and seeds: it rejects, before any state change, chunk and
@@ -344,7 +347,7 @@ def _merge(state: OvqState, k_chunk, v_chunk, assignments, seeds) -> np.ndarray:
         counts = counts.copy()  # the rates still see the increments; the state does not
     counts += per_target
     if cfg.ablation == "constant_lr":
-        rates = np.full(len(targets), cfg.constant_lr_rate)
+        rates = cfg.constant_lr_rate / per_target[targets]
     else:
         rates = 1.0 / counts[targets]
 

@@ -1,6 +1,7 @@
 """Exact reference implementations of causal softmax attention and the
 quantized-key attention family (quadratic, linear-state, chunk-recurrent),
-plus a running sum-state linear attention baseline.
+the online form over a dictionary it grows itself (the whole streaming
+engine), plus a running sum-state linear attention baseline.
 
 Everything here is written for 64-bit exactness and clarity first.
 These functions are the oracles the streaming engine is checked against.
@@ -16,6 +17,7 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -283,6 +285,103 @@ def vq_attention_chunked(seq: HeadSequence, dict_k, chunk_len: int) -> Attention
         out[start:stop] = masked_softmax(logits) @ values
 
     return AttentionOutput(out)
+
+
+class StreamTranscript(NamedTuple):
+    """``vq_attention_online``'s [T, d] outputs, final dictionary (counts,
+    key rows and value rows of its n_active centroids) and, per chunk, each
+    token's centroid, the seed positions and each token's rate (1.0 for a
+    seed)."""
+
+    o: np.ndarray
+    counts: np.ndarray
+    means_k: np.ndarray
+    means_v: np.ndarray
+    assignments: list
+    seeds: list
+    rates: list
+
+
+def vq_attention_online(seq: HeadSequence, config) -> StreamTranscript:
+    """Online VQ attention from an empty dictionary: the streaming algorithm
+    in float64, token by token wherever order matters, reading ``config``
+    by attribute. Chunk c = 1, 2, ... of chunk_len tokens is predicted by
+    one masked_softmax over [beta q.D_k + log counts | causal beta q.k],
+    then absorbed. Its seed budget is the growth of floor(t N / (t + N))
+    over the chunk, or round(N / planned_chunks) under linear_growth until
+    N is reached; at least 1 into an empty dictionary. Under random_assign
+    the seeds are a draw seeded by [seed, c]; into an empty dictionary they
+    are position 0, then greedily the token least similar to the seeds so
+    far; otherwise the tokens least similar to the dictionary. Seeds become
+    rows with count 1, every other token joins its most similar row (a
+    seed, if the dictionary was empty), and each row's count grows by the m
+    tokens it got. Then, token by token in chunk order, the row moves by
+    rate * (x - its pre-merge value), where rate is 1 / count, or
+    constant_lr_rate / m under constant_lr. Ties go to the lower position
+    or row.
+    """
+    n_max, chunk_len, beta = config.n_max, config.chunk_len, config.beta
+    planned = config.planned_chunks or -(-seq.T // chunk_len)
+    constant = config.ablation == "constant_lr"
+    counts, n = np.zeros(n_max, dtype=np.int64), 0
+    means_k, means_v = np.zeros((n_max, seq.d)), np.zeros((n_max, seq.d))
+    out, trail = np.empty((seq.T, seq.d)), ([], [], [])
+    for c, start in enumerate(range(0, seq.T, chunk_len), start=1):
+        q, k, v = (a[start : start + chunk_len] for a in (seq.q, seq.k, seq.v))
+        lc = len(k)
+        dict_logits = beta * (q @ means_k[:n].T) + np.log(counts[:n])
+        chunk_logits = np.where(np.tri(lc, dtype=bool), beta * (q @ k.T), -np.inf)
+        weights = masked_softmax(np.concatenate([dict_logits, chunk_logits], axis=1))
+        out[start : start + lc] = weights @ np.concatenate([means_v[:n], v])
+
+        if config.ablation == "linear_growth":
+            per = int(round(n_max / planned))
+            budget = min(per * c, n_max) - min(per * (c - 1), n_max)
+        else:
+            t = start + lc
+            budget = t * n_max // (t + n_max) - start * n_max // (start + n_max)
+        if n == 0 and budget == 0:
+            budget = 1
+        budget = min(budget, lc, n_max - n)
+
+        if budget == 0:
+            seeds = []
+        elif config.ablation == "random_assign":
+            rng = np.random.default_rng([config.seed, c])
+            seeds = sorted(rng.choice(lc, size=budget, replace=False).tolist())
+        elif n == 0:
+            seeds, best = [0], k @ k[0]
+            while len(seeds) < budget:
+                pick = min((j for j in range(lc) if j not in seeds), key=lambda j: best[j])
+                seeds.append(pick)
+                best = np.maximum(best, k @ k[pick])
+            seeds.sort()
+        else:
+            best = [np.max(means_k[:n] @ k[j]) for j in range(lc)]
+            seeds = sorted(sorted(range(lc), key=lambda j: best[j])[:budget])
+
+        homes = means_k[:n] if n else k[seeds]
+        assign = np.array(
+            [n + seeds.index(j) if j in seeds else np.argmax(homes @ k[j]) for j in range(lc)]
+        )
+        for j in seeds:
+            means_k[assign[j]], means_v[assign[j]], counts[assign[j]] = k[j], v[j], 1
+        n += len(seeds)
+
+        merging = [j for j in range(lc) if j not in seeds]
+        got = np.bincount(assign[merging], minlength=n)
+        counts[:n] += got
+        pre_k, pre_v = means_k[:n].copy(), means_v[:n].copy()
+        rates = np.ones(lc)
+        for j in merging:
+            a = assign[j]
+            rates[j] = config.constant_lr_rate / got[a] if constant else 1.0 / counts[a]
+            means_k[a] += (k[j] - pre_k[a]) * rates[j]
+            means_v[a] += (v[j] - pre_v[a]) * rates[j]
+        for steps, step in zip(trail, (assign, np.array(seeds, dtype=np.int64), rates)):
+            steps.append(step)
+
+    return StreamTranscript(out, counts[:n].copy(), means_k[:n].copy(), means_v[:n].copy(), *trail)
 
 
 def linear_attention_baseline(seq: HeadSequence) -> AttentionOutput:

@@ -81,6 +81,8 @@ class TokenStream:
         self.targets = np.asarray(self.targets, dtype=np.int64)
         if self.tokens.shape != self.targets.shape:
             raise ConfigurationError("tokens and targets must have equal length")
+        if not isinstance(self.meta, dict):
+            raise ConfigurationError(f"meta must be a JSON object, got {type(self.meta).__name__}")
         total = SpecialTokens(operator.index(self.vocab_size)).total_vocab
         # Every id must fit a u32 field of the binary format below _BIN_IGNORE.
         if not N_SPECIALS <= total <= _BIN_IGNORE:

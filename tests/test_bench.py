@@ -196,6 +196,7 @@ class TestVerifyAll:
         report = verify_all(seed=0, sizes="small")
         assert report["all_passed"]
         assert len(report["checks"]) == 10
+        assert report["checks"][-1]["name"] == "engine_vs_stream_oracle"
 
     @pytest.mark.parametrize(
         "fault,expected_check",
@@ -209,7 +210,7 @@ class TestVerifyAll:
         report = verify_all(seed=0, sizes="small", fault=fault)
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert not report["all_passed"]
-        assert expected_check in failed
+        assert {expected_check, "engine_vs_stream_oracle"} <= failed
 
     def test_seed_variation_stays_clean(self):
         for seed in range(5):

@@ -176,6 +176,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert "line 1" in err and "vocab_size" in err
 
+    def test_stream_meta_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "m.jsonl"
+        rec = {"tokens": [1, 2, 3, 4], "targets": [-1, -1, 2, 3], "vocab_size": 50, "meta": 5}
+        path.write_text(json.dumps(rec) + "\n")
+        argv = ["run", "--stream", str(path), "--dim", "16", "--n-max", "4", "--chunk-len", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "meta" in err
+
     def test_vq_fixed_on_a_stream_shorter_than_n_max_names_the_flag(self, stream_file, capsys):
         assert main(["run", "--stream", str(stream_file), "--mixer", "vq-fixed", "--dim", "32"]) == 2
         err = capsys.readouterr().err
@@ -526,6 +535,15 @@ class TestOutputsCheckedFirst:
         assert main([*argv, "--out", str(out)]) == 2
         assert str(out) in capsys.readouterr().err
         assert (snap.read_bytes() if snap.exists() else None) == old
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "bin"])
+    def test_gen_out_dash_exits_two_and_writes_no_file(self, tmp_path, capsys, monkeypatch, fmt):
+        # '-' is standard output for reports only; gen writes a stream file.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(cli.GENERATORS, "icl", _no_work)
+        assert main(["gen", "--task", "icl", "--format", fmt, "--out", "-"]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert not (tmp_path / "-").exists()
 
     @pytest.mark.parametrize("bad", ["missing", "directory"])
     @pytest.mark.parametrize("argv,work", [

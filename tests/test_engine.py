@@ -24,6 +24,13 @@ from ovq import (
 
 from helpers import random_sequence, unit_rows
 
+NO_SEEDS = np.empty(0, dtype=np.int64)
+
+
+def _chunk(rng, n, d=4):
+    """n unit-norm keys and n Gaussian values."""
+    return unit_rows(rng, n, d), rng.standard_normal((n, d))
+
 
 class TestGrowthCount:
     def test_zero_tokens_zero_components(self):
@@ -179,9 +186,12 @@ class TestSelectNewCentroids:
 
 
 class TestUpdateDictionary:
-    def _seeded_state(self, d=4, n_max=8, **kw):
-        cfg = OvqConfig(n_max=n_max, chunk_len=4, **kw)
-        state = OvqState.fresh(cfg, d)
+    def _seeded_state(self, d=4, n_max=8, rng=None, **kw):
+        """A fresh state, or with ``rng`` one active row: a unit key, count 1."""
+        state = OvqState.fresh(OvqConfig(n_max=n_max, chunk_len=4, **kw), d)
+        if rng is not None:
+            state.means_k[0] = unit_rows(rng, 1, d)
+            state.counts[0], state.n_active = 1, 1
         return state
 
     def test_single_merge_moves_to_midpoint(self):
@@ -192,7 +202,7 @@ class TestUpdateDictionary:
         state.n_active = 1
         k = np.eye(4)[[1]]
         v = np.ones((1, 4))
-        rec = update_dictionary(state, k, v, np.array([0]), np.empty(0, dtype=np.int64))
+        rec = update_dictionary(state, k, v, np.array([0]), NO_SEEDS)
         assert state.counts[0] == 2
         assert rec.learning_rates[0] == 0.5
         np.testing.assert_allclose(state.means_k[0], (np.eye(4)[0] + np.eye(4)[1]) / 2)
@@ -207,13 +217,7 @@ class TestUpdateDictionary:
         state.n_active = 3
         before_k = state.means_k.copy()
         before_v = state.means_v.copy()
-        update_dictionary(
-            state,
-            unit_rows(rng, 2, 4),
-            rng.standard_normal((2, 4)),
-            np.array([1, 1]),
-            np.empty(0, dtype=np.int64),
-        )
+        update_dictionary(state, *_chunk(rng, 2), np.array([1, 1]), NO_SEEDS)
         for row in (0, 2):
             assert np.array_equal(state.means_k[row], before_k[row])
             assert np.array_equal(state.means_v[row], before_v[row])
@@ -234,24 +238,6 @@ class TestUpdateDictionary:
         np.testing.assert_allclose(state.means_v[0], vs.mean(axis=0), atol=1e-12)
         assert state.counts[0] == 40
 
-    def test_batch_mode_running_mean_even_with_repeats(self):
-        # Several tokens merging into one centroid in the same chunk still
-        # land on the exact mean, because every delta is taken against the
-        # same pre-merge row with the shared post-count rate.
-        rng = np.random.default_rng(9)
-        state = self._seeded_state(d=3, n_max=2)
-        seed_k = unit_rows(rng, 1, 3)
-        state.means_k[0] = seed_k
-        state.means_v[0] = np.array([1.0, 0.0, 0.0])
-        state.counts[0] = 1
-        state.n_active = 1
-        k = unit_rows(rng, 3, 3)
-        v = rng.standard_normal((3, 3))
-        update_dictionary(state, k, v, np.zeros(3, dtype=int), np.empty(0, dtype=np.int64))
-        np.testing.assert_allclose(
-            state.means_v[0], (np.array([1.0, 0.0, 0.0]) + v.sum(axis=0)) / 4, atol=1e-12
-        )
-
     def test_constant_rate_ablation_uses_fixed_rate(self):
         rng = np.random.default_rng(10)
         state = self._seeded_state(ablation="constant_lr", constant_lr_rate=0.25)
@@ -261,11 +247,39 @@ class TestUpdateDictionary:
         state.n_active = 1
         old = state.means_v[0].copy()
         v = rng.standard_normal((1, 4))
-        rec = update_dictionary(
-            state, unit_rows(rng, 1, 4), v, np.array([0]), np.empty(0, dtype=np.int64)
-        )
+        rec = update_dictionary(state, unit_rows(rng, 1, 4), v, np.array([0]), NO_SEEDS)
         assert rec.learning_rates[0] == 0.25
         np.testing.assert_allclose(state.means_v[0], old + 0.25 * (v[0] - old))
+
+    @pytest.mark.parametrize("rate", [0.25, 1.0])
+    def test_constant_rate_rows_stay_in_the_unit_ball(self, rate):
+        # Each chunk moves a row a fraction of the way to the mean of the
+        # unit-norm tokens it got, so the row never leaves the unit ball,
+        # however many tokens one chunk sends to it.
+        rng = np.random.default_rng(12)
+        cfg = OvqConfig(n_max=4, chunk_len=128, ablation="constant_lr", constant_lr_rate=rate)
+        state = OvqState.fresh(cfg, 8)
+        engine.stream_chunks(state, unit_rows(rng, 1024, 8), unit_rows(rng, 1024, 8))
+        assert np.linalg.norm(np.vstack([state.means_k, state.means_v]), axis=1).max() <= 1 + 1e-9
+
+    def test_float32_deltas_land_one_at_a_time_in_chunk_order(self):
+        # Three tokens merge into row 0 and one into row 1: each row gets
+        # (x - pre-merge row) * lr added token by token, in float32.
+        rng = np.random.default_rng(13)
+        state = self._seeded_state(d=5, n_max=2, dtype="float32")
+        state.means_k[:2] = unit_rows(rng, 2, 5)
+        state.means_v[:2] = rng.standard_normal((2, 5))
+        state.counts[:2], state.n_active = [3, 1], 2
+        k, v = (x.astype(np.float32) for x in (unit_rows(rng, 4, 5), rng.standard_normal((4, 5))))
+        lr = (1.0 / np.array([6, 2])).astype(np.float32)
+        expected = [state.means_k.copy(), state.means_v.copy()]
+        for rows, x in zip(expected, (k, v)):
+            pre = rows.copy()
+            for j, a in enumerate([0, 1, 0, 0]):
+                rows[a] += (x[j] - pre[a]) * lr[a]
+        update_dictionary(state, k, v, np.array([0, 1, 0, 0]), NO_SEEDS)
+        assert np.array_equal(state.means_k, expected[0])
+        assert np.array_equal(state.means_v, expected[1])
 
     def test_seeding_installs_exact_rows_with_count_one(self):
         rng = np.random.default_rng(11)
@@ -280,35 +294,17 @@ class TestUpdateDictionary:
 
     def test_rejects_assignment_beyond_grown_dictionary(self):
         rng = np.random.default_rng(40)
-        state = self._seeded_state()
-        state.means_k[0] = unit_rows(rng, 1, 4)
-        state.counts[0] = 1
-        state.n_active = 1
+        state = self._seeded_state(rng=rng)
         with pytest.raises(InvalidStateError):
-            update_dictionary(
-                state,
-                unit_rows(rng, 1, 4),
-                rng.standard_normal((1, 4)),
-                np.array([5]),
-                np.empty(0, dtype=np.int64),
-            )
+            update_dictionary(state, *_chunk(rng, 1), np.array([5]), NO_SEEDS)
 
     def test_rejects_negative_assignment_and_leaves_state_alone(self):
         # A negative index must not wrap around to the last (inactive) row.
         rng = np.random.default_rng(45)
-        state = self._seeded_state()
-        state.means_k[0] = unit_rows(rng, 1, 4)
-        state.counts[0] = 1
-        state.n_active = 1
+        state = self._seeded_state(rng=rng)
         before = (state.means_k.copy(), state.means_v.copy(), state.counts.copy())
         with pytest.raises(InvalidStateError):
-            update_dictionary(
-                state,
-                unit_rows(rng, 2, 4),
-                rng.standard_normal((2, 4)),
-                np.array([0, -1]),
-                np.empty(0, dtype=np.int64),
-            )
+            update_dictionary(state, *_chunk(rng, 2), np.array([0, -1]), NO_SEEDS)
         for now, then in zip((state.means_k, state.means_v, state.counts), before):
             assert np.array_equal(now, then)
 
@@ -316,31 +312,16 @@ class TestUpdateDictionary:
         rng = np.random.default_rng(41)
         state = self._seeded_state()
         with pytest.raises(InvalidStateError):
-            update_dictionary(
-                state,
-                unit_rows(rng, 2, 4),
-                rng.standard_normal((2, 4)),
-                np.array([0, 1]),
-                np.array([0, 0]),
-            )
+            update_dictionary(state, *_chunk(rng, 2), np.array([0, 1]), np.array([0, 0]))
 
     @pytest.mark.parametrize("position", [-1, 2])
     def test_rejects_seed_position_outside_the_chunk_and_leaves_state_alone(self, position):
         # -1 would seed from the last token by wraparound; 2 == L is past the end.
         rng = np.random.default_rng(46)
-        state = self._seeded_state()
-        state.means_k[0] = unit_rows(rng, 1, 4)
-        state.counts[0] = 1
-        state.n_active = 1
+        state = self._seeded_state(rng=rng)
         before = (state.means_k.copy(), state.means_v.copy(), state.counts.copy())
         with pytest.raises(InvalidStateError, match=rf"position {position} "):
-            update_dictionary(
-                state,
-                unit_rows(rng, 2, 4),
-                rng.standard_normal((2, 4)),
-                np.array([0, 1]),
-                np.array([position]),
-            )
+            update_dictionary(state, *_chunk(rng, 2), np.array([0, 1]), np.array([position]))
         assert state.n_active == 1
         for now, then in zip((state.means_k, state.means_v, state.counts), before):
             assert np.array_equal(now, then)
@@ -348,10 +329,7 @@ class TestUpdateDictionary:
     @pytest.mark.parametrize("rows", [(2, 2, 1), (2, 1, 2), (1, 2, 2)])
     def test_rejects_mismatched_shapes_and_leaves_state_alone(self, rows):
         rng = np.random.default_rng(48)
-        state = self._seeded_state()
-        state.means_k[0] = unit_rows(rng, 1, 4)
-        state.counts[0] = 1
-        state.n_active = 1
+        state = self._seeded_state(rng=rng)
         before = (state.means_k.copy(), state.means_v.copy(), state.counts.copy())
         n_k, n_v, n_a = rows
         with pytest.raises(ConfigurationError, match="assignments"):
@@ -360,7 +338,7 @@ class TestUpdateDictionary:
                 unit_rows(rng, n_k, 4),
                 rng.standard_normal((n_v, 4)),
                 np.zeros(n_a, dtype=int),
-                np.empty(0, dtype=np.int64),
+                NO_SEEDS,
             )
         for now, then in zip((state.means_k, state.means_v, state.counts), before):
             assert np.array_equal(now, then)
@@ -369,38 +347,10 @@ class TestUpdateDictionary:
         rng = np.random.default_rng(42)
         state = self._seeded_state(n_max=1)
         with pytest.raises(InvalidStateError):
-            update_dictionary(
-                state,
-                unit_rows(rng, 2, 4),
-                rng.standard_normal((2, 4)),
-                np.array([0, 1]),
-                np.array([0, 1]),
-            )
+            update_dictionary(state, *_chunk(rng, 2), np.array([0, 1]), np.array([0, 1]))
 
 
 class TestForwardChunk:
-    def test_first_chunk_equals_plain_attention(self):
-        rng = np.random.default_rng(13)
-        seq = random_sequence(rng, 32, 8, 8.0)
-        state = OvqState.fresh(OvqConfig(n_max=64, chunk_len=32, beta=8.0), 8)
-        out, _ = ovq_forward_chunk(state, seq.q, seq.k, seq.v)
-        np.testing.assert_allclose(out, softmax_attention(seq).o, atol=1e-12)
-
-    def test_prefix_outputs_unchanged_by_later_chunks(self):
-        rng = np.random.default_rng(14)
-        cfg = OvqConfig(n_max=32, chunk_len=8, beta=8.0)
-        seq_a = random_sequence(rng, 8, 6, 8.0)
-        q_b, k_b = unit_rows(rng, 8, 6), unit_rows(rng, 8, 6)
-        v_b = rng.standard_normal((8, 6))
-
-        s1 = OvqState.fresh(cfg, 6)
-        out_a_only, _ = ovq_forward_chunk(s1, seq_a.q, seq_a.k, seq_a.v)
-
-        s2 = OvqState.fresh(cfg, 6)
-        out_a, _ = ovq_forward_chunk(s2, seq_a.q, seq_a.k, seq_a.v)
-        ovq_forward_chunk(s2, q_b, k_b, v_b)
-        assert np.array_equal(out_a_only, out_a)
-
     def test_exact_recall_of_earlier_key(self):
         # Unit chunks with capacity far above the stream length: every pair
         # gets its own centroid, and a later query that repeats an earlier

@@ -14,11 +14,11 @@ from ovq import (
     absorb_chunk,
     ovq_forward_chunk,
     ovq_forward_sequence,
+    vq_attention_online,
 )
 from ovq.engine import ABLATIONS, DTYPES, stream_chunks
-from ovq.reference import masked_softmax
 
-from helpers import absorb_by_add_at, random_sequence, unit_rows
+from helpers import random_sequence, unit_rows
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -103,70 +103,64 @@ def test_predicting_never_changes_the_state(case):
 @PROPERTY_SETTINGS
 @given(streams())
 def test_predict_is_the_concatenated_softmax_within_tolerance(case):
-    """Every float64 chunk is within 1e-10 of masked_softmax over
-    [beta q.D_k^T + log c | causal beta q.k^T] times [D_v; v], and a
-    float32 run's first chunk is within 1e-4 of the float64 one."""
+    """A float32 run's first chunk is within 1e-4 of the float64 run's; the
+    stream oracle property holds float64 to the concatenated softmax."""
     cfg, seq = case
-    state = OvqState.fresh(replace(cfg, dtype="float64"), seq.d)
-    outputs = []
-    for start in range(0, seq.T, cfg.chunk_len):
-        chunk = slice(start, start + cfg.chunk_len)
-        q, k, v = seq.q[chunk], seq.k[chunk], seq.v[chunk]
-        na, lc = state.n_active, len(q)
-        logits = np.concatenate(
-            [
-                cfg.beta * (q @ state.means_k[:na].T) + np.log(state.counts[:na]),
-                np.where(np.tri(lc, dtype=bool), cfg.beta * (q @ k.T), -np.inf),
-            ],
-            axis=1,
-        )
-        expected = masked_softmax(logits) @ np.concatenate([state.means_v[:na], v])
-        outputs.append(ovq_forward_chunk(state, q, k, v)[0])
-        np.testing.assert_allclose(outputs[-1], expected, rtol=0, atol=1e-10)
-    if cfg.dtype == "float32":
-        head = slice(0, cfg.chunk_len)
-        state32 = OvqState.fresh(cfg, seq.d)
-        out32, _ = ovq_forward_chunk(state32, seq.q[head], seq.k[head], seq.v[head])
-        np.testing.assert_allclose(out32, outputs[0], rtol=0, atol=1e-4)
+    q, k, v = (a[: cfg.chunk_len] for a in (seq.q, seq.k, seq.v))
+    out32, out64 = (
+        ovq_forward_chunk(OvqState.fresh(replace(cfg, dtype=dt), seq.d), q, k, v)[0]
+        for dt in ("float32", "float64")
+    )
+    np.testing.assert_allclose(out32, out64, rtol=0, atol=1e-4)
 
 
 @st.composite
 def repeating_streams(draw):
     """Keys near a few directions, so chunks send many tokens to one
     centroid; capacities from 1, so seeding chunks and the bootstrap chunk
-    come often; the merge's rate and count variants all appear."""
+    come often; every ablation and both constant rates appear. Queries are
+    the keys or drawn apart from them, and the run predicts or only
+    absorbs."""
     ablation = draw(st.sampled_from(ABLATIONS))
     chunk_len = draw(st.integers(1, 32))
     cfg = OvqConfig(
         n_max=draw(st.integers(1, 24)),
         chunk_len=chunk_len,
+        beta=draw(st.sampled_from([0.0, 1.0, 8.0])),
         ablation=ablation,
         constant_lr_rate=draw(st.sampled_from([0.25, 1.0])),
         planned_chunks=draw(st.integers(1, 8)) if ablation == "linear_growth" else None,
         seed=draw(st.integers(0, 2**16)),
-        dtype=draw(st.sampled_from(sorted(DTYPES))),
-        _fault=draw(st.sampled_from(["none", "count_skip"])),
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     t, d = draw(st.integers(1, 6 * chunk_len)), draw(st.integers(1, 8))
     centers = unit_rows(rng, draw(st.integers(1, 4)), d)
     k = centers[rng.integers(0, len(centers), t)] + 0.05 * rng.standard_normal((t, d))
     k /= np.linalg.norm(k, axis=1, keepdims=True)
-    return cfg, k, rng.standard_normal((t, d)), draw(st.booleans())
+    q = k if draw(st.booleans()) else unit_rows(rng, t, d)
+    return cfg, HeadSequence(q, k, rng.standard_normal((t, d)), cfg.beta), draw(st.booleans())
 
 
 @PROPERTY_SETTINGS
 @given(repeating_streams())
-def test_merge_is_bitwise_the_add_at_merge(case):
-    cfg, k, v, forward = case
-    state = OvqState.fresh(cfg, k.shape[1])
-    expected = OvqState.fresh(cfg, k.shape[1])
-    for start in range(0, len(k), cfg.chunk_len):
-        kc, vc = k[start : start + cfg.chunk_len], v[start : start + cfg.chunk_len]
-        record = ovq_forward_chunk(state, kc, kc, vc)[1] if forward else absorb_chunk(state, kc, vc)
-        fields = (record.assignments, record.new_centroid_positions, record.learning_rates)
-        for got, want in zip(fields, absorb_by_add_at(expected, kc, vc)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        for field in ("means_k", "means_v", "counts"):
-            assert np.array_equal(getattr(state, field), getattr(expected, field))
-        assert (state.n_active, state.tokens_seen) == (expected.n_active, expected.tokens_seen)
+def test_engine_is_the_stream_oracle(case):
+    """Chunk by chunk the engine makes the oracle's assignments, seeds and
+    rates; it ends with the oracle's counts and, bitwise, its rows, and its
+    outputs are within 1e-10 of the oracle's."""
+    cfg, seq, forward = case
+    oracle = vq_attention_online(seq, cfg)
+    state = OvqState.fresh(cfg, seq.d)
+    outputs = []
+    for c, start in enumerate(range(0, seq.T, cfg.chunk_len)):
+        q, k, v = (a[start : start + cfg.chunk_len] for a in (seq.q, seq.k, seq.v))
+        out, record = ovq_forward_chunk(state, q, k, v) if forward else (0, absorb_chunk(state, k, v))
+        outputs.append(out)
+        got = (record.assignments, record.new_centroid_positions, record.learning_rates)
+        want = (oracle.assignments[c], oracle.seeds[c], oracle.rates[c])
+        assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+    na = state.n_active
+    assert na == len(oracle.counts)
+    got = (state.counts[:na], state.means_k[:na], state.means_v[:na])
+    assert all(map(np.array_equal, got, (oracle.counts, oracle.means_k, oracle.means_v)))
+    if forward:
+        np.testing.assert_allclose(np.concatenate(outputs), oracle.o, rtol=0, atol=1e-10)

@@ -398,6 +398,26 @@ class TestStreamIds:
             load_streams(path)
 
 
+class TestStreamMeta:
+    """A record's meta must be a JSON object; each loader names the line or
+    record that breaks this."""
+
+    @pytest.mark.parametrize("meta", [5, None, []])
+    def test_jsonl_loader_names_the_line(self, tmp_path, meta):
+        path = tmp_path / "m.jsonl"
+        rec = {"tokens": [1, 2, 3, 4], "targets": [-1, -1, 2, 3], "vocab_size": 50, "meta": meta}
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(ParseError, match=r"^line 1: .*meta"):
+            load_streams(path)
+
+    def test_bin_loader_names_the_record(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_streams([TokenStream([1, 2], [IGNORE, 2], 50)], path, fmt="bin")
+        path.write_bytes(path.read_bytes().replace(b"{}", b"[]"))  # the same length
+        with pytest.raises(ParseError, match=r"record 1: .*meta"):
+            load_streams(path)
+
+
 class TestUndecodableStreamFile:
     def test_invalid_utf8_names_the_line(self, tmp_path):
         path = tmp_path / "s.jsonl"
