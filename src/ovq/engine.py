@@ -562,8 +562,13 @@ def ovq_forward_sequence(
     """Stream a whole sequence chunk by chunk from a fresh state.
 
     Returns the concatenated outputs, the final state, and a trace of
-    (tokens seen, live state scalars) at every chunk boundary.
+    (tokens seen, live state scalars) at every chunk boundary. The
+    sequence's beta must be the config's, which is the one predict uses.
     """
+    if seq.beta != config.beta:
+        raise ConfigurationError(
+            f"sequence beta {seq.beta} differs from config beta {config.beta}"
+        )
     state = OvqState.fresh(with_planned_chunks(config, [seq.T]), seq.d)
     out, trace = stream_chunks(state, seq.k, seq.v, q=seq.q)
     return AttentionOutput(out), state, trace

@@ -8,10 +8,11 @@ These functions are the oracles the streaming engine is checked against.
 All operations are pure; nothing holds mutable state between calls.
 
 Softmax attention and the quadratic form share one causal mixing routine
-that scores queries in tiles of 64 rows. Every product it runs has a shape
-set by the tile index alone, with a partial last tile zero-padded to its
-full shape, so appending tokens leaves earlier output rows bitwise
-unchanged.
+that scores queries in tiles of 64 rows. The linear-state form reads its
+per-centroid counts and value sums in blocks of the same 64 rows. Past
+the key-to-centroid assignment, none of the three runs a product whose
+shape depends on the sequence length: a partial last tile is zero-padded to its full
+shape, so appending tokens leaves earlier output rows bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import ConfigurationError, InvalidStateError
 
 UNIT_NORM_ATOL = 1e-6
 BASELINE_EPS = 1e-9
-_QUERY_TILE = 64  # query rows per tile of the causal softmax oracle
+_QUERY_TILE = 64  # query rows per tile of the causal mix and per linear-form block
 
 
 def _as_f64(a) -> np.ndarray:
@@ -193,38 +194,65 @@ def vq_attention_linear(
 ):
     """Constant-state form of quantized-key attention.
 
-    Streams positions in order. At each step the current value is folded
-    into the running value mean of its key's centroid and the centroid
-    count is incremented, then the output is read out as
-    softmax(beta * q . D_k^T + log(counts)) times the running value means.
+    The state is one count and one value sum per centroid. Row t reads it
+    as o_t = sum_i w_ti S_i / sum_i w_ti C_i, where C_i and S_i count and
+    sum the values of the keys at positions <= t that snapped to centroid
+    i, and w_ti = exp(beta * q_t . D_k[i] - row max). Only centroids with
+    C_i > 0 enter, the row max included, so a centroid no key has reached
+    yet gets weight exactly 0. This is softmax(beta * q . D_k^T + log
+    counts) times the value means, without forming either.
 
-    The state is held across steps: counts, value means and log counts,
-    and each step rewrites only the assigned centroid's entries. Log
-    counts start at -inf, so a centroid no key has reached yet gets weight
-    exactly 0 and log(0) is never evaluated. With ``return_state`` the
-    (counts, value means) held at the end are also returned, which is how
-    the mixture-readout cross-checks grab a shared dictionary state.
+    Queries go in blocks of B = _QUERY_TILE rows, each read as the state at
+    the block start plus the block's own tokens: the counts add a cumsum
+    of one-hot rows, and the value sums add one causal [B, B] matrix of
+    each row's weights on the earlier-or-same tokens' centroids times the
+    block's values. A partial last block is zero-padded to B rows, whose
+    outputs are dropped and whose tokens count nowhere, so no product's
+    shape depends on T and appending tokens leaves earlier rows bitwise
+    unchanged. Besides the [T, n] assignment product and the [T, d]
+    outputs, working memory is O(B n + n d), never O(T). After each block
+    the state takes its tokens one at a time in position order, so the
+    counts and value sums are bitwise the per-token loop's.
+    With ``return_state`` the final counts and value means (sums / counts,
+    0 where no key arrived) are also returned, which is how the
+    mixture-readout cross-checks grab a shared dictionary state.
     """
     dict_k = _key_dictionary(dict_k, seq.d)
-    n = dict_k.shape[0]
+    n, b, t_total = dict_k.shape[0], _QUERY_TILE, seq.T
     assignments = np.argmax(seq.k @ dict_k.T, axis=1)
 
     counts = np.zeros(n, dtype=np.int64)
-    log_counts = np.full(n, -np.inf)
     value_sums = np.zeros((n, seq.d))
-    means_v = np.zeros((n, seq.d))
-    out = np.empty((seq.T, seq.d))
-    for t in range(seq.T):
-        a = assignments[t]
-        counts[a] += 1
-        log_counts[a] = np.log(counts[a])
-        value_sums[a] += seq.v[t]
-        means_v[a] = value_sums[a] / counts[a]
-        logits = seq.beta * (dict_k @ seq.q[t]) + log_counts
-        out[t] = masked_softmax(logits[None, :])[0] @ means_v
+    earlier_or_same = np.tri(b)
+    rows = np.arange(b)
+    out = np.empty((t_total, seq.d))
+    for start in range(0, t_total, b):
+        stop = start + b
+        block = assignments[start:stop], seq.q[start:stop], seq.v[start:stop]
+        m = len(block[0])  # the block's real tokens
+        if m < b:
+            # Padded tokens take centroid 0, but they sit after every real
+            # row, so the causal mask drops them; they never reach the state.
+            block = [np.pad(x, [(0, b - m)] + [(0, 0)] * (x.ndim - 1)) for x in block]
+        a, q, v = block
+        one_hot = np.zeros((b, n), dtype=np.int64)
+        one_hot[rows[:m], a[:m]] = 1
+        seen = counts + np.cumsum(one_hot, axis=0)
+        w = q @ dict_k.T
+        w *= seq.beta
+        w[seen == 0] = -np.inf
+        w -= np.max(w, axis=1, keepdims=True)
+        np.exp(w, out=w)
+        in_block = w[:, a] * earlier_or_same
+        sums = w @ value_sums + in_block @ v
+        out[start:stop] = (sums / np.einsum("bn,bn->b", w, seen)[:, None])[:m]
+        np.add.at(counts, a[:m], 1)
+        np.add.at(value_sums, a[:m], v[:m])
 
     result = AttentionOutput(out)
     if return_state:
+        means_v = np.zeros_like(value_sums)
+        np.divide(value_sums, counts[:, None], out=means_v, where=counts[:, None] > 0)
         return result, counts, means_v
     return result
 
@@ -318,8 +346,12 @@ def vq_attention_online(seq: HeadSequence, config) -> StreamTranscript:
     tokens it got. Then, token by token in chunk order, the row moves by
     rate * (x - its pre-merge value), where rate is 1 / count, or
     constant_lr_rate / m under constant_lr. Ties go to the lower position
-    or row.
+    or row. The sequence's beta must be the config's.
     """
+    if seq.beta != config.beta:
+        raise ConfigurationError(
+            f"sequence beta {seq.beta} differs from config beta {config.beta}"
+        )
     n_max, chunk_len, beta = config.n_max, config.chunk_len, config.beta
     planned = config.planned_chunks or -(-seq.T // chunk_len)
     constant = config.ablation == "constant_lr"

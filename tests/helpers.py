@@ -1,8 +1,8 @@
 """Shared test utilities: seeded random inputs and slow scalar oracles.
 
-The oracles here are deliberately written as plain Python loops over
-scalars so they share no code path with the vectorized implementations
-they check.
+The oracles here are deliberately written as plain Python loops, over
+scalars or one token at a time, so they share no code path with the
+vectorized implementations they check.
 """
 
 import math
@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from ovq import HeadSequence
+from ovq.reference import masked_softmax
 
 
 def unit_rows(rng, n, d):
@@ -51,3 +52,27 @@ def reconstruct_causal_weights(q, k, beta):
         e = np.exp(logits)
         w[t, : t + 1] = e / e.sum()
     return w
+
+
+def scalar_vq_attention_linear(seq, dict_k):
+    """The constant-state quantized-key form one token at a time: fold v[t]
+    into its centroid's count and value mean, then read out
+    softmax(beta * q[t] . D_k^T + log counts) times the value means. Log
+    counts start at -inf, so an unreached centroid gets weight exactly 0.
+    Returns (outputs, counts, value means)."""
+    n, d = dict_k.shape
+    assignments = np.argmax(seq.k @ dict_k.T, axis=1)
+    counts = np.zeros(n, dtype=np.int64)
+    log_counts = np.full(n, -np.inf)
+    value_sums = np.zeros((n, d))
+    means_v = np.zeros((n, d))
+    out = np.empty((seq.T, d))
+    for t in range(seq.T):
+        a = assignments[t]
+        counts[a] += 1
+        log_counts[a] = np.log(counts[a])
+        value_sums[a] += seq.v[t]
+        means_v[a] = value_sums[a] / counts[a]
+        logits = seq.beta * (dict_k @ seq.q[t]) + log_counts
+        out[t] = masked_softmax(logits[None, :])[0] @ means_v
+    return out, counts, means_v

@@ -573,6 +573,14 @@ class TestForwardSequence:
         out, _, _ = ovq_forward_sequence(OvqConfig(n_max=64, chunk_len=32, beta=8.0), seq)
         np.testing.assert_allclose(out.o, softmax_attention(seq).o, atol=1e-12)
 
+    def test_sequence_beta_that_differs_from_config_beta_raises(self):
+        # A beta-1 sequence run under the default beta 8 used to be predicted
+        # with beta 8 and no error.
+        rng = np.random.default_rng(18)
+        seq = random_sequence(rng, 20, 6, 1.0)
+        with pytest.raises(ConfigurationError, match=r"sequence beta 1\.0 .* config beta 8\.0"):
+            ovq_forward_sequence(OvqConfig(n_max=8, chunk_len=16), seq)
+
     def test_count_conservation_exact(self):
         rng = np.random.default_rng(19)
         seq = random_sequence(rng, 333, 8, 8.0)

@@ -11,11 +11,13 @@ from ovq import (
     Dictionary,
     HeadSequence,
     InvalidStateError,
+    OvqConfig,
     linear_attention_baseline,
     quantize_keys,
     softmax_attention,
     vq_attention_chunked,
     vq_attention_linear,
+    vq_attention_online,
     vq_attention_quadratic,
 )
 from ovq.reference import check_unit_rows
@@ -24,6 +26,7 @@ from helpers import (
     random_sequence,
     reconstruct_causal_weights,
     scalar_softmax_attention,
+    scalar_vq_attention_linear,
     unit_rows,
 )
 
@@ -134,7 +137,7 @@ class TestSoftmaxAttention:
 @st.composite
 def cut_sequences(draw):
     """A sequence of up to 256 rows (four 64-row query tiles), a cut point
-    anywhere in it, and a key dictionary for the quadratic form."""
+    anywhere in it, and a key dictionary for the quantized-key forms."""
     t = draw(st.integers(1, 256))
     d = draw(st.integers(1, 32))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -155,6 +158,8 @@ def test_cut_sequence_outputs_are_bitwise_the_full_prefix(case):
     dictionary = Dictionary.from_keys(dict_k)
     quad = vq_attention_quadratic(seq, dictionary).o
     assert np.array_equal(vq_attention_quadratic(head, dictionary).o, quad[:cut])
+    lin = vq_attention_linear(seq, dict_k).o
+    assert np.array_equal(vq_attention_linear(head, dict_k).o, lin[:cut])
     expected = scalar_softmax_attention(seq.q, seq.k, seq.v, seq.beta)
     np.testing.assert_allclose(full, expected, rtol=0, atol=1e-12)
 
@@ -264,6 +269,30 @@ class TestLinearFormEquivalence:
         np.testing.assert_allclose(permuted, base, atol=1e-12)
 
 
+@st.composite
+def linear_form_cases(draw):
+    """A sequence of up to 300 rows, so it ends inside or at the end of a
+    64-row block and may cross several, and a key dictionary of 1 to 64 rows,
+    which the short sequences leave partly unreached."""
+    t, d = draw(st.integers(1, 300)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seq = random_sequence(rng, t, d, draw(st.sampled_from([0.0, 1.0, 8.0, 32.0])))
+    return seq, unit_rows(rng, draw(st.integers(1, 64)), d)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(linear_form_cases())
+def test_blocked_linear_form_is_the_per_token_loop(case):
+    """The blocked linear form ends with the per-token loop's counts and
+    value means, bitwise, and its rows are within 1e-12 of the loop's."""
+    seq, dict_k = case
+    out, counts, means_v = vq_attention_linear(seq, dict_k, return_state=True)
+    want_out, want_counts, want_means_v = scalar_vq_attention_linear(seq, dict_k)
+    assert counts.dtype == want_counts.dtype and np.array_equal(counts, want_counts)
+    assert np.array_equal(means_v, want_means_v)
+    np.testing.assert_allclose(out.o, want_out, rtol=0, atol=1e-12)
+
+
 class TestChunkedFormEquivalence:
     @pytest.mark.parametrize("t,chunk_len", [(64, 1), (64, 7), (60, 16), (100, 33)])
     def test_matches_quadratic(self, t, chunk_len):
@@ -346,6 +375,31 @@ class TestHeldDictionaryState:
             np.testing.assert_allclose(out, quad, atol=1e-10)
         assert counts[never].tolist() == [0, 0, 0] and counts.sum() == t
         assert not means_v[never].any()
+
+    def test_unreached_nearest_rows_leave_the_linear_readout_finite(self):
+        # Each query is a dead row that no key reaches, and every live row is
+        # at least 90 degrees from it. At beta 1e3 a row max taken over all
+        # rows would underflow every reached row's weight to 0 and read 0 / 0;
+        # the max must be over the reached rows only.
+        rng = np.random.default_rng(32)
+        t, d = 150, 6
+        live, dead = np.abs(unit_rows(rng, 5, d)), -np.abs(unit_rows(rng, 4, d))
+        dict_k = np.concatenate([dead[:2], live, dead[2:]])
+        queries = dead[rng.integers(0, len(dead), t)]
+        seq = HeadSequence(queries, np.abs(unit_rows(rng, t, d)), rng.standard_normal((t, d)), 1e3)
+        with np.errstate(divide="raise", invalid="raise"):
+            quad = vq_attention_quadratic(seq, Dictionary.from_keys(dict_k)).o
+            lin = vq_attention_linear(seq, dict_k).o
+        assert np.isfinite(lin).all()
+        np.testing.assert_allclose(lin, quad, rtol=0, atol=1e-10)
+
+
+class TestStreamOracle:
+    def test_sequence_beta_that_differs_from_config_beta_raises(self):
+        rng = np.random.default_rng(24)
+        seq = random_sequence(rng, 20, 6, 1.0)
+        with pytest.raises(ConfigurationError, match=r"sequence beta 1\.0 .* config beta 8\.0"):
+            vq_attention_online(seq, OvqConfig(n_max=8, chunk_len=16))
 
 
 class TestLinearBaseline:
