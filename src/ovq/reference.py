@@ -11,8 +11,9 @@ Softmax attention and the quadratic form share one causal mixing routine
 that scores queries in tiles of 64 rows. The linear-state form reads its
 per-centroid counts and value sums in blocks of the same 64 rows. Past
 the key-to-centroid assignment, none of the three runs a product whose
-shape depends on the sequence length: a partial last tile is zero-padded to its full
-shape, so appending tokens leaves earlier output rows bitwise unchanged.
+shape depends on the sequence length: a partial last tile is zero-padded
+to its full shape, so appending tokens leaves earlier output rows bitwise
+unchanged.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ def vq_attention_linear(
     unchanged. Besides the [T, n] assignment product and the [T, d]
     outputs, working memory is O(B n + n d), never O(T). After each block
     the state takes its tokens one at a time in position order, so the
-    counts and value sums are bitwise the per-token loop's.
+    counts and value sums are bitwise those of a token-by-token stream.
     With ``return_state`` the final counts and value means (sums / counts,
     0 where no key arrived) are also returned, which is how the
     mixture-readout cross-checks grab a shared dictionary state.
