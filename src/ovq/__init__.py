@@ -47,6 +47,7 @@ from .reference import (
     HeadSequence,
     linear_attention_baseline,
     quantize_keys,
+    quantized_state,
     softmax_attention,
     vq_attention_chunked,
     vq_attention_linear,

@@ -47,6 +47,7 @@ from .reference import (
     check_beta,
     linear_attention_baseline,
     masked_softmax,
+    quantized_state,
     softmax_attention,
     vq_attention_chunked,
     vq_attention_linear,
@@ -139,18 +140,6 @@ def _fixed_vq_dictionary(mixer: MixerSpec, keys: np.ndarray, seed: int) -> np.nd
     return keys[gmr.kmeanspp_indices(keys, mixer.vq_n, seed)]
 
 
-def _fixed_vq_state(dict_k: np.ndarray, keys: np.ndarray, values: np.ndarray):
-    assignments = np.argmax(keys @ dict_k.T, axis=1)
-    n = dict_k.shape[0]
-    counts = np.bincount(assignments, minlength=n)
-    sums = np.zeros((n, values.shape[1]))
-    np.add.at(sums, assignments, values)
-    means_v = np.zeros_like(sums)
-    populated = counts > 0
-    means_v[populated] = sums[populated] / counts[populated, None]
-    return counts, means_v
-
-
 def recall_benchmark(mixer: MixerSpec, T: int, num_probes: int, seed: int) -> RecallRow:
     """Associative recall fidelity of one mixer's memory.
 
@@ -180,7 +169,7 @@ def recall_benchmark(mixer: MixerSpec, T: int, num_probes: int, seed: int) -> Re
         out = (probe_q @ s) / (probe_q @ z + BASELINE_EPS)[:, None]
     elif mixer.kind == "vq_fixed":
         dict_k = _fixed_vq_dictionary(mixer, keys, seed)
-        counts, means_v = _fixed_vq_state(dict_k, keys, values)
+        counts, means_v = quantized_state(keys, values, dict_k)
         out = count_readout(mixer.beta, probe_q, dict_k, counts, means_v)
     else:
         state = OvqState.fresh(with_planned_chunks(mixer.ovq, [T]), d)
@@ -381,7 +370,7 @@ def _check_gmr_bridge(rng, sizes) -> CheckResult:
         seq = _random_head_sequence(rng, min(sizes["t_max"], 128), 16)
         n = int(rng.integers(1, 17))
         dict_k = unit_rows(rng, n, seq.d)
-        _, counts, means_v = vq_attention_linear(seq, dict_k, return_state=True)
+        counts, means_v = quantized_state(seq.k, seq.v, dict_k)
         mix = gmr.GaussianMixture(
             np.concatenate([dict_k, means_v], axis=1),
             counts / counts.sum(),

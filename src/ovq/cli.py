@@ -267,8 +267,11 @@ def _cmd_bench(args) -> int:
             f"--probes {args.probes} exceeds the smallest --T {min(t_grid)}; "
             "each recall probe needs its own earlier key"
         )
+    names = [x.strip() for x in args.mixers.split(",") if x.strip()]
+    if not names:
+        raise ConfigurationError(f"--mixers needs one or more mixer names, got {args.mixers!r}")
     mixers = []
-    for m in [x.strip() for x in args.mixers.split(",") if x.strip()]:
+    for m in names:
         if m not in _MIXER_FLAGS:
             raise ConfigurationError(f"unknown mixer {m!r}; choose from {sorted(_MIXER_FLAGS)}")
         # ovq sweeps the capacity grid; vq-fixed takes its first value, and

@@ -275,7 +275,8 @@ def update_dictionary(
 
     This is the checked entry point for callers that choose their own
     assignments and seeds: it rejects, before any state change, chunk and
-    assignment shapes that disagree, growth past n_max, repeated or
+    assignment shapes that disagree, a chunk outside 1..chunk_len tokens,
+    growth past n_max, repeated or
     out-of-chunk seed positions, assignments outside the grown dictionary
     and seeds that do not point at the fresh rows. ``absorb_chunk`` and
     ``ovq_forward_chunk`` build valid inputs themselves and merge without
@@ -288,6 +289,7 @@ def update_dictionary(
         raise ConfigurationError(
             f"update needs [L, {state.d}] k and v chunks and L assignments, got shapes {shapes}"
         )
+    _check_chunk_len(state, lc)
     positions = np.asarray(new_centroid_positions)
     n_new = len(positions)
     grown = state.n_active + n_new
@@ -322,10 +324,12 @@ def update_dictionary(
 def _merge(state: OvqState, k_chunk, v_chunk, assignments, seeds) -> np.ndarray:
     """The dictionary update behind ``update_dictionary``, for inputs that
     are valid by construction: ``seeds`` lists the seeding chunk positions
-    in the order of the fresh rows they take. Returns the [L] learning
-    rates, 1.0 for seeding tokens."""
+    in the order of the fresh rows they take. Advances the token and chunk
+    counters and returns the [L] learning rates, 1.0 for seeding tokens."""
     cfg = state.config
     lc = len(assignments)
+    state.tokens_seen += lc
+    state.chunks_seen += 1
     n_new = len(seeds)
     if n_new:
         fresh = slice(state.n_active, state.n_active + n_new)
@@ -432,16 +436,16 @@ def _predict_chunk(state: OvqState, q_chunk, k_chunk, v_chunk, sims) -> np.ndarr
     return (out + dict_out) / (total + dict_total)
 
 
+def _check_chunk_len(state: OvqState, lc: int) -> None:
+    if not 1 <= lc <= state.config.chunk_len:
+        raise ConfigurationError(f"chunk of {lc} tokens is outside 1..{state.config.chunk_len}")
+
+
 def _validate_chunk(state: OvqState, q_chunk, k_chunk, v_chunk):
     """[L, d] arrays with 1 <= L <= chunk_len, finite, with unit-norm query
     and key rows; ``q_chunk`` is None for an absorb-only chunk."""
     lc = k_chunk.shape[0]
-    if lc < 1:
-        raise ConfigurationError("empty chunk")
-    if lc > state.config.chunk_len:
-        raise ConfigurationError(
-            f"chunk of {lc} tokens exceeds chunk_len {state.config.chunk_len}"
-        )
+    _check_chunk_len(state, lc)
     for name, m in (("q", q_chunk), ("k", k_chunk), ("v", v_chunk)):
         if m is None:
             continue
@@ -493,8 +497,6 @@ def _absorb(state: OvqState, k_chunk, v_chunk, sims) -> ChunkUpdateRecord:
 
     # The seeds are sorted, so they take the fresh rows in their own order.
     lrs = _merge(state, k_chunk, v_chunk, assignments, new_pos)
-    state.tokens_seen += lc
-    state.chunks_seen += 1
     return ChunkUpdateRecord(
         assignments=assignments, new_centroid_positions=new_pos, learning_rates=lrs
     )

@@ -103,21 +103,14 @@ class HeadSequence:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Key centroids; the quantized-key forms rebuild the value side
-    themselves."""
+    """Key centroids, as ``vq_attention_quadratic`` takes them;
+    ``quantize_keys`` converts and checks them."""
 
     means_k: np.ndarray  # [N, d]
-
-    def __post_init__(self):
-        object.__setattr__(self, "means_k", _as_f64(self.means_k))
 
     @classmethod
     def from_keys(cls, means_k) -> "Dictionary":
         return cls(means_k)
-
-    @property
-    def n(self) -> int:
-        return self.means_k.shape[0]
 
 
 @dataclass(frozen=True)
@@ -134,17 +127,35 @@ def softmax_attention(seq: HeadSequence) -> AttentionOutput:
     return AttentionOutput(_causal_weighted_mix(seq.q, seq.k, seq.v, seq.beta))
 
 
-def quantize_keys(k, dictionary: Dictionary) -> tuple[np.ndarray, np.ndarray]:
-    """Replace each key row by its highest-dot-product centroid.
+def quantize_keys(k, dict_k) -> tuple[np.ndarray, np.ndarray]:
+    """Replace each key row by its highest-dot-product row of the [N, d]
+    key dictionary ``dict_k``.
 
     Returns (quantized keys, assignment indices). Ties go to the lowest
     centroid index. Dot product is the right similarity here because keys
-    and centroids are unit norm, so argmax dot == argmin L2.
+    and centroids are unit norm, so argmax dot == argmin L2. Every
+    quantized-key form takes its assignments from here.
     """
     k = _as_f64(k)
-    dict_k = _key_dictionary(dictionary.means_k, k.shape[1])
+    dict_k = _key_dictionary(dict_k, k.shape[1])
     assignments = np.argmax(k @ dict_k.T, axis=1)
     return dict_k[assignments], assignments
+
+
+def quantized_state(k, v, dict_k) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed-dictionary state after a stream of keys ``k`` and values
+    ``v``: per centroid of ``dict_k``, the number of keys that snapped to
+    it and the mean of their values (0 where no key arrived). Values are
+    summed one at a time in position order, so this is bitwise the state
+    a token-by-token stream ends with."""
+    _, assignments = quantize_keys(k, dict_k)
+    n = np.shape(dict_k)[0]
+    counts = np.bincount(assignments, minlength=n)
+    sums = np.zeros((n, np.shape(v)[1]))
+    np.add.at(sums, assignments, v)
+    means_v = np.zeros_like(sums)
+    np.divide(sums, counts[:, None], out=means_v, where=counts[:, None] > 0)
+    return counts, means_v
 
 
 def _key_dictionary(dict_k, d: int) -> np.ndarray:
@@ -186,13 +197,11 @@ def _causal_weighted_mix(q, keys, values, beta) -> np.ndarray:
 def vq_attention_quadratic(seq: HeadSequence, dictionary: Dictionary) -> AttentionOutput:
     """Causal attention over quantized keys, materializing the full T x T
     score matrix. Values stay raw; only keys are snapped to centroids."""
-    k_hat, _ = quantize_keys(seq.k, dictionary)
+    k_hat, _ = quantize_keys(seq.k, dictionary.means_k)
     return AttentionOutput(_causal_weighted_mix(seq.q, k_hat, seq.v, seq.beta))
 
 
-def vq_attention_linear(
-    seq: HeadSequence, dict_k, return_state: bool = False
-):
+def vq_attention_linear(seq: HeadSequence, dict_k) -> AttentionOutput:
     """Constant-state form of quantized-key attention.
 
     The state is one count and one value sum per centroid. Row t reads it
@@ -213,14 +222,12 @@ def vq_attention_linear(
     unchanged. Besides the [T, n] assignment product and the [T, d]
     outputs, working memory is O(B n + n d), never O(T). After each block
     the state takes its tokens one at a time in position order, so the
-    counts and value sums are bitwise those of a token-by-token stream.
-    With ``return_state`` the final counts and value means (sums / counts,
-    0 where no key arrived) are also returned, which is how the
-    mixture-readout cross-checks grab a shared dictionary state.
+    counts and value sums are bitwise those of a token-by-token stream;
+    ``quantized_state`` builds the final one alone.
     """
     dict_k = _key_dictionary(dict_k, seq.d)
     n, b, t_total = dict_k.shape[0], _QUERY_TILE, seq.T
-    assignments = np.argmax(seq.k @ dict_k.T, axis=1)
+    _, assignments = quantize_keys(seq.k, dict_k)
 
     counts = np.zeros(n, dtype=np.int64)
     value_sums = np.zeros((n, seq.d))
@@ -249,13 +256,7 @@ def vq_attention_linear(
         out[start:stop] = (sums / np.einsum("bn,bn->b", w, seen)[:, None])[:m]
         np.add.at(counts, a[:m], 1)
         np.add.at(value_sums, a[:m], v[:m])
-
-    result = AttentionOutput(out)
-    if return_state:
-        means_v = np.zeros_like(value_sums)
-        np.divide(value_sums, counts[:, None], out=means_v, where=counts[:, None] > 0)
-        return result, counts, means_v
-    return result
+    return AttentionOutput(out)
 
 
 def vq_attention_chunked(seq: HeadSequence, dict_k, chunk_len: int) -> AttentionOutput:
@@ -275,9 +276,9 @@ def vq_attention_chunked(seq: HeadSequence, dict_k, chunk_len: int) -> Attention
     """
     if chunk_len < 1:
         raise ConfigurationError(f"chunk_len must be >= 1, got {chunk_len}")
-    dictionary = Dictionary(dict_k)
-    k_hat, assignments = quantize_keys(seq.k, dictionary)
-    dict_k, n = dictionary.means_k, dictionary.n
+    dict_k = _key_dictionary(dict_k, seq.d)
+    k_hat, assignments = quantize_keys(seq.k, dict_k)
+    n = dict_k.shape[0]
 
     out = np.empty((seq.T, seq.d))
     # Dictionary state as of the end of window c-2.

@@ -137,6 +137,9 @@ def _check_invariants(state: OvqState) -> None:
         raise ParseError("state counts must be >= 1 on active rows and 0 on the rest")
     if int(counts.sum()) != state.tokens_seen:
         raise ParseError(f"state counts sum to {counts.sum()}, not tokens_seen {state.tokens_seen}")
+    tokens, chunks, most = state.tokens_seen, state.chunks_seen, state.config.chunk_len
+    if not -(-tokens // most) <= chunks <= tokens:  # each chunk carries 1..chunk_len tokens
+        raise ParseError(f"state chunks_seen {chunks} is impossible for {tokens} tokens")
     if any(np.any(m[na:]) for m in means):
         raise ParseError("state rows past n_active must be zero")
     if not all(np.isfinite(m).all() for m in means):

@@ -36,6 +36,7 @@ from ovq import (
     new_centroid_budget,
     ovq_forward_chunk,
     ovq_forward_sequence,
+    quantized_state,
     recall_benchmark,
     state_size_sweep,
     verify_gkr_attention,
@@ -109,7 +110,8 @@ def test_criterion_03_gmr_bridge():
         beta = float(rng.choice([1.0, 8.0, 32.0]))
         seq = random_sequence(rng, t, d, beta)
         dict_k = unit_rows(rng, n, d)
-        out, counts, means_v = vq_attention_linear(seq, dict_k, return_state=True)
+        out = vq_attention_linear(seq, dict_k)
+        counts, means_v = quantized_state(seq.k, seq.v, dict_k)
         mix = GaussianMixture(
             np.concatenate([dict_k, means_v], axis=1), counts / counts.sum(), beta=1.0
         )

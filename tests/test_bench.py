@@ -16,12 +16,12 @@ from ovq import (
     recall_benchmark,
     state_size_sweep,
     token_task_eval,
+    quantized_state,
     verify_all,
-    vq_attention_linear,
 )
-from ovq.bench import _fixed_vq_state, rows_to_csv, rows_to_json, token_embeddings
+from ovq.bench import rows_to_csv, rows_to_json, token_embeddings
 
-from helpers import random_sequence, unit_rows
+from helpers import random_sequence, scalar_vq_attention_linear, unit_rows
 
 
 def ovq_mixer(n_max, d=64, beta=16.0, chunk_len=128, **kw):
@@ -88,7 +88,8 @@ class TestRecallBenchmark:
 
 
 class TestFixedVqState:
-    """The vq_fixed recall state is the linear-form oracle's final state."""
+    """The vq_fixed recall state is the per-token linear-form loop's final
+    state."""
 
     @pytest.mark.parametrize("seed", range(50))
     def test_counts_and_value_means_equal_the_oracle_bitwise(self, seed):
@@ -96,10 +97,10 @@ class TestFixedVqState:
         t, d, n = rng.integers(1, 48), rng.integers(1, 9), rng.integers(1, 17)
         keys, values = unit_rows(rng, t, d), rng.standard_normal((t, d))
         dict_k = unit_rows(rng, n, d)
-        _, counts, means_v = vq_attention_linear(
-            HeadSequence(keys, keys, values, 4.0), dict_k, return_state=True
+        _, counts, means_v = scalar_vq_attention_linear(
+            HeadSequence(keys, keys, values, 4.0), dict_k
         )
-        fixed_counts, fixed_means = _fixed_vq_state(dict_k, keys, values)
+        fixed_counts, fixed_means = quantized_state(keys, values, dict_k)
         assert np.array_equal(fixed_counts, counts)
         assert np.array_equal(fixed_means, means_v)
 

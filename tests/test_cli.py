@@ -291,6 +291,12 @@ class TestBench:
         assert res.returncode == 2
         assert "--n-max-grid" in res.stderr
 
+    @pytest.mark.parametrize("mixers", ["", " , "])
+    def test_empty_mixer_list_is_config_error(self, capsys, mixers):
+        code = main(["bench", "--mixers", mixers, "--T", "64", "--probes", "8"])
+        assert code == 2
+        assert "--mixers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mixer", ["full-attention", "ovq", "vq-fixed", "linear-baseline"])
     @pytest.mark.parametrize("beta", ["nan", "inf", "-3"])
     def test_beta_not_finite_and_nonnegative_is_config_error(self, capsys, mixer, beta):

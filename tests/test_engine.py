@@ -17,6 +17,8 @@ from ovq import (
     ovq_forward_chunk,
     ovq_forward_sequence,
     planned_active_components,
+    load_state,
+    save_state,
     select_new_centroids,
     softmax_attention,
     update_dictionary,
@@ -348,6 +350,27 @@ class TestUpdateDictionary:
         state = self._seeded_state(n_max=1)
         with pytest.raises(InvalidStateError):
             update_dictionary(state, *_chunk(rng, 2), np.array([0, 1]), np.array([0, 1]))
+
+    def test_update_advances_the_token_counters_so_its_snapshot_loads(self, tmp_path):
+        rng = np.random.default_rng(49)
+        state = self._seeded_state()
+        update_dictionary(state, *_chunk(rng, 4), np.array([0, 1, 0, 1]), np.array([0, 1]))
+        assert (state.tokens_seen, state.chunks_seen) == (4, 1)
+        save_state(state, tmp_path / "updated.bin")
+        back = load_state(tmp_path / "updated.bin")
+        assert back.counts.sum() == back.tokens_seen == 4
+        assert back.chunks_seen == 1
+
+    @pytest.mark.parametrize("lc", [0, 5])
+    def test_rejects_chunk_outside_one_to_chunk_len_and_leaves_state_alone(self, lc):
+        rng = np.random.default_rng(50)
+        state = self._seeded_state(rng=rng)
+        before = (state.means_k.copy(), state.means_v.copy(), state.counts.copy())
+        with pytest.raises(ConfigurationError, match="chunk"):
+            update_dictionary(state, *_chunk(rng, lc), np.zeros(lc, dtype=int), NO_SEEDS)
+        assert (state.n_active, state.tokens_seen, state.chunks_seen) == (1, 0, 0)
+        for now, then in zip((state.means_k, state.means_v, state.counts), before):
+            assert np.array_equal(now, then)
 
 
 class TestForwardChunk:

@@ -20,6 +20,7 @@ from ovq import (
     kmeanspp_indices,
     m_step,
     nll,
+    quantized_state,
     verify_gkr_attention,
     verify_newton_equivalence,
     vq_attention_linear,
@@ -288,7 +289,8 @@ class TestPrediction:
         for _ in range(10):
             seq = random_sequence(rng, 64, 8, 8.0)
             dict_k = unit_rows(rng, 12, 8)
-            out, counts, means_v = vq_attention_linear(seq, dict_k, return_state=True)
+            out = vq_attention_linear(seq, dict_k)
+            counts, means_v = quantized_state(seq.k, seq.v, dict_k)
             populated = counts > 0
             priors = counts / counts.sum()
             mix = GaussianMixture(np.concatenate([dict_k, means_v], axis=1), priors, beta=1.0)

@@ -14,6 +14,7 @@ from ovq import (
     OvqConfig,
     linear_attention_baseline,
     quantize_keys,
+    quantized_state,
     softmax_attention,
     vq_attention_chunked,
     vq_attention_linear,
@@ -169,14 +170,14 @@ class TestQuantizeKeys:
         rng = np.random.default_rng(6)
         means = unit_rows(rng, 5, 4)
         k = means[[3]]
-        k_hat, assign = quantize_keys(k, Dictionary.from_keys(means))
+        k_hat, assign = quantize_keys(k, means)
         assert assign[0] == 3
         np.testing.assert_array_equal(k_hat[0], means[3])
 
     def test_single_centroid_takes_everything(self):
         rng = np.random.default_rng(7)
         k = unit_rows(rng, 10, 4)
-        _, assign = quantize_keys(k, Dictionary.from_keys(unit_rows(rng, 1, 4)))
+        _, assign = quantize_keys(k, unit_rows(rng, 1, 4))
         assert np.all(assign == 0)
 
     def test_tie_breaks_to_lowest_index(self):
@@ -185,13 +186,13 @@ class TestQuantizeKeys:
         means = unit_rows(rng, 6, 6)
         means[2] = base
         means[5] = base  # identical centroids at 2 and 5: equidistant
-        _, assign = quantize_keys(base[None, :], Dictionary(means))
+        _, assign = quantize_keys(base[None, :], means)
         assert assign[0] == 2
 
     def test_empty_dictionary_raises(self):
         rng = np.random.default_rng(9)
         with pytest.raises(InvalidStateError):
-            quantize_keys(unit_rows(rng, 3, 4), Dictionary.from_keys(np.empty((0, 4))))
+            quantize_keys(unit_rows(rng, 3, 4), np.empty((0, 4)))
 
 
 class TestQuadraticForm:
@@ -243,7 +244,7 @@ class TestLinearFormEquivalence:
     def test_count_conservation_in_returned_state(self):
         rng = np.random.default_rng(16)
         seq = random_sequence(rng, 40, 6, 8.0)
-        _, counts, _ = vq_attention_linear(seq, unit_rows(rng, 7, 6), return_state=True)
+        counts, _ = quantized_state(seq.k, seq.v, unit_rows(rng, 7, 6))
         assert counts.sum() == 40
 
     def test_causality_appending_tokens_is_bitwise_stable(self):
@@ -283,10 +284,12 @@ def linear_form_cases(draw):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(linear_form_cases())
 def test_blocked_linear_form_is_the_per_token_loop(case):
-    """The blocked linear form ends with the per-token loop's counts and
-    value means, bitwise, and its rows are within 1e-12 of the loop's."""
+    """``quantized_state`` is the per-token loop's final counts and value
+    means, bitwise, and the blocked linear form's rows are within 1e-12 of
+    the loop's."""
     seq, dict_k = case
-    out, counts, means_v = vq_attention_linear(seq, dict_k, return_state=True)
+    out = vq_attention_linear(seq, dict_k)
+    counts, means_v = quantized_state(seq.k, seq.v, dict_k)
     want_out, want_counts, want_means_v = scalar_vq_attention_linear(seq, dict_k)
     assert counts.dtype == want_counts.dtype and np.array_equal(counts, want_counts)
     assert np.array_equal(means_v, want_means_v)
@@ -368,7 +371,8 @@ class TestHeldDictionaryState:
         seq = HeadSequence(unit_rows(rng, t, d), keys, rng.standard_normal((t, d)), beta)
         with np.errstate(divide="raise", invalid="raise"):
             quad = vq_attention_quadratic(seq, Dictionary.from_keys(dict_k)).o
-            lin, counts, means_v = vq_attention_linear(seq, dict_k, return_state=True)
+            lin = vq_attention_linear(seq, dict_k)
+            counts, means_v = quantized_state(seq.k, seq.v, dict_k)
             chunked = {L: vq_attention_chunked(seq, dict_k, L).o for L in (1, 7, t)}
         np.testing.assert_allclose(lin.o, quad, atol=1e-10)
         for out in chunked.values():

@@ -142,6 +142,20 @@ def _break_token_total(state):
     state.tokens_seen += 3
 
 
+def _break_chunks_none(state):
+    state.chunks_seen = 0
+
+
+def _break_chunks_too_few(state):
+    # 16 tokens cannot arrive in one chunk of at most 8.
+    state.chunks_seen = -(-state.tokens_seen // state.config.chunk_len) - 1
+
+
+def _break_chunks_too_many(state):
+    # Every chunk carries at least one token.
+    state.chunks_seen = state.tokens_seen + 1
+
+
 class TestImpossibleSnapshots:
     @pytest.mark.parametrize(
         "corrupt",
@@ -152,6 +166,9 @@ class TestImpossibleSnapshots:
             _break_finite_mean,
             _break_capacity,
             _break_token_total,
+            _break_chunks_none,
+            _break_chunks_too_few,
+            _break_chunks_too_many,
         ],
     )
     def test_broken_invariant_is_a_parse_error(self, tmp_path, corrupt):
