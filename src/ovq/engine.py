@@ -276,11 +276,10 @@ def update_dictionary(
     This is the checked entry point for callers that choose their own
     assignments and seeds: it rejects, before any state change, chunk and
     assignment shapes that disagree, a chunk outside 1..chunk_len tokens,
-    growth past n_max, repeated or
-    out-of-chunk seed positions, assignments outside the grown dictionary
-    and seeds that do not point at the fresh rows. ``absorb_chunk`` and
-    ``ovq_forward_chunk`` build valid inputs themselves and merge without
-    these checks.
+    growth past n_max, repeated or out-of-chunk seed positions,
+    assignments outside the grown dictionary and seeds that do not point
+    at the fresh rows. ``absorb_chunk`` and ``ovq_forward_chunk`` build
+    valid inputs themselves and merge without these checks.
     """
     cfg = state.config
     lc = k_chunk.shape[0]

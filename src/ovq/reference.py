@@ -148,7 +148,7 @@ def quantized_state(k, v, dict_k) -> tuple[np.ndarray, np.ndarray]:
     it and the mean of their values (0 where no key arrived). Values are
     summed one at a time in position order, so this is bitwise the state
     a token-by-token stream ends with."""
-    _, assignments = quantize_keys(k, dict_k)
+    assignments = quantize_keys(k, dict_k)[1]
     n = np.shape(dict_k)[0]
     counts = np.bincount(assignments, minlength=n)
     sums = np.zeros((n, np.shape(v)[1]))
@@ -227,7 +227,7 @@ def vq_attention_linear(seq: HeadSequence, dict_k) -> AttentionOutput:
     """
     dict_k = _key_dictionary(dict_k, seq.d)
     n, b, t_total = dict_k.shape[0], _QUERY_TILE, seq.T
-    _, assignments = quantize_keys(seq.k, dict_k)
+    assignments = quantize_keys(seq.k, dict_k)[1]
 
     counts = np.zeros(n, dtype=np.int64)
     value_sums = np.zeros((n, seq.d))
