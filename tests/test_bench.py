@@ -13,10 +13,10 @@ from ovq import (
     OvqConfig,
     gen_basic_icr,
     ovq_forward_sequence,
+    quantized_state,
     recall_benchmark,
     state_size_sweep,
     token_task_eval,
-    quantized_state,
     verify_all,
 )
 from ovq.bench import rows_to_csv, rows_to_json, token_embeddings

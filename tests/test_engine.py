@@ -13,11 +13,11 @@ from ovq import (
     absorb_chunk,
     dictionary_readout,
     growth_count,
+    load_state,
     new_centroid_budget,
     ovq_forward_chunk,
     ovq_forward_sequence,
     planned_active_components,
-    load_state,
     save_state,
     select_new_centroids,
     softmax_attention,
