@@ -275,20 +275,23 @@ def update_dictionary(
 
     This is the checked entry point for callers that choose their own
     assignments and seeds: it rejects, before any state change, chunk and
-    assignment shapes that disagree, a chunk outside 1..chunk_len tokens,
+    assignment shapes that disagree, the chunks ``absorb_chunk`` rejects
+    (outside 1..chunk_len tokens, non-unit keys, non-finite values),
     growth past n_max, repeated or out-of-chunk seed positions,
     assignments outside the grown dictionary and seeds that do not point
     at the fresh rows. ``absorb_chunk`` and ``ovq_forward_chunk`` build
-    valid inputs themselves and merge without these checks.
+    valid assignments themselves and merge without these checks.
     """
     cfg = state.config
+    dt = DTYPES[cfg.dtype]
+    k_chunk, v_chunk = np.asarray(k_chunk, dtype=dt), np.asarray(v_chunk, dtype=dt)
     lc = k_chunk.shape[0]
-    shapes = (k_chunk.shape, np.shape(v_chunk), np.shape(assignments))
+    shapes = (k_chunk.shape, v_chunk.shape, np.shape(assignments))
     if shapes != ((lc, state.d), (lc, state.d), (lc,)):
         raise ConfigurationError(
             f"update needs [L, {state.d}] k and v chunks and L assignments, got shapes {shapes}"
         )
-    _check_chunk_len(state, lc)
+    _validate_chunk(state, None, k_chunk, v_chunk)
     positions = np.asarray(new_centroid_positions)
     n_new = len(positions)
     grown = state.n_active + n_new
@@ -309,10 +312,7 @@ def update_dictionary(
         if not np.array_equal(assignments[positions], np.arange(state.n_active, grown)):
             raise InvalidStateError("seeding tokens must point at the fresh indices")
 
-    dt = DTYPES[cfg.dtype]
-    lrs = _merge(
-        state, np.asarray(k_chunk, dtype=dt), np.asarray(v_chunk, dtype=dt), assignments, positions
-    )
+    lrs = _merge(state, k_chunk, v_chunk, assignments, positions)
     return ChunkUpdateRecord(
         assignments=assignments.copy(),
         new_centroid_positions=np.asarray(new_centroid_positions, dtype=np.int64),
@@ -539,22 +539,24 @@ def stream_chunks(state: OvqState, k, v, q=None) -> tuple[np.ndarray | None, lis
     (the last chunk may be short). With queries every chunk is predicted
     and then absorbed; without, it is only absorbed.
 
-    Returns the stacked outputs (None without queries) and a trace of
-    (tokens seen, live state scalars) at every chunk boundary.
+    Returns the [T, d] outputs in the state's dtype (None without queries)
+    and a trace of (tokens seen, live state scalars) at every chunk
+    boundary. Each chunk writes its rows into one array allocated up front,
+    so the outputs are never held twice.
     """
     if len(k) < 1 or len(v) != len(k) or (q is not None and len(q) != len(k)):
         raise ConfigurationError("stream needs one or more tokens and equally long q/k/v")
     step = state.config.chunk_len
-    outputs = []
+    out = None if q is None else np.empty((len(k), state.d), dtype=DTYPES[state.config.dtype])
     trace: list[tuple[int, int]] = []
     for start in range(0, len(k), step):
         chunk = slice(start, start + step)
         if q is None:
             absorb_chunk(state, k[chunk], v[chunk])
         else:
-            outputs.append(ovq_forward_chunk(state, q[chunk], k[chunk], v[chunk])[0])
+            out[chunk] = ovq_forward_chunk(state, q[chunk], k[chunk], v[chunk])[0]
         trace.append((state.tokens_seen, state.scalars_stored()))
-    return (None if q is None else np.concatenate(outputs, axis=0)), trace
+    return out, trace
 
 
 def ovq_forward_sequence(
@@ -562,7 +564,7 @@ def ovq_forward_sequence(
 ) -> tuple[AttentionOutput, OvqState, list[tuple[int, int]]]:
     """Stream a whole sequence chunk by chunk from a fresh state.
 
-    Returns the concatenated outputs, the final state, and a trace of
+    Returns the [T, d] outputs, the final state, and a trace of
     (tokens seen, live state scalars) at every chunk boundary. The
     sequence's beta must be the config's, which is the one predict uses.
     """

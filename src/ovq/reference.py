@@ -9,11 +9,11 @@ All operations are pure; nothing holds mutable state between calls.
 
 Softmax attention and the quadratic form share one causal mixing routine
 that scores queries in tiles of 64 rows. The linear-state form reads its
-per-centroid counts and value sums in blocks of the same 64 rows. Past
-the key-to-centroid assignment, none of the three runs a product whose
-shape depends on the sequence length: a partial last tile is zero-padded
-to its full shape, so appending tokens leaves earlier output rows bitwise
-unchanged.
+per-centroid counts and value sums in blocks of the same 64 rows, and the
+key-to-centroid assignment scores keys in tiles of the same 64 rows. None
+of them runs a product whose shape depends on the sequence length: a
+partial last tile is zero-padded to its full shape, so appending tokens
+leaves earlier assignments and output rows bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ class HeadSequence:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Key centroids, as ``vq_attention_quadratic`` takes them;
-    ``quantize_keys`` converts and checks them."""
+    """Key centroids, as ``vq_attention_quadratic`` takes them; it
+    converts and checks them."""
 
     means_k: np.ndarray  # [N, d]
 
@@ -127,19 +127,31 @@ def softmax_attention(seq: HeadSequence) -> AttentionOutput:
     return AttentionOutput(_causal_weighted_mix(seq.q, seq.k, seq.v, seq.beta))
 
 
-def quantize_keys(k, dict_k) -> tuple[np.ndarray, np.ndarray]:
-    """Replace each key row by its highest-dot-product row of the [N, d]
-    key dictionary ``dict_k``.
+def quantize_keys(k, dict_k) -> np.ndarray:
+    """Each key row's highest-dot-product row of the [N, d] key dictionary
+    ``dict_k``, as [T] indices.
 
-    Returns (quantized keys, assignment indices). Ties go to the lowest
-    centroid index. Dot product is the right similarity here because keys
-    and centroids are unit norm, so argmax dot == argmin L2. Every
-    quantized-key form takes its assignments from here.
+    Ties go to the lowest centroid index. Dot product is the right
+    similarity here because keys and centroids are unit norm, so argmax
+    dot == argmin L2. Every quantized-key form takes its assignments from
+    here, and the forms that need the quantized keys gather
+    ``dict_k[assignments]`` themselves. Keys are scored in tiles of
+    B = _QUERY_TILE rows, each one [B, N] product; only a partial last
+    tile is copied, zero-padded to B rows whose indices are dropped. So
+    working memory is O(B N), never O(T N), and a key's index does not
+    depend on how many keys follow it.
     """
     k = _as_f64(k)
     dict_k = _key_dictionary(dict_k, k.shape[1])
-    assignments = np.argmax(k @ dict_k.T, axis=1)
-    return dict_k[assignments], assignments
+    t_total, b = k.shape[0], _QUERY_TILE
+    assignments = np.empty(t_total, dtype=np.intp)
+    for start in range(0, t_total, b):
+        tile = k[start : start + b]
+        m = len(tile)
+        if m < b:
+            tile = np.pad(tile, ((0, b - m), (0, 0)))
+        assignments[start : start + m] = np.argmax(tile @ dict_k.T, axis=1)[:m]
+    return assignments
 
 
 def quantized_state(k, v, dict_k) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +160,7 @@ def quantized_state(k, v, dict_k) -> tuple[np.ndarray, np.ndarray]:
     it and the mean of their values (0 where no key arrived). Values are
     summed one at a time in position order, so this is bitwise the state
     a token-by-token stream ends with."""
-    assignments = quantize_keys(k, dict_k)[1]
+    assignments = quantize_keys(k, dict_k)
     n = np.shape(dict_k)[0]
     counts = np.bincount(assignments, minlength=n)
     sums = np.zeros((n, np.shape(v)[1]))
@@ -187,7 +199,10 @@ def _causal_weighted_mix(q, keys, values, beta) -> np.ndarray:
         w = q[start:stop] @ keys[:stop].T
         w *= beta
         w[:, start:][after_position] = -np.inf
-        w -= np.max(w, axis=1, keepdims=True)
+        # |beta q.k| <= beta is finite, so a difference that overflows is
+        # below -1.7e308: -inf, and exp gives 0, its true double weight.
+        with np.errstate(over="ignore"):
+            w -= np.max(w, axis=1, keepdims=True)
         np.exp(w, out=w)
         w /= np.sum(w, axis=1, keepdims=True)
         out[start:stop] = w @ values[:stop]
@@ -197,7 +212,8 @@ def _causal_weighted_mix(q, keys, values, beta) -> np.ndarray:
 def vq_attention_quadratic(seq: HeadSequence, dictionary: Dictionary) -> AttentionOutput:
     """Causal attention over quantized keys, materializing the full T x T
     score matrix. Values stay raw; only keys are snapped to centroids."""
-    k_hat, _ = quantize_keys(seq.k, dictionary.means_k)
+    dict_k = _key_dictionary(dictionary.means_k, seq.d)
+    k_hat = dict_k[quantize_keys(seq.k, dict_k)]
     return AttentionOutput(_causal_weighted_mix(seq.q, k_hat, seq.v, seq.beta))
 
 
@@ -219,15 +235,15 @@ def vq_attention_linear(seq: HeadSequence, dict_k) -> AttentionOutput:
     block's values. A partial last block is zero-padded to B rows, whose
     outputs are dropped and whose tokens count nowhere, so no product's
     shape depends on T and appending tokens leaves earlier rows bitwise
-    unchanged. Besides the [T, n] assignment product and the [T, d]
-    outputs, working memory is O(B n + n d), never O(T). After each block
+    unchanged. Besides the [T] assignments and the [T, d] outputs, working
+    memory is O(B n + n d), never O(T). After each block
     the state takes its tokens one at a time in position order, so the
     counts and value sums are bitwise those of a token-by-token stream;
     ``quantized_state`` builds the final one alone.
     """
     dict_k = _key_dictionary(dict_k, seq.d)
     n, b, t_total = dict_k.shape[0], _QUERY_TILE, seq.T
-    assignments = quantize_keys(seq.k, dict_k)[1]
+    assignments = quantize_keys(seq.k, dict_k)
 
     counts = np.zeros(n, dtype=np.int64)
     value_sums = np.zeros((n, seq.d))
@@ -249,7 +265,10 @@ def vq_attention_linear(seq: HeadSequence, dict_k) -> AttentionOutput:
         w = q @ dict_k.T
         w *= seq.beta
         w[seen == 0] = -np.inf
-        w -= np.max(w, axis=1, keepdims=True)
+        # |beta q.D| <= beta is finite, so a difference that overflows is
+        # below -1.7e308: -inf, and exp gives 0, its true double weight.
+        with np.errstate(over="ignore"):
+            w -= np.max(w, axis=1, keepdims=True)
         np.exp(w, out=w)
         in_block = w[:, a] * earlier_or_same
         sums = w @ value_sums + in_block @ v
@@ -277,7 +296,8 @@ def vq_attention_chunked(seq: HeadSequence, dict_k, chunk_len: int) -> Attention
     if chunk_len < 1:
         raise ConfigurationError(f"chunk_len must be >= 1, got {chunk_len}")
     dict_k = _key_dictionary(dict_k, seq.d)
-    k_hat, assignments = quantize_keys(seq.k, dict_k)
+    assignments = quantize_keys(seq.k, dict_k)
+    k_hat = dict_k[assignments]
     n = dict_k.shape[0]
 
     out = np.empty((seq.T, seq.d))

@@ -6,6 +6,7 @@ vectorized implementations they check.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -76,3 +77,15 @@ def scalar_vq_attention_linear(seq, dict_k):
         logits = seq.beta * (dict_k @ seq.q[t]) + log_counts
         out[t] = masked_softmax(logits[None, :])[0] @ means_v
     return out, counts, means_v
+
+
+def traced_peak(call):
+    """(bytes ``call()`` holds at its tracemalloc peak above what was live
+    before it, its result)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()

@@ -24,7 +24,7 @@ from ovq import (
     update_dictionary,
 )
 
-from helpers import random_sequence, unit_rows
+from helpers import random_sequence, traced_peak, unit_rows
 
 NO_SEEDS = np.empty(0, dtype=np.int64)
 
@@ -372,6 +372,22 @@ class TestUpdateDictionary:
         for now, then in zip((state.means_k, state.means_v, state.counts), before):
             assert np.array_equal(now, then)
 
+    @pytest.mark.parametrize("bad", ["nan_value", "long_keys"])
+    def test_rejects_what_absorb_chunk_rejects_and_leaves_state_alone(self, bad):
+        # A NaN value row would be installed as a seed (and the state's own
+        # snapshot would then fail to load); keys of norm 6 would merge.
+        rng = np.random.default_rng(51)
+        state = self._seeded_state()
+        k, v = _chunk(rng, 2)
+        if bad == "nan_value":
+            v[0] = np.nan
+        else:
+            k *= 6.0
+        with pytest.raises(ConfigurationError, match="v chunk" if bad == "nan_value" else "k chunk"):
+            update_dictionary(state, k, v, np.array([0, 0]), np.array([0]))
+        assert (state.n_active, state.tokens_seen, state.chunks_seen) == (0, 0, 0)
+        assert not state.means_k.any() and not state.means_v.any() and not state.counts.any()
+
 
 class TestForwardChunk:
     def test_exact_recall_of_earlier_key(self):
@@ -673,6 +689,19 @@ class TestForwardSequence:
         )
         assert state32.means_k.dtype == np.float32
         np.testing.assert_allclose(out32.o, out64.o, atol=1e-4)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_stream_outputs_are_held_once(self, dtype):
+        # Chunks write into one [T, d] array of the state's dtype; a list of
+        # chunk outputs stacked at the end would hold them twice. The tiny
+        # dictionary keeps the per-chunk working arrays far below [T, d].
+        rng = np.random.default_rng(26)
+        k, v = _chunk(rng, 2048, 16)
+        state = OvqState.fresh(OvqConfig(n_max=4, chunk_len=32, dtype=dtype), 16)
+        engine.stream_chunks(OvqState.fresh(state.config, 16), k[:200], v[:200], q=k[:200])
+        peak, (out, _) = traced_peak(lambda: engine.stream_chunks(state, k, v, q=k))
+        assert out.dtype == np.dtype(dtype) and out.shape == (2048, 16)
+        assert peak <= out.nbytes + 2**16
 
 
 class TestDictionaryReadout:

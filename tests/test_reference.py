@@ -2,6 +2,8 @@
 pairwise equivalences between the quadratic, linear-state, and
 chunk-recurrent quantized-key forms."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from ovq import (
     InvalidStateError,
     OvqConfig,
     linear_attention_baseline,
+    ovq_forward_sequence,
     quantize_keys,
     quantized_state,
     softmax_attention,
@@ -28,6 +31,7 @@ from helpers import (
     reconstruct_causal_weights,
     scalar_softmax_attention,
     scalar_vq_attention_linear,
+    traced_peak,
     unit_rows,
 )
 
@@ -169,16 +173,13 @@ class TestQuantizeKeys:
     def test_exact_centroid_match(self):
         rng = np.random.default_rng(6)
         means = unit_rows(rng, 5, 4)
-        k = means[[3]]
-        k_hat, assign = quantize_keys(k, means)
-        assert assign[0] == 3
-        np.testing.assert_array_equal(k_hat[0], means[3])
+        assign = quantize_keys(means[[3]], means)
+        assert assign.shape == (1,) and assign[0] == 3
 
     def test_single_centroid_takes_everything(self):
         rng = np.random.default_rng(7)
         k = unit_rows(rng, 10, 4)
-        _, assign = quantize_keys(k, unit_rows(rng, 1, 4))
-        assert np.all(assign == 0)
+        assert np.all(quantize_keys(k, unit_rows(rng, 1, 4)) == 0)
 
     def test_tie_breaks_to_lowest_index(self):
         rng = np.random.default_rng(8)
@@ -186,13 +187,21 @@ class TestQuantizeKeys:
         means = unit_rows(rng, 6, 6)
         means[2] = base
         means[5] = base  # identical centroids at 2 and 5: equidistant
-        _, assign = quantize_keys(base[None, :], means)
-        assert assign[0] == 2
+        assert quantize_keys(base[None, :], means)[0] == 2
 
     def test_empty_dictionary_raises(self):
         rng = np.random.default_rng(9)
         with pytest.raises(InvalidStateError):
             quantize_keys(unit_rows(rng, 3, 4), np.empty((0, 4)))
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 127, 300])
+    def test_prefix_assignments_are_bitwise_the_full_ones(self, m):
+        # Keys are scored in fixed 64-row tiles, so a prefix's assignments
+        # do not depend on the keys after it, on either side of a tile edge.
+        rng = np.random.default_rng(19)
+        k, dict_k = unit_rows(rng, 300, 12), unit_rows(rng, 40, 12)
+        full = quantize_keys(k, dict_k)
+        assert np.array_equal(quantize_keys(k[:m], dict_k), full[:m])
 
 
 class TestQuadraticForm:
@@ -259,6 +268,19 @@ class TestLinearFormEquivalence:
         )
         short = vq_attention_linear(seq, dict_k).o
         assert np.array_equal(short, vq_attention_linear(longer, dict_k).o[:30])
+
+    def test_largest_beta_stays_finite_and_raises_no_warning(self):
+        # At beta = 1e308 some max-subtracted logits overflow. They become
+        # -inf, whose exp is 0: the true weight in double precision.
+        rng = np.random.default_rng(21)
+        seq = random_sequence(rng, 150, 6, 1e308)
+        dict_k = unit_rows(rng, 24, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lin = vq_attention_linear(seq, dict_k).o
+            quad = vq_attention_quadratic(seq, Dictionary.from_keys(dict_k)).o
+        assert np.isfinite(lin).all()
+        np.testing.assert_allclose(lin, quad, rtol=0, atol=1e-10)
 
     def test_dictionary_row_permutation_leaves_output_unchanged(self):
         rng = np.random.default_rng(18)
@@ -423,3 +445,34 @@ class TestLinearBaseline:
         seq = HeadSequence(q, k, v, 1.0)
         out = linear_attention_baseline(seq).o
         np.testing.assert_allclose(out[1], 0.0, atol=1e-12)
+
+
+# (call on a sequence and an [n, 16] key dictionary, bytes per token of the
+# [T] and [T, d] arrays it returns or holds, slack in bytes)
+_MEMORY_CASES = {
+    "quantize_keys": (lambda seq, dict_k: quantize_keys(seq.k, dict_k), 8, 2**16),
+    "quantized_state": (lambda seq, dict_k: quantized_state(seq.k, seq.v, dict_k), 8, 2**16),
+    "vq_attention_linear": (lambda seq, dict_k: vq_attention_linear(seq, dict_k), 8 + 8 * 16, 2**16),
+    # The engine's per-chunk [128, n_active] products grow while the
+    # dictionary fills (682 rows at T = 2,048, 910 at 8,192): one [128, n]
+    # float64 array of slack.
+    "ovq_forward_sequence": (
+        lambda seq, dict_k: ovq_forward_sequence(OvqConfig(n_max=len(dict_k)), seq),
+        8 * 16,
+        128 * 1024 * 8,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MEMORY_CASES))
+def test_peak_memory_grows_only_by_the_per_token_arrays(name):
+    """From T = 2,048 to 8,192 (n = 1,024, d = 16) the traced peak grows by
+    no more than the call's own [T] and [T, d] arrays plus the stated slack.
+    A [T, n] assignment product would add 6,144 * 1,024 * 8 bytes (48 MiB)."""
+    call, per_token, slack = _MEMORY_CASES[name]
+    rng = np.random.default_rng(25)
+    dict_k = unit_rows(rng, 1024, 16)
+    call(random_sequence(rng, 100, 16, 8.0), dict_k)  # first-call imports are not the call's
+    short, long = (random_sequence(rng, t, 16, 8.0) for t in (2048, 8192))
+    growth = traced_peak(lambda: call(long, dict_k))[0] - traced_peak(lambda: call(short, dict_k))[0]
+    assert growth <= (8192 - 2048) * per_token + slack
