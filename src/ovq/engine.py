@@ -24,7 +24,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, InvalidStateError
-from .reference import AttentionOutput, HeadSequence, check_beta, check_unit_rows
+from .reference import (
+    UNIT_NORM_ATOL,
+    AttentionOutput,
+    HeadSequence,
+    check_beta,
+    check_unit_rows,
+)
 
 ABLATIONS = ("none", "random_assign", "linear_growth", "constant_lr")
 FAULTS = ("none", "count_skip", "mask_off_by_one", "growth_over_alloc")
@@ -75,6 +81,14 @@ class OvqConfig:
             raise ConfigurationError("planned_chunks must be >= 1 when given")
         if self.dtype not in DTYPES:
             raise ConfigurationError(f"dtype must be one of {sorted(DTYPES)}")
+        # beta times a unit-row dot product, which the norm tolerance lets
+        # reach (1 + UNIT_NORM_ATOL)**2, must stay finite in the dtype.
+        largest = float(np.finfo(DTYPES[self.dtype]).max) / (1.0 + UNIT_NORM_ATOL) ** 2
+        if self.beta > largest:
+            raise ConfigurationError(
+                f"beta {self.beta:g} is too large for {self.dtype}: "
+                f"beta * q.k overflows above {largest:.6g}"
+            )
         if self._fault not in FAULTS:
             raise ConfigurationError(f"unknown fault {self._fault!r}")
 
@@ -264,14 +278,12 @@ def update_dictionary(
     moves by lr * (token - row) where lr = 1 / (count after this chunk's
     increments). All merge deltas for one centroid are taken against the
     same pre-merge row, which makes the result the exact running mean of
-    everything the centroid has absorbed. The deltas are added in rank
-    passes: every target's first delta, then every target's second, and
-    so on, so each row receives its additions one at a time in chunk
-    order. The constant_lr ablation takes lr = rate / m for a centroid
-    that m of the chunk's tokens merge into, so the row moves that fixed
-    fraction of the way to their mean (mini-batch k-means with a constant
-    step); with m = 1 that is the rate itself. Rows the chunk never
-    touches are left bitwise unchanged.
+    everything the centroid has absorbed. Each row receives its deltas one
+    at a time in chunk order. The constant_lr ablation takes lr = rate / m
+    for a centroid that m of the chunk's tokens merge into, so the row
+    moves that fixed fraction of the way to their mean (mini-batch k-means
+    with a constant step); with m = 1 that is the rate itself. Rows the
+    chunk never touches are left bitwise unchanged.
 
     This is the checked entry point for callers that choose their own
     assignments and seeds: it rejects, before any state change, chunk and
@@ -355,36 +367,30 @@ def _merge(state: OvqState, k_chunk, v_chunk, assignments, seeds) -> np.ndarray:
         rates = 1.0 / counts[targets]
 
     lr_col = rates.astype(state.means_k.dtype, copy=False)[:, None]
-    most = int(per_target.max())
-    passes = None if most == 1 else _rank_passes(targets, most)
+    repeated = int(per_target.max()) > 1
+    if repeated:
+        # A target's first delta lands by fancy assignment; np.add.at adds the
+        # rest unbuffered in index order, so each row takes its deltas one at
+        # a time in chunk order.
+        first = np.zeros(len(targets), dtype=bool)
+        first[np.unique(targets, return_index=True)[1]] = True
+        rest = ~first
     for means, x in ((state.means_k, k_chunk), (state.means_v, v_chunk)):
         rows = means[targets]
         delta = x - rows
         delta *= lr_col
-        if passes is None:
-            rows += delta
-            means[targets] = rows
+        rows += delta
+        if repeated:
+            means[targets[first]] = rows[first]
+            np.add.at(means, targets[rest], delta[rest])
         else:
-            for p, rows_p in passes:
-                means[rows_p] += delta[p]
+            means[targets] = rows
 
     if not n_new:
         return rates
     lrs = np.ones(lc)
     lrs[merging] = rates
     return lrs
-
-
-def _rank_passes(targets: np.ndarray, n_passes: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(indices into ``targets``, their targets) grouped by occurrence:
-    pass r holds the r-th occurrence of every target that has one, so no
-    pass repeats a target, and a target's occurrences fall in passes 0, 1,
-    ... in their chunk order. ``n_passes`` is the largest multiplicity."""
-    order = np.argsort(targets, kind="stable")
-    ranked = targets[order]
-    rank = np.arange(len(ranked)) - np.searchsorted(ranked, ranked)
-    passes = [order[rank == r] for r in range(n_passes)]
-    return [(p, targets[p]) for p in passes]
 
 
 def _dictionary_sims(state: OvqState, x: np.ndarray) -> np.ndarray:
@@ -406,14 +412,14 @@ def _softmax_block(logits: np.ndarray, row_max, values) -> tuple[np.ndarray, np.
     in place, and return its weighted values and its weight row sums."""
     logits -= row_max
     np.exp(logits, out=logits)
-    return logits @ values, np.sum(logits, axis=1, keepdims=True)
+    return logits @ values, logits.sum(axis=1, keepdims=True)
 
 
 def count_readout(beta: float, queries, means_k, counts, means_v) -> np.ndarray:
     """softmax(beta * q . D_k^T + log counts) . D_v over the rows whose
     count is nonzero: the mixture readout of a count-weighted dictionary."""
     logits = _dictionary_logits(beta, queries @ means_k.T, counts)
-    out, total = _softmax_block(logits, np.max(logits, axis=1, keepdims=True), means_v)
+    out, total = _softmax_block(logits, logits.max(axis=1, keepdims=True), means_v)
     return out / total
 
 
@@ -428,8 +434,8 @@ def _predict_chunk(state: OvqState, q_chunk, k_chunk, v_chunk, sims) -> np.ndarr
     visible = np.tri(len(q_chunk), k=1 if cfg._fault == "mask_off_by_one" else 0, dtype=bool)
     chunk_logits = np.where(visible, cfg.beta * (q_chunk @ k_chunk.T), -np.inf)
     # With an empty dictionary the in-chunk block alone sets the row max.
-    row_max = np.max(chunk_logits, axis=1, keepdims=True)
-    np.maximum(row_max, np.max(dict_logits, axis=1, keepdims=True, initial=-np.inf), out=row_max)
+    row_max = chunk_logits.max(axis=1, keepdims=True)
+    np.maximum(row_max, dict_logits.max(axis=1, keepdims=True, initial=-np.inf), out=row_max)
     out, total = _softmax_block(chunk_logits, row_max, v_chunk)
     dict_out, dict_total = _softmax_block(dict_logits, row_max, state.means_v[: state.n_active])
     return (out + dict_out) / (total + dict_total)

@@ -302,8 +302,8 @@ def verify_gkr_attention(seq: HeadSequence) -> GkrReport:
     out = np.empty_like(reference)
     for t in range(seq.T):
         diff = seq.q[t][None, :] - seq.k[: t + 1]
-        logw = -0.5 * seq.beta * np.sum(diff * diff, axis=1)
-        logw -= np.max(logw)
+        logw = -0.5 * seq.beta * (diff * diff).sum(axis=1)
+        logw -= logw.max()
         w = np.exp(logw)
         w /= w.sum()
         out[t] = w @ seq.v[: t + 1]

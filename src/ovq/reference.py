@@ -56,11 +56,13 @@ def check_beta(beta: float) -> None:
 def masked_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction. -inf entries get weight
     exactly 0; every row must keep at least one finite entry."""
-    m = np.max(logits, axis=-1, keepdims=True)
-    if not np.all(np.isfinite(m)):
+    m = logits.max(axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
         raise InvalidStateError("softmax row with no visible column")
-    w = np.exp(logits - m)
-    return w / np.sum(w, axis=-1, keepdims=True)
+    w = logits - m
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,7 @@ def quantize_keys(k, dict_k) -> np.ndarray:
         tile = k[start : start + b]
         m = len(tile)
         if m < b:
-            tile = np.pad(tile, ((0, b - m), (0, 0)))
+            tile = _padded(tile, b)
         assignments[start : start + m] = np.argmax(tile @ dict_k.T, axis=1)[:m]
     return assignments
 
@@ -170,6 +172,13 @@ def quantized_state(k, v, dict_k) -> tuple[np.ndarray, np.ndarray]:
     return counts, means_v
 
 
+def _padded(a: np.ndarray, rows: int) -> np.ndarray:
+    """A copy of ``a`` followed by zero rows up to ``rows`` rows."""
+    out = np.zeros((rows,) + a.shape[1:], dtype=a.dtype)
+    out[: len(a)] = a
+    return out
+
+
 def _key_dictionary(dict_k, d: int) -> np.ndarray:
     """The key centroids as float64, checked to be non-empty and d wide."""
     dict_k = _as_f64(dict_k)
@@ -184,29 +193,34 @@ def _causal_weighted_mix(q, keys, values, beta) -> np.ndarray:
     # Queries in tiles of B = _QUERY_TILE rows. Tile i scores its rows against
     # keys[:(i+1)B], sets the columns after each row's position to -inf and
     # mixes values[:(i+1)B], so every product it runs has a shape fixed by
-    # the tile index alone. A partial last tile is zero-padded to that full
-    # shape: its padded key columns are masked and its padded query rows are
-    # dropped. BLAS results can depend on operand shapes, and none of these
-    # depends on T, so appending tokens leaves earlier rows bitwise unchanged.
+    # the tile index alone. A partial last tile takes zero-padded copies of
+    # its slices in that full shape: its padded key columns are masked and
+    # its padded query rows are dropped. BLAS results can depend on operand
+    # shapes, and none of these depends on T, so appending tokens leaves
+    # earlier rows bitwise unchanged. Each tile's scores go into one buffer
+    # sized for the last tile.
     t_total, b = q.shape[0], _QUERY_TILE
-    pad = -t_total % b
-    if pad:
-        q, keys, values = (np.pad(a, ((0, pad), (0, 0))) for a in (q, keys, values))
     after_position = np.triu(np.ones((b, b), dtype=bool), k=1)
-    out = np.empty((t_total + pad, values.shape[1]))
+    scores = np.empty(b * (t_total + -t_total % b))
+    out = np.empty((t_total, values.shape[1]))
     for start in range(0, t_total, b):
         stop = start + b
-        w = q[start:stop] @ keys[:stop].T
+        q_tile, keys_seen, values_seen = q[start:stop], keys[:stop], values[:stop]
+        if stop > t_total:
+            q_tile, keys_seen, values_seen = (
+                _padded(q_tile, b), _padded(keys_seen, stop), _padded(values_seen, stop)
+            )
+        w = np.matmul(q_tile, keys_seen.T, out=scores[: b * stop].reshape(b, stop))
         w *= beta
         w[:, start:][after_position] = -np.inf
         # |beta q.k| <= beta is finite, so a difference that overflows is
         # below -1.7e308: -inf, and exp gives 0, its true double weight.
         with np.errstate(over="ignore"):
-            w -= np.max(w, axis=1, keepdims=True)
+            w -= w.max(axis=1, keepdims=True)
         np.exp(w, out=w)
-        w /= np.sum(w, axis=1, keepdims=True)
-        out[start:stop] = w @ values[:stop]
-    return out[:t_total]
+        w /= w.sum(axis=1, keepdims=True)
+        out[start:stop] = (w @ values_seen)[: t_total - start]
+    return out
 
 
 def vq_attention_quadratic(seq: HeadSequence, dictionary: Dictionary) -> AttentionOutput:
@@ -257,7 +271,7 @@ def vq_attention_linear(seq: HeadSequence, dict_k) -> AttentionOutput:
         if m < b:
             # Padded tokens take centroid 0, but they sit after every real
             # row, so the causal mask drops them; they never reach the state.
-            block = [np.pad(x, [(0, b - m)] + [(0, 0)] * (x.ndim - 1)) for x in block]
+            block = [_padded(x, b) for x in block]
         a, q, v = block
         one_hot = np.zeros((b, n), dtype=np.int64)
         one_hot[rows[:m], a[:m]] = 1
@@ -268,7 +282,7 @@ def vq_attention_linear(seq: HeadSequence, dict_k) -> AttentionOutput:
         # |beta q.D| <= beta is finite, so a difference that overflows is
         # below -1.7e308: -inf, and exp gives 0, its true double weight.
         with np.errstate(over="ignore"):
-            w -= np.max(w, axis=1, keepdims=True)
+            w -= w.max(axis=1, keepdims=True)
         np.exp(w, out=w)
         in_block = w[:, a] * earlier_or_same
         sums = w @ value_sums + in_block @ v
@@ -292,23 +306,32 @@ def vq_attention_chunked(seq: HeadSequence, dict_k, chunk_len: int) -> Attention
     of window c >= 2 it folds in window c-2 and refreshes the log counts
     and value means of only the centroids that window reached; the others
     keep log count -inf (weight exactly 0) and value mean 0.
+
+    Every window writes its logits [dictionary | window c-1 | window c]
+    into one buffer, and reads its values from one [n + 2L, d] buffer: the
+    held value means, which the fold updates in place, then the raw values
+    of windows c-1 and c.
     """
     if chunk_len < 1:
         raise ConfigurationError(f"chunk_len must be >= 1, got {chunk_len}")
     dict_k = _key_dictionary(dict_k, seq.d)
     assignments = quantize_keys(seq.k, dict_k)
     k_hat = dict_k[assignments]
-    n = dict_k.shape[0]
+    n, t_total = dict_k.shape[0], seq.T
+    rows, span = min(chunk_len, t_total), min(2 * chunk_len, t_total)
 
-    out = np.empty((seq.T, seq.d))
+    out = np.empty((t_total, seq.d))
+    logits_buffer = np.empty(rows * (n + span))
+    values = np.zeros((n + span, seq.d))
+    after_position = np.triu(np.ones((rows, rows), dtype=bool), k=1)
     # Dictionary state as of the end of window c-2.
     counts = np.zeros(n, dtype=np.int64)
     value_sums = np.zeros((n, seq.d))
     log_counts = np.full(n, -np.inf)
-    means_v = np.zeros((n, seq.d))
+    means_v = values[:n]
 
-    for start in range(0, seq.T, chunk_len):
-        stop = min(start + chunk_len, seq.T)
+    for start in range(0, t_total, chunk_len):
+        stop = min(start + chunk_len, t_total)
         prev = max(start - chunk_len, 0)  # window c-1 is [prev, start)
         if start >= 2 * chunk_len:
             folded = slice(prev - chunk_len, prev)  # window c-2
@@ -319,20 +342,19 @@ def vq_attention_chunked(seq: HeadSequence, dict_k, chunk_len: int) -> Attention
             log_counts[touched] = np.log(counts[touched])
             means_v[touched] = value_sums[touched] / counts[touched, None]
 
-        q_c = seq.q[start:stop]
-        intra = seq.beta * (q_c @ k_hat[start:stop].T)
-        local = np.arange(stop - start)
-        intra[local[:, None] < local[None, :]] = -np.inf
-        logits = np.concatenate(
-            [
-                seq.beta * (q_c @ dict_k.T) + log_counts,
-                seq.beta * (q_c @ k_hat[prev:start].T),
-                intra,
-            ],
-            axis=1,
-        )
-        values = np.concatenate([means_v, seq.v[prev:start], seq.v[start:stop]], axis=0)
-        out[start:stop] = masked_softmax(logits) @ values
+        q_c, lq, width = seq.q[start:stop], stop - start, n + stop - prev
+        logits = logits_buffer[: lq * width].reshape(lq, width)
+        split = n + start - prev  # the first column of window c
+        held, earlier, intra = logits[:, :n], logits[:, n:split], logits[:, split:]
+        np.matmul(q_c, dict_k.T, out=held)
+        held *= seq.beta
+        held += log_counts
+        np.matmul(q_c, k_hat[prev:start].T, out=earlier)
+        np.matmul(q_c, k_hat[start:stop].T, out=intra)
+        logits[:, n:] *= seq.beta
+        intra[after_position[:lq, :lq]] = -np.inf
+        values[n:width] = seq.v[prev:stop]
+        np.matmul(masked_softmax(logits), values[:width], out=out[start:stop])
 
     return AttentionOutput(out)
 
@@ -411,7 +433,7 @@ def vq_attention_online(seq: HeadSequence, config) -> StreamTranscript:
                 best = np.maximum(best, k @ k[pick])
             seeds.sort()
         else:
-            best = [np.max(means_k[:n] @ k[j]) for j in range(lc)]
+            best = [(means_k[:n] @ k[j]).max() for j in range(lc)]
             seeds = sorted(sorted(range(lc), key=lambda j: best[j])[:budget])
 
         homes = means_k[:n] if n else k[seeds]

@@ -1,8 +1,11 @@
-"""Shared test utilities: seeded random inputs and slow scalar oracles.
+"""Shared test utilities: seeded random inputs, slow scalar oracles and
+earlier forms of rewritten oracle code.
 
-The oracles here are deliberately written as plain Python loops, over
+The scalar oracles are deliberately written as plain Python loops, over
 scalars or one token at a time, so they share no code path with the
-vectorized implementations they check.
+vectorized implementations they check. The earlier forms are literal
+copies of reference code before it was rewritten to reuse its buffers;
+the rewrite must stay bitwise equal to them.
 """
 
 import math
@@ -11,7 +14,7 @@ import tracemalloc
 import numpy as np
 
 from ovq import HeadSequence
-from ovq.reference import masked_softmax
+from ovq.reference import masked_softmax, quantize_keys
 
 
 def unit_rows(rng, n, d):
@@ -89,3 +92,76 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1] - before, result
     finally:
         tracemalloc.stop()
+
+
+def allocating_masked_softmax(logits):
+    """``reference.masked_softmax`` as it was, with a new array per step."""
+    m = np.max(logits, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("softmax row with no visible column")
+    w = np.exp(logits - m)
+    return w / np.sum(w, axis=-1, keepdims=True)
+
+
+def padded_causal_mix(q, keys, values, beta):
+    """``reference._causal_weighted_mix`` as it was, zero-padding whole
+    copies of q, keys and values up to a multiple of 64 rows."""
+    t_total, b = q.shape[0], 64
+    pad = -t_total % b
+    if pad:
+        q, keys, values = (np.pad(a, ((0, pad), (0, 0))) for a in (q, keys, values))
+    after_position = np.triu(np.ones((b, b), dtype=bool), k=1)
+    out = np.empty((t_total + pad, values.shape[1]))
+    for start in range(0, t_total, b):
+        stop = start + b
+        w = q[start:stop] @ keys[:stop].T
+        w *= beta
+        w[:, start:][after_position] = -np.inf
+        with np.errstate(over="ignore"):
+            w -= np.max(w, axis=1, keepdims=True)
+        np.exp(w, out=w)
+        w /= np.sum(w, axis=1, keepdims=True)
+        out[start:stop] = w @ values[:stop]
+    return out[:t_total]
+
+
+def concatenating_vq_attention_chunked(seq, dict_k, chunk_len):
+    """``reference.vq_attention_chunked`` as it was: every window
+    concatenates its three logit blocks and its values anew."""
+    dict_k = np.asarray(dict_k, dtype=np.float64)
+    assignments = quantize_keys(seq.k, dict_k)
+    k_hat = dict_k[assignments]
+    n = dict_k.shape[0]
+
+    out = np.empty((seq.T, seq.d))
+    counts = np.zeros(n, dtype=np.int64)
+    value_sums = np.zeros((n, seq.d))
+    log_counts = np.full(n, -np.inf)
+    means_v = np.zeros((n, seq.d))
+
+    for start in range(0, seq.T, chunk_len):
+        stop = min(start + chunk_len, seq.T)
+        prev = max(start - chunk_len, 0)
+        if start >= 2 * chunk_len:
+            folded = slice(prev - chunk_len, prev)
+            touched = assignments[folded]
+            np.add.at(counts, touched, 1)
+            np.add.at(value_sums, touched, seq.v[folded])
+            log_counts[touched] = np.log(counts[touched])
+            means_v[touched] = value_sums[touched] / counts[touched, None]
+
+        q_c = seq.q[start:stop]
+        intra = seq.beta * (q_c @ k_hat[start:stop].T)
+        local = np.arange(stop - start)
+        intra[local[:, None] < local[None, :]] = -np.inf
+        logits = np.concatenate(
+            [
+                seq.beta * (q_c @ dict_k.T) + log_counts,
+                seq.beta * (q_c @ k_hat[prev:start].T),
+                intra,
+            ],
+            axis=1,
+        )
+        values = np.concatenate([means_v, seq.v[prev:start], seq.v[start:stop]], axis=0)
+        out[start:stop] = allocating_masked_softmax(logits) @ values
+    return out

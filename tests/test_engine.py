@@ -519,6 +519,29 @@ class TestSharedKeyDictionaryProduct:
         assert dictionary_readout(state, seq.q[:3]).dtype == np.float32
 
 
+class TestFloat32BetaBound:
+    @pytest.mark.parametrize("beta", [1e39, 1e308])
+    def test_float32_config_rejects_a_beta_that_overflows_and_names_it(self, beta):
+        # beta * q.k cast to float32 was inf, so every predicted row read
+        # inf - inf = NaN without an error.
+        with pytest.raises(ConfigurationError, match=r"beta .*float32"):
+            OvqConfig(n_max=8, chunk_len=16, beta=beta, dtype="float32")
+
+    def test_float32_predict_is_finite_up_to_the_largest_accepted_beta(self):
+        # A float64 beta that float32 can hold keeps every row finite; the
+        # overflowing differences go to -inf (weight 0).
+        beta = float(np.finfo(np.float32).max) / 1.01
+        rng = np.random.default_rng(52)
+        seq = random_sequence(rng, 150, 6, beta)
+        with np.errstate(over="ignore"):
+            out, _, _ = ovq_forward_sequence(
+                OvqConfig(n_max=8, chunk_len=16, beta=beta, dtype="float32"), seq
+            )
+        assert np.isfinite(out.o).all()
+        with pytest.raises(ConfigurationError):
+            OvqConfig(n_max=8, chunk_len=16, beta=float(np.finfo(np.float32).max), dtype="float32")
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "name,bad", [("q", np.nan), ("k", np.nan), ("k", np.inf), ("v", np.nan), ("v", np.inf)]

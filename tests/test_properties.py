@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import ovq.engine as engine
 from ovq import (
     HeadSequence,
     OvqConfig,
@@ -164,3 +165,68 @@ def test_engine_is_the_stream_oracle(case):
     assert all(map(np.array_equal, got, (oracle.counts, oracle.means_k, oracle.means_v)))
     if forward:
         np.testing.assert_allclose(np.concatenate(outputs), oracle.o, rtol=0, atol=1e-10)
+
+
+@st.composite
+def merges(draw):
+    """A state of 1..8 active rows and one chunk of 1..chunk_len tokens
+    with 0..2 seeds. The merging tokens all go to one row (multiplicities up
+    to chunk_len) or spread over a few; every row type is a target, the
+    fresh seeded rows included."""
+    chunk_len = draw(st.integers(1, 32))
+    lc, n_active = draw(st.integers(1, chunk_len)), draw(st.integers(1, 8))
+    n_new, d = draw(st.integers(0, min(2, lc))), draw(st.integers(1, 6))
+    cfg = OvqConfig(
+        n_max=n_active + n_new,
+        chunk_len=chunk_len,
+        ablation=draw(st.sampled_from(["none", "constant_lr"])),
+        constant_lr_rate=draw(st.sampled_from([0.25, 1.0])),
+        dtype=draw(st.sampled_from(sorted(DTYPES))),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = OvqState.fresh(cfg, d)
+    state.means_k[:n_active] = unit_rows(rng, n_active, d)
+    state.means_v[:n_active] = rng.standard_normal((n_active, d))
+    state.counts[:n_active] = rng.integers(1, 50, n_active)
+    state.n_active = n_active
+    rows = n_active + n_new
+    if draw(st.booleans()):
+        assignments = np.full(lc, rng.integers(0, rows))
+    else:
+        assignments = rng.integers(0, draw(st.integers(1, rows)), lc)
+    seeds = np.sort(rng.choice(lc, n_new, replace=False))
+    assignments[seeds] = n_active + np.arange(n_new)
+    k = unit_rows(rng, lc, d).astype(state.means_k.dtype)
+    v = rng.standard_normal((lc, d)).astype(state.means_k.dtype)
+    return state, k, v, assignments, seeds
+
+
+def _merge_token_by_token(state, k, v, assignments, seeds):
+    """Seeds take the fresh rows; then each other token, in chunk order,
+    adds (x - pre-merge row) * rate to its row in the state's dtype."""
+    cfg, n = state.config, state.n_active
+    means_k, means_v, counts = state.means_k.copy(), state.means_v.copy(), state.counts.copy()
+    for i, j in enumerate(seeds):
+        means_k[n + i], means_v[n + i], counts[n + i] = k[j], v[j], 1
+    merging = [j for j in range(len(assignments)) if j not in seeds]
+    got = np.bincount(assignments[merging], minlength=len(counts))
+    counts += got
+    pre_k, pre_v = means_k.copy(), means_v.copy()
+    rates = np.ones(len(assignments))
+    for j in merging:
+        a = assignments[j]
+        rates[j] = cfg.constant_lr_rate / got[a] if cfg.ablation == "constant_lr" else 1.0 / counts[a]
+        lr = means_k.dtype.type(rates[j])
+        means_k[a] += (k[j] - pre_k[a]) * lr
+        means_v[a] += (v[j] - pre_v[a]) * lr
+    return means_k, means_v, counts, rates
+
+
+@PROPERTY_SETTINGS
+@given(merges())
+def test_merge_is_the_token_by_token_loop_bitwise(case):
+    state, k, v, assignments, seeds = case
+    want = _merge_token_by_token(state, k, v, assignments, seeds)
+    rates = engine._merge(state, k, v, assignments, seeds)
+    got = (state.means_k, state.means_v, state.counts, rates)
+    assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ovq import (
     ConfigurationError,
@@ -24,9 +24,12 @@ from ovq import (
     vq_attention_online,
     vq_attention_quadratic,
 )
-from ovq.reference import check_unit_rows
+from ovq.reference import check_unit_rows, masked_softmax
 
 from helpers import (
+    allocating_masked_softmax,
+    concatenating_vq_attention_chunked,
+    padded_causal_mix,
     random_sequence,
     reconstruct_causal_weights,
     scalar_softmax_attention,
@@ -129,6 +132,24 @@ class TestSoftmaxAttention:
             seq.beta,
         )
         assert np.array_equal(softmax_attention(seq).o, softmax_attention(longer).o[:20])
+
+    @pytest.mark.parametrize("t", [1, 63, 64, 65, 2047])
+    def test_last_tile_padding_keeps_the_whole_copy_bits(self, t):
+        rng = np.random.default_rng(6)
+        seq = random_sequence(rng, t, 64, 8.0)
+        want = padded_causal_mix(seq.q, seq.k, seq.v, seq.beta)
+        assert np.array_equal(softmax_attention(seq).o, want)
+
+    def test_a_partial_last_tile_copies_only_its_own_slices(self):
+        # Past the multiple of 64, only the last tile's keys and values are
+        # copied, zero-padded. Whole padded copies of q, keys and values held
+        # through the loop would add a third [T, d] array and more.
+        rng = np.random.default_rng(7)
+        peaks = {}
+        for t in (2047, 2048):
+            seq = random_sequence(rng, t, 64, 8.0)
+            peaks[t] = traced_peak(lambda: softmax_attention(seq))[0]
+        assert peaks[2047] <= peaks[2048] + 2 * 2048 * 64 * 8 + 2**16
 
     def test_rows_are_convex_combinations(self):
         rng = np.random.default_rng(5)
@@ -355,6 +376,54 @@ class TestChunkedFormEquivalence:
         short = vq_attention_chunked(seq, dict_k, 7).o
         long_ = vq_attention_chunked(longer, dict_k, 7).o
         np.testing.assert_allclose(short, long_[:24], atol=1e-12)
+
+
+def _chunked_case(seed, t, d, n, beta):
+    rng = np.random.default_rng(seed)
+    return random_sequence(rng, t, d, beta), unit_rows(rng, n, d)
+
+
+@st.composite
+def chunked_cases(draw):
+    """A sequence of 1..300 rows and a key dictionary of 1..64 rows; a
+    single row and beta = 0 are drawn often."""
+    seed, t, d = draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 300)), draw(st.integers(1, 16))
+    n = draw(st.one_of(st.just(1), st.integers(1, 64)))
+    return _chunked_case(seed, t, d, n, draw(st.sampled_from([0.0, 1.0, 8.0, 32.0])))
+
+
+_WINDOWS = {"1": lambda t: 1, "7": lambda t: 7, "128": lambda t: 128, "T": lambda t: t, "T+5": lambda t: t + 5}
+
+
+@pytest.mark.parametrize("window", sorted(_WINDOWS))
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(chunked_cases())
+@example(_chunked_case(0, 1, 3, 1, 0.0))
+@example(_chunked_case(1, 139, 5, 1, 0.0))  # 139 is a multiple of neither 7, 128 nor 64
+def test_buffered_chunked_form_is_the_concatenating_one_bitwise(window, case):
+    seq, dict_k = case
+    chunk_len = _WINDOWS[window](seq.T)
+    got = vq_attention_chunked(seq, dict_k, chunk_len).o
+    assert np.array_equal(got, concatenating_vq_attention_chunked(seq, dict_k, chunk_len))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 40),
+    st.sampled_from([0.0, 1.0, 30.0, 1e3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_one_buffer_masked_softmax_is_the_allocating_one_bitwise(rows, cols, scale, seed):
+    rng = np.random.default_rng(seed)
+    logits = scale * rng.standard_normal((rows, cols))
+    hidden = rng.random((rows, cols)) < 0.4
+    hidden[np.arange(rows), rng.integers(0, cols, rows)] = False  # each row keeps a column
+    logits[hidden] = -np.inf
+    before = logits.copy()
+    assert np.array_equal(masked_softmax(logits), allocating_masked_softmax(logits))
+    assert np.array_equal(masked_softmax(logits[0]), allocating_masked_softmax(logits[0]))
+    assert np.array_equal(logits, before)
 
 
 class TestOracleChainProperty:

@@ -230,6 +230,17 @@ class TestOutOfRangeHeader:
         with pytest.raises(ParseError, match="configuration"):
             load_state(path)
 
+    def test_float32_beta_that_overflows_is_a_parse_error(self, tmp_path):
+        rng = np.random.default_rng(8)
+        cfg = OvqConfig(n_max=16, chunk_len=8, dtype="float32")
+        path = tmp_path / "f32.bin"
+        save_state(_streamed_state(rng, cfg, 4, chunks=1), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, _BETA, 1e39)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match=r"beta .*float32"):
+            load_state(path)
+
     def test_zero_capacity_is_a_parse_error(self, tmp_path):
         _, path = self._saved(tmp_path)
         raw = bytearray(path.read_bytes())
