@@ -212,10 +212,11 @@ def _merge_token_by_token(state, k, v, assignments, seeds):
     got = np.bincount(assignments[merging], minlength=len(counts))
     counts += got
     pre_k, pre_v = means_k.copy(), means_v.copy()
+    constant = cfg.ablation == "constant_lr"
     rates = np.ones(len(assignments))
     for j in merging:
         a = assignments[j]
-        rates[j] = cfg.constant_lr_rate / got[a] if cfg.ablation == "constant_lr" else 1.0 / counts[a]
+        rates[j] = cfg.constant_lr_rate / got[a] if constant else 1.0 / counts[a]
         lr = means_k.dtype.type(rates[j])
         means_k[a] += (k[j] - pre_k[a]) * lr
         means_v[a] += (v[j] - pre_v[a]) * lr

@@ -387,7 +387,8 @@ def _chunked_case(seed, t, d, n, beta):
 def chunked_cases(draw):
     """A sequence of 1..300 rows and a key dictionary of 1..64 rows; a
     single row and beta = 0 are drawn often."""
-    seed, t, d = draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 300)), draw(st.integers(1, 16))
+    seed, t = draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 300))
+    d = draw(st.integers(1, 16))
     n = draw(st.one_of(st.just(1), st.integers(1, 64)))
     return _chunked_case(seed, t, d, n, draw(st.sampled_from([0.0, 1.0, 8.0, 32.0])))
 
