@@ -14,6 +14,7 @@ scores of a trained model, and the reports label them as such.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -215,14 +216,17 @@ def state_size_sweep(mixers, T_grid) -> list[RecallRow]:
     return rows
 
 
+@functools.lru_cache(maxsize=1)
 def token_embeddings(total_vocab: int, dim: int, seed: int):
     """Seeded id-to-vector tables. One unit-norm base table serves the
     query and key roles directly; the value role reuses the same table
     under a seeded coordinate permutation and sign flip, so value vectors
     stay unit norm but decorrelate from the key space.
 
-    Two float64 tables that together exceed the machine's physical memory
-    are refused before anything is allocated."""
+    The last pair built is cached, since every stream of a run embeds with
+    the same tables; both are read-only, so no caller can change what the
+    next one reads. Two float64 tables that together exceed the machine's
+    physical memory are refused before anything is allocated."""
     need = 2 * total_vocab * dim * 8
     ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > ram:
@@ -234,7 +238,9 @@ def token_embeddings(total_vocab: int, dim: int, seed: int):
     base = unit_rows(rng, total_vocab, dim)
     perm = rng.permutation(dim)
     signs = rng.choice([-1.0, 1.0], size=dim)
-    return base, base[:, perm] * signs[None, :]
+    values = base[:, perm] * signs[None, :]
+    base.flags.writeable = values.flags.writeable = False
+    return base, values
 
 
 def token_task_eval(

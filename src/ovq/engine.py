@@ -1,7 +1,8 @@
 """Streaming online-clustered attention layer.
 
 State is a pair of centroid matrices (key side, value side) plus integer
-assignment counts. Each chunk is processed in two phases, prediction first:
+assignment counts. Each chunk is predicted from the state it arrives to,
+then absorbed into it:
 
 1. predict: every chunk row attends, in one softmax over two blocks, to
    the frozen dictionary (always visible, biased by log counts) and to the
@@ -9,6 +10,12 @@ assignment counts. Each chunk is processed in two phases, prediction first:
 2. absorb: the schedule decides how many chunk keys seed brand-new
    centroids (lowest similarity to the existing dictionary wins), and the
    rest are folded into their nearest centroid with a running-mean step.
+
+A forward chunk holds one [L, n_active] array. It computes the
+key-dictionary product once, takes absorb's decisions (assignments and
+seeds) from it, then predict turns that product, or the query product
+when the queries differ from the keys, into dictionary weights in place.
+The merge runs last, so predict sees the pre-update dictionary.
 
 Dictionary capacity follows a plateauing schedule, floor(t * N / (t + N))
 components after t tokens, so growth is fast early and asymptotes to the
@@ -398,10 +405,11 @@ def _dictionary_sims(state: OvqState, x: np.ndarray) -> np.ndarray:
     return x @ state.means_k[: state.n_active].T
 
 
-def _dictionary_logits(beta: float, sims, counts) -> np.ndarray:
+def _dictionary_logits(beta: float, sims, counts, out=None) -> np.ndarray:
     """beta * sims + log counts, where sims = q . D_k^T, in the dtype of
-    sims; a row with count 0 gets -inf, so it never receives weight."""
-    out = np.multiply(sims, beta)
+    sims; a row with count 0 gets -inf, so it never receives weight.
+    ``out=sims`` overwrites the product."""
+    out = np.multiply(sims, beta, out=out)
     with np.errstate(divide="ignore"):
         out += np.log(counts.astype(np.float64)).astype(out.dtype, copy=False)
     return out
@@ -426,13 +434,15 @@ def count_readout(beta: float, queries, means_k, counts, means_v) -> np.ndarray:
 def _predict_chunk(state: OvqState, q_chunk, k_chunk, v_chunk, sims) -> np.ndarray:
     """softmax([beta q.D_k^T + log counts | causal beta q.k^T]) . [D_v; v]
     as two blocks exponentiated against one row max, the summed values
-    divided by the summed row sums. ``sims`` is k_chunk . D_k^T and stands
-    in for q . D_k^T when the query chunk equals the key chunk."""
+    divided by the summed row sums. ``sims`` is q_chunk . D_k^T, and this
+    overwrites it with the dictionary block's weights."""
     cfg = state.config
-    q_sims = sims if np.array_equal(q_chunk, k_chunk) else _dictionary_sims(state, q_chunk)
-    dict_logits = _dictionary_logits(cfg.beta, q_sims, state.counts[: state.n_active])
-    visible = np.tri(len(q_chunk), k=1 if cfg._fault == "mask_off_by_one" else 0, dtype=bool)
-    chunk_logits = np.where(visible, cfg.beta * (q_chunk @ k_chunk.T), -np.inf)
+    dict_logits = _dictionary_logits(cfg.beta, sims, state.counts[: state.n_active], out=sims)
+    chunk_logits = q_chunk @ k_chunk.T
+    chunk_logits *= cfg.beta
+    # Column j is hidden from row i when j > i (j > i + 1 under the fault).
+    hidden = np.tri(len(q_chunk), k=-2 if cfg._fault == "mask_off_by_one" else -1, dtype=bool).T
+    chunk_logits[hidden] = -np.inf
     # With an empty dictionary the in-chunk block alone sets the row max.
     row_max = chunk_logits.max(axis=1, keepdims=True)
     np.maximum(row_max, dict_logits.max(axis=1, keepdims=True, initial=-np.inf), out=row_max)
@@ -469,14 +479,17 @@ def absorb_chunk(state: OvqState, k_chunk, v_chunk) -> ChunkUpdateRecord:
     k_chunk = np.asarray(k_chunk, dtype=dt)
     v_chunk = np.asarray(v_chunk, dtype=dt)
     _validate_chunk(state, None, k_chunk, v_chunk)
-    return _absorb(state, k_chunk, v_chunk, _dictionary_sims(state, k_chunk))
+    assignments, seeds = _decide(state, k_chunk, _dictionary_sims(state, k_chunk))
+    lrs = _merge(state, k_chunk, v_chunk, assignments, seeds)
+    return ChunkUpdateRecord(assignments, seeds, lrs)
 
 
-def _absorb(state: OvqState, k_chunk, v_chunk, sims) -> ChunkUpdateRecord:
-    """The absorb step shared by ``absorb_chunk`` and ``ovq_forward_chunk``,
-    on a chunk they have converted and validated. ``sims`` is the
-    key–dictionary product ``k_chunk @ means_k[:n_active].T`` against the
-    pre-update dictionary; seed selection and assignment both read it."""
+def _decide(state: OvqState, k_chunk, sims) -> tuple[np.ndarray, np.ndarray]:
+    """Absorb's decisions for a converted and validated chunk, leaving the
+    state alone: the [L] assignments and the sorted seeding positions, which
+    take the fresh rows in their own order. ``sims`` is the key–dictionary
+    product ``k_chunk @ means_k[:n_active].T`` against the pre-update
+    dictionary; seed selection and assignment both read it."""
     cfg = state.config
     lc = k_chunk.shape[0]
     n_new = _chunk_budget(state.tokens_seen, lc, state.chunks_seen + 1, state.n_active, cfg)
@@ -499,12 +512,7 @@ def _absorb(state: OvqState, k_chunk, v_chunk, sims) -> ChunkUpdateRecord:
         others = np.setdiff1d(np.arange(lc), new_pos, assume_unique=False)
         if len(others):
             assignments[others] = np.argmax(k_chunk[others] @ k_chunk[new_pos].T, axis=1)
-
-    # The seeds are sorted, so they take the fresh rows in their own order.
-    lrs = _merge(state, k_chunk, v_chunk, assignments, new_pos)
-    return ChunkUpdateRecord(
-        assignments=assignments, new_centroid_positions=new_pos, learning_rates=lrs
-    )
+    return assignments, new_pos
 
 
 def ovq_forward_chunk(
@@ -513,15 +521,25 @@ def ovq_forward_chunk(
     """Predict this chunk's outputs from the current state, then absorb the
     chunk. Prediction strictly precedes the update, so outputs for a chunk
     never depend on its own dictionary contribution, and outputs for a
-    prefix never change when more chunks follow."""
+    prefix never change when more chunks follow.
+
+    The chunk holds one [L, n_active] array: the key–dictionary product,
+    from which absorb's decisions are taken first. Predict then overwrites
+    it in place, or, when the queries differ from the keys, the query
+    product that replaces it. The merge runs last."""
     dt = DTYPES[state.config.dtype]
     q_chunk = np.asarray(q_chunk, dtype=dt)
     k_chunk = np.asarray(k_chunk, dtype=dt)
     v_chunk = np.asarray(v_chunk, dtype=dt)
     _validate_chunk(state, q_chunk, k_chunk, v_chunk)
     sims = _dictionary_sims(state, k_chunk)
+    assignments, seeds = _decide(state, k_chunk, sims)
+    if not np.array_equal(q_chunk, k_chunk):
+        del sims  # spent: free it before the query product takes its place
+        sims = _dictionary_sims(state, q_chunk)
     out = _predict_chunk(state, q_chunk, k_chunk, v_chunk, sims)
-    return out, _absorb(state, k_chunk, v_chunk, sims)
+    lrs = _merge(state, k_chunk, v_chunk, assignments, seeds)
+    return out, ChunkUpdateRecord(assignments, seeds, lrs)
 
 
 def dictionary_readout(state: OvqState, queries: np.ndarray) -> np.ndarray:

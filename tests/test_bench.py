@@ -160,6 +160,17 @@ class TestTokenTaskEval:
         # same-token q/k similarity is exactly 1; value table stays distinct
         assert not np.allclose(qk, vt)
 
+    def test_embedding_tables_are_built_once_and_read_only(self):
+        qk, vt = token_embeddings(50, 32, 9)
+        again = token_embeddings(50, 32, 9)
+        assert again[0] is qk and again[1] is vt
+        for table in (qk, vt):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
+        fresh = token_embeddings.__wrapped__(50, 32, 9)
+        for cached, built in zip((qk, vt), fresh):
+            assert cached.dtype == built.dtype and cached.tobytes() == built.tobytes()
+
     def test_capacity_sweep_on_long_recall_stream_is_nondecreasing(self):
         # ~4k-token stream, capacity sweep, 5 embedding seeds, 2% slack.
         stream = gen_basic_icr(num_pairs=220, seed=10)

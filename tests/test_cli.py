@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -13,7 +14,7 @@ from ovq import cli, load_state, load_streams, save_streams
 from ovq.bench import MIXER_KINDS
 from ovq.cli import _MIXER_FLAGS, _ablation_flag, _parse_ablation, build_parser, main
 from ovq.engine import ABLATIONS, FAULTS
-from ovq.tasks import GENERATORS
+from ovq.tasks import GENERATORS, IGNORE, TokenStream
 
 
 def run_cli(*args, **kw):
@@ -250,6 +251,42 @@ class TestMultiStreamRun:
         snap = tmp_path / "shared.bin"
         self._rows(capsys, ["--stream", str(three_streams), "--save-state", str(snap)])
         assert load_state(snap).tokens_seen == sum(len(s) for s in load_streams(three_streams))
+
+
+class TestStreamWithoutTargets:
+    """A stream whose targets are all IGNORE has nothing to score. It used
+    to exit 0 with accuracy NaN (a bare ``NaN`` in JSON reports, which is
+    not JSON); now it exits 2 naming the stream before any mixer runs."""
+
+    @pytest.fixture()
+    def untargeted(self, tiny_stream, tmp_path):
+        path = tmp_path / "untargeted.jsonl"
+        scored = load_streams(tiny_stream)[0]
+        blank = TokenStream(np.arange(40) % 8, np.full(40, IGNORE), vocab_size=8)
+        save_streams([scored, blank], path)
+        return path
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("mixer", sorted(_MIXER_FLAGS))
+    def test_exits_two_naming_the_stream_before_any_mixer(
+        self, untargeted, tmp_path, capsys, monkeypatch, mixer, fmt
+    ):
+        monkeypatch.setattr(cli, "token_task_eval", _no_work)
+        out = tmp_path / "report"
+        argv = ["run", "--stream", str(untargeted), *_TINY_RUN, "--mixer", mixer]
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == 2
+        assert "stream 1 has no target positions" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_snapshot_run_exits_two_and_writes_no_snapshot(
+        self, untargeted, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "stream_chunks", _no_work)
+        snap = tmp_path / "x.bin"
+        argv = ["run", "--stream", str(untargeted), *_TINY_RUN, "--save-state", str(snap)]
+        assert main([*argv, "--format", "json"]) == 2
+        assert "stream 1 has no target positions" in capsys.readouterr().err
+        assert not snap.exists()
 
 
 class TestBench:

@@ -1,6 +1,8 @@
 """Streaming engine: growth schedule, seeding, chunk prediction, and the
 running-mean dictionary update, including the ablation variants."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -509,6 +511,28 @@ class TestSharedKeyDictionaryProduct:
         absorb_chunk(state, unit_rows(rng, 16, 8), rng.standard_normal((16, 8)))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("queries", ["q is k", "q equals k", "q differs"])
+    def test_decisions_are_read_before_predict_overwrites_the_product(self, dtype, queries):
+        # Predict turns the key-dictionary product into weights in place, so
+        # the chunk's assignments, seeds and rates must be those absorb_chunk
+        # takes from the untouched product of the same state.
+        rng = np.random.default_rng(50)
+        seq = random_sequence(rng, 96, 8, 8.0)
+        state = OvqState.fresh(OvqConfig(n_max=24, chunk_len=16, beta=8.0, dtype=dtype), 8)
+        for start in range(0, seq.T, 16):
+            k, v = seq.k[start : start + 16], seq.v[start : start + 16]
+            q = {"q is k": k, "q equals k": k.copy(), "q differs": seq.q[start : start + 16]}[queries]
+            twin = copy.deepcopy(state)
+            expected = absorb_chunk(twin, k, v)
+            _, record = ovq_forward_chunk(state, q, k, v)
+            for name in ("assignments", "new_centroid_positions", "learning_rates"):
+                got, want = getattr(record, name), getattr(expected, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            for name in ("means_k", "means_v", "counts"):
+                assert np.array_equal(getattr(state, name), getattr(twin, name)), name
+        assert len(np.unique(state.counts[: state.n_active])) > 1  # log c tips some argmaxes
+
     def test_float32_predict_stays_float32(self):
         rng = np.random.default_rng(49)
         seq = random_sequence(rng, 48, 8, 8.0)
@@ -517,6 +541,30 @@ class TestSharedKeyDictionaryProduct:
         )
         assert out.o.dtype == np.float32
         assert dictionary_readout(state, seq.q[:3]).dtype == np.float32
+
+
+class TestForwardChunkMemory:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("queries", ["q is k", "q differs"])
+    def test_forward_chunk_holds_one_dictionary_block(self, dtype, queries):
+        # At L=128 and a full 2,048-row dictionary (d=64) the [L, n] block
+        # dwarfs every other array of the chunk. Predict overwrites the
+        # product absorb has read, and a differing query product replaces
+        # it, so the traced peak stays near one block.
+        L, n, d = 128, 2048, 64
+        rng = np.random.default_rng(51)
+        state = OvqState.fresh(OvqConfig(n_max=n, chunk_len=L, beta=16.0, dtype=dtype), d)
+        state.means_k[:] = unit_rows(rng, n, d)
+        state.means_v[:] = rng.standard_normal((n, d))
+        state.counts[:] = rng.integers(1, 9, n)
+        state.n_active, state.tokens_seen = n, int(state.counts.sum())
+        dt = state.means_k.dtype
+        k, v = unit_rows(rng, L, d).astype(dt), rng.standard_normal((L, d)).astype(dt)
+        q = k if queries == "q is k" else unit_rows(rng, L, d).astype(dt)
+        peak, (out, _) = traced_peak(lambda: ovq_forward_chunk(state, q, k, v))
+        assert np.isfinite(out).all()
+        block = L * n * dt.itemsize
+        assert peak <= 1.5 * block, f"peak {peak / block:.2f} blocks"
 
 
 class TestFloat32BetaBound:
