@@ -16,8 +16,6 @@ from .engine import (
     ovq_forward_chunk,
     ovq_forward_sequence,
     planned_active_components,
-    select_new_centroids,
-    update_dictionary,
 )
 from .errors import (
     ConfigurationError,

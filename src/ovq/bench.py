@@ -254,6 +254,7 @@ def token_task_eval(
     faithfully the mixer's memory preserves token identity under mixing,
     not trained task skill. Numbers are comparative across mixers only.
     """
+    require_targets(stream)
     if mixer.d < 16:
         warnings.warn("embedding dim below 16; nearest-neighbor decoding is unreliable")
     sp = SpecialTokens(stream.vocab_size)
@@ -270,6 +271,14 @@ def token_task_eval(
     else:
         out = ovq_forward_sequence(mixer.ovq, seq)[0].o
     return score_task(stream, out, v_table, mixer.label, mixer.state_scalars(seq.T))
+
+
+def require_targets(stream: TokenStream, name: str = "stream") -> None:
+    """Refuse a stream with nothing to score: every target is IGNORE."""
+    if not len(stream.target_positions):
+        raise ConfigurationError(
+            f"{name} has no target positions (every target is IGNORE); nothing to score"
+        )
 
 
 def score_task(stream: TokenStream, out, v_table, mixer: str, scalars: int) -> dict:
@@ -582,19 +591,17 @@ def _check_stream_oracle(rng, sizes, fault: str) -> CheckResult:
     )
 
 
-def verify_all(seed: int = 0, sizes: str | dict = "default", fault: str = "none") -> dict:
+def verify_all(seed: int = 0, sizes: str = "default", fault: str = "none") -> dict:
     """Run every cross-implementation equivalence and engine invariant.
 
-    Returns a JSON-ready report with one entry per check. ``fault`` is the
-    deliberate-breakage hook: it is threaded into the engine configuration
-    so a verification failure can be demonstrated on demand.
+    ``sizes`` names a ``VERIFY_SIZES`` scale. Returns a JSON-ready report
+    with one entry per check. ``fault`` is the deliberate-breakage hook: it
+    is threaded into the engine configuration so a verification failure can
+    be demonstrated on demand.
     """
-    if isinstance(sizes, str):
-        if sizes not in VERIFY_SIZES:
-            raise ConfigurationError(f"sizes must be one of {sorted(VERIFY_SIZES)}")
-        size_name, size_cfg = sizes, VERIFY_SIZES[sizes]
-    else:
-        size_name, size_cfg = "custom", dict(sizes)
+    if sizes not in VERIFY_SIZES:
+        raise ConfigurationError(f"sizes must be one of {sorted(VERIFY_SIZES)}")
+    size_cfg = VERIFY_SIZES[sizes]
 
     rng = np.random.default_rng(seed)
     checks = [
@@ -611,7 +618,7 @@ def verify_all(seed: int = 0, sizes: str | dict = "default", fault: str = "none"
     ]
     return {
         "schema": VERIFY_SCHEMA,
-        "meta": {"seed": seed, "sizes": size_name, "fault": fault},
+        "meta": {"seed": seed, "sizes": sizes, "fault": fault},
         "checks": [asdict(c) for c in checks],
         "all_passed": all(c.passed for c in checks),
     }

@@ -22,6 +22,7 @@ from .bench import (
     STATE_SCHEMA,
     TASK_SCHEMA,
     recall_benchmark,
+    require_targets,
     rows_to_csv,
     rows_to_json,
     score_task,
@@ -235,10 +236,7 @@ def _run_with_snapshots(args, streams) -> list[dict]:
 def _cmd_run(args) -> int:
     streams = load_streams(args.stream)
     for i, stream in enumerate(streams):
-        if not len(stream.target_positions):
-            raise ConfigurationError(
-                f"stream {i} has no target positions (every target is IGNORE); nothing to score"
-            )
+        require_targets(stream, f"stream {i}")
     kind = _MIXER_FLAGS[args.mixer]
     if (args.save_state or args.load_state) and kind != "ovq":
         raise ConfigurationError("--save-state/--load-state only apply to the ovq mixer")

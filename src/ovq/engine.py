@@ -11,11 +11,11 @@ then absorbed into it:
    centroids (lowest similarity to the existing dictionary wins), and the
    rest are folded into their nearest centroid with a running-mean step.
 
-A forward chunk holds one [L, n_active] array. It computes the
-key-dictionary product once, takes absorb's decisions (assignments and
-seeds) from it, then predict turns that product, or the query product
-when the queries differ from the keys, into dictionary weights in place.
-The merge runs last, so predict sees the pre-update dictionary.
+Both chunk entries, ``absorb_chunk`` and ``ovq_forward_chunk``, run one
+step: check the chunk, compute the key-dictionary product once and take
+absorb's decisions from it; with queries, predict turns that product (or
+the query product, when the queries differ from the keys) into dictionary
+weights in place; the merge runs last, so predict sees the old dictionary.
 
 Dictionary capacity follows a plateauing schedule, floor(t * N / (t + N))
 components after t tokens, so growth is fast early and asymptotes to the
@@ -294,23 +294,19 @@ def update_dictionary(
 
     This is the checked entry point for callers that choose their own
     assignments and seeds: it rejects, before any state change, chunk and
-    assignment shapes that disagree, the chunks ``absorb_chunk`` rejects
-    (outside 1..chunk_len tokens, non-unit keys, non-finite values),
-    growth past n_max, repeated or out-of-chunk seed positions,
-    assignments outside the grown dictionary and seeds that do not point
-    at the fresh rows. ``absorb_chunk`` and ``ovq_forward_chunk`` build
-    valid assignments themselves and merge without these checks.
+    assignment shapes that disagree, the chunks ``absorb_chunk`` rejects,
+    growth past n_max, repeated or out-of-chunk seed positions, assignments
+    outside the grown dictionary and seeds that do not point at the fresh
+    rows. The chunk entries build valid assignments and skip these checks.
     """
     cfg = state.config
-    dt = DTYPES[cfg.dtype]
-    k_chunk, v_chunk = np.asarray(k_chunk, dtype=dt), np.asarray(v_chunk, dtype=dt)
-    lc = k_chunk.shape[0]
-    shapes = (k_chunk.shape, v_chunk.shape, np.shape(assignments))
+    shapes = (np.shape(k_chunk), np.shape(v_chunk), np.shape(assignments))
+    lc = shapes[0][0]
     if shapes != ((lc, state.d), (lc, state.d), (lc,)):
         raise ConfigurationError(
             f"update needs [L, {state.d}] k and v chunks and L assignments, got shapes {shapes}"
         )
-    _validate_chunk(state, None, k_chunk, v_chunk)
+    _, k_chunk, v_chunk = _checked_chunk(state, None, k_chunk, v_chunk)
     positions = np.asarray(new_centroid_positions)
     n_new = len(positions)
     grown = state.n_active + n_new
@@ -332,15 +328,12 @@ def update_dictionary(
             raise InvalidStateError("seeding tokens must point at the fresh indices")
 
     lrs = _merge(state, k_chunk, v_chunk, assignments, positions)
-    return ChunkUpdateRecord(
-        assignments=assignments.copy(),
-        new_centroid_positions=np.asarray(new_centroid_positions, dtype=np.int64),
-        learning_rates=lrs,
-    )
+    seeds = np.asarray(new_centroid_positions, dtype=np.int64)
+    return ChunkUpdateRecord(assignments.copy(), seeds, lrs)
 
 
 def _merge(state: OvqState, k_chunk, v_chunk, assignments, seeds) -> np.ndarray:
-    """The dictionary update behind ``update_dictionary``, for inputs that
+    """The dictionary update behind every chunk entry, for inputs that
     are valid by construction: ``seeds`` lists the seeding chunk positions
     in the order of the fresh rows they take. Advances the token and chunk
     counters and returns the [L] learning rates, 1.0 for seeding tokens."""
@@ -418,7 +411,9 @@ def _dictionary_logits(beta: float, sims, counts, out=None) -> np.ndarray:
 def _softmax_block(logits: np.ndarray, row_max, values) -> tuple[np.ndarray, np.ndarray]:
     """Exponentiate one column block of a row softmax against ``row_max``,
     in place, and return its weighted values and its weight row sums."""
-    logits -= row_max
+    # A difference that overflows is -inf, and exp gives 0, its true weight.
+    with np.errstate(over="ignore"):
+        logits -= row_max
     np.exp(logits, out=logits)
     return logits @ values, logits.sum(axis=1, keepdims=True)
 
@@ -451,17 +446,16 @@ def _predict_chunk(state: OvqState, q_chunk, k_chunk, v_chunk, sims) -> np.ndarr
     return (out + dict_out) / (total + dict_total)
 
 
-def _check_chunk_len(state: OvqState, lc: int) -> None:
+def _checked_chunk(state: OvqState, q_chunk, k_chunk, v_chunk) -> list:
+    """The chunk's [q, k, v] in the state dtype, checked at the boundary:
+    [L, d] arrays with 1 <= L <= chunk_len, finite, with unit-norm query and
+    key rows. ``q_chunk`` is None for an absorb-only chunk, and stays None."""
+    dt = DTYPES[state.config.dtype]
+    arrays = [None if m is None else np.asarray(m, dtype=dt) for m in (q_chunk, k_chunk, v_chunk)]
+    lc = arrays[1].shape[0]
     if not 1 <= lc <= state.config.chunk_len:
         raise ConfigurationError(f"chunk of {lc} tokens is outside 1..{state.config.chunk_len}")
-
-
-def _validate_chunk(state: OvqState, q_chunk, k_chunk, v_chunk):
-    """[L, d] arrays with 1 <= L <= chunk_len, finite, with unit-norm query
-    and key rows; ``q_chunk`` is None for an absorb-only chunk."""
-    lc = k_chunk.shape[0]
-    _check_chunk_len(state, lc)
-    for name, m in (("q", q_chunk), ("k", k_chunk), ("v", v_chunk)):
+    for name, m in zip("qkv", arrays):
         if m is None:
             continue
         if m.shape != (lc, state.d):
@@ -470,18 +464,7 @@ def _validate_chunk(state: OvqState, q_chunk, k_chunk, v_chunk):
             check_unit_rows(m, f"{name} chunk")
         elif not np.isfinite(m).all():
             raise ConfigurationError("v chunk has non-finite entries")
-
-
-def absorb_chunk(state: OvqState, k_chunk, v_chunk) -> ChunkUpdateRecord:
-    """State update alone (seed selection, assignment, dictionary merge),
-    without computing predictions. Used when only the final memory matters."""
-    dt = DTYPES[state.config.dtype]
-    k_chunk = np.asarray(k_chunk, dtype=dt)
-    v_chunk = np.asarray(v_chunk, dtype=dt)
-    _validate_chunk(state, None, k_chunk, v_chunk)
-    assignments, seeds = _decide(state, k_chunk, _dictionary_sims(state, k_chunk))
-    lrs = _merge(state, k_chunk, v_chunk, assignments, seeds)
-    return ChunkUpdateRecord(assignments, seeds, lrs)
+    return arrays
 
 
 def _decide(state: OvqState, k_chunk, sims) -> tuple[np.ndarray, np.ndarray]:
@@ -515,6 +498,31 @@ def _decide(state: OvqState, k_chunk, sims) -> tuple[np.ndarray, np.ndarray]:
     return assignments, new_pos
 
 
+def _chunk_step(state: OvqState, q_chunk, k_chunk, v_chunk):
+    """The one chunk step behind ``absorb_chunk`` (``q_chunk`` None) and
+    ``ovq_forward_chunk``: check the chunk, take the key–dictionary product
+    once, decide, predict when there are queries, then merge. Returns the
+    [L, d] outputs (None without queries) and the chunk's record."""
+    q_chunk, k_chunk, v_chunk = _checked_chunk(state, q_chunk, k_chunk, v_chunk)
+    sims = _dictionary_sims(state, k_chunk)
+    assignments, seeds = _decide(state, k_chunk, sims)
+    out = None
+    if q_chunk is not None:
+        if not np.array_equal(q_chunk, k_chunk):
+            del sims  # spent: free it before the query product takes its place
+            sims = _dictionary_sims(state, q_chunk)
+        out = _predict_chunk(state, q_chunk, k_chunk, v_chunk, sims)
+    lrs = _merge(state, k_chunk, v_chunk, assignments, seeds)
+    return out, ChunkUpdateRecord(assignments, seeds, lrs)
+
+
+def absorb_chunk(state: OvqState, k_chunk, v_chunk) -> ChunkUpdateRecord:
+    """State update alone (seed selection, assignment, dictionary merge),
+    without computing predictions: the chunk step of ``ovq_forward_chunk``
+    with no queries. Used when only the final memory matters."""
+    return _chunk_step(state, None, k_chunk, v_chunk)[1]
+
+
 def ovq_forward_chunk(
     state: OvqState, q_chunk, k_chunk, v_chunk
 ) -> tuple[np.ndarray, ChunkUpdateRecord]:
@@ -523,23 +531,10 @@ def ovq_forward_chunk(
     never depend on its own dictionary contribution, and outputs for a
     prefix never change when more chunks follow.
 
-    The chunk holds one [L, n_active] array: the key–dictionary product,
-    from which absorb's decisions are taken first. Predict then overwrites
-    it in place, or, when the queries differ from the keys, the query
-    product that replaces it. The merge runs last."""
-    dt = DTYPES[state.config.dtype]
-    q_chunk = np.asarray(q_chunk, dtype=dt)
-    k_chunk = np.asarray(k_chunk, dtype=dt)
-    v_chunk = np.asarray(v_chunk, dtype=dt)
-    _validate_chunk(state, q_chunk, k_chunk, v_chunk)
-    sims = _dictionary_sims(state, k_chunk)
-    assignments, seeds = _decide(state, k_chunk, sims)
-    if not np.array_equal(q_chunk, k_chunk):
-        del sims  # spent: free it before the query product takes its place
-        sims = _dictionary_sims(state, q_chunk)
-    out = _predict_chunk(state, q_chunk, k_chunk, v_chunk, sims)
-    lrs = _merge(state, k_chunk, v_chunk, assignments, seeds)
-    return out, ChunkUpdateRecord(assignments, seeds, lrs)
+    This is ``absorb_chunk``'s step with queries. It holds one [L, n_active]
+    array: predict overwrites the key–dictionary product once absorb's
+    decisions are read from it, or the query product that replaces it."""
+    return _chunk_step(state, q_chunk, k_chunk, v_chunk)
 
 
 def dictionary_readout(state: OvqState, queries: np.ndarray) -> np.ndarray:

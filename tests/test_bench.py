@@ -9,8 +9,11 @@ import pytest
 from ovq import (
     ConfigurationError,
     HeadSequence,
+    IGNORE,
     MixerSpec,
     OvqConfig,
+    TokenStream,
+    bench,
     gen_basic_icr,
     ovq_forward_sequence,
     quantized_state,
@@ -153,6 +156,20 @@ class TestTokenTaskEval:
         with pytest.warns(UserWarning):
             token_task_eval(MixerSpec(kind="full_attention", d=8), stream)
 
+    @pytest.mark.parametrize("kind", ["full_attention", "ovq"])
+    def test_stream_without_targets_is_rejected_before_any_mixer_runs(self, kind, monkeypatch):
+        # Every target IGNORE used to score accuracy NaN, with numpy's
+        # "Mean of empty slice" warning.
+        def mixer_ran(*args):
+            raise AssertionError("a mixer ran on a stream with nothing to score")
+
+        for name in ("softmax_attention", "ovq_forward_sequence"):
+            monkeypatch.setattr(bench, name, mixer_ran)
+        stream = TokenStream(np.arange(40) % 8, np.full(40, IGNORE), 8)
+        mixer = ovq_mixer(8, d=16) if kind == "ovq" else MixerSpec(kind=kind, d=16)
+        with pytest.raises(ConfigurationError, match="no target positions"):
+            token_task_eval(mixer, stream)
+
     def test_embeddings_align_matching_tokens_only(self):
         qk, vt = token_embeddings(50, 32, seed=9)
         np.testing.assert_allclose(np.linalg.norm(qk, axis=1), 1.0, atol=1e-12)
@@ -228,7 +245,8 @@ class TestVerifyAll:
         for seed in range(5):
             assert verify_all(seed=seed, sizes="small")["all_passed"]
 
-    def test_hundred_seeds_zero_failures(self):
+    def test_hundred_seeds_zero_failures(self, monkeypatch):
         micro = {"instances": 2, "t_max": 48, "engine_instances": 1, "engine_t_max": 512}
-        failures = [s for s in range(100) if not verify_all(seed=s, sizes=micro)["all_passed"]]
+        monkeypatch.setitem(bench.VERIFY_SIZES, "micro", micro)
+        failures = [s for s in range(100) if not verify_all(seed=s, sizes="micro")["all_passed"]]
         assert failures == []

@@ -2,6 +2,7 @@
 running-mean dictionary update, including the ablation variants."""
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -21,10 +22,9 @@ from ovq import (
     ovq_forward_sequence,
     planned_active_components,
     save_state,
-    select_new_centroids,
     softmax_attention,
-    update_dictionary,
 )
+from ovq.engine import select_new_centroids, update_dictionary
 
 from helpers import random_sequence, traced_peak, unit_rows
 
@@ -581,13 +581,25 @@ class TestFloat32BetaBound:
         beta = float(np.finfo(np.float32).max) / 1.01
         rng = np.random.default_rng(52)
         seq = random_sequence(rng, 150, 6, beta)
-        with np.errstate(over="ignore"):
-            out, _, _ = ovq_forward_sequence(
-                OvqConfig(n_max=8, chunk_len=16, beta=beta, dtype="float32"), seq
-            )
+        out, _, _ = ovq_forward_sequence(
+            OvqConfig(n_max=8, chunk_len=16, beta=beta, dtype="float32"), seq
+        )
         assert np.isfinite(out.o).all()
         with pytest.raises(ConfigurationError):
             OvqConfig(n_max=8, chunk_len=16, beta=float(np.finfo(np.float32).max), dtype="float32")
+
+
+class TestFloat64BetaNearMax:
+    @pytest.mark.parametrize("seed", [1, 2, 7, 9, 13, 14, 18])
+    def test_predict_is_finite_without_warnings(self, seed):
+        # On these seeds a difference from the row max overflowed and numpy
+        # warned "overflow encountered in subtract"; its weight, 0, was right.
+        rng = np.random.default_rng(seed)
+        seq = random_sequence(rng, 150, 6, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, _, _ = ovq_forward_sequence(OvqConfig(n_max=24, chunk_len=16, beta=1e308), seq)
+        assert np.isfinite(out.o).all()
 
 
 class TestNonFiniteInput:
