@@ -512,7 +512,7 @@ def _chunk_step(state: OvqState, q_chunk, k_chunk, v_chunk):
             del sims  # spent: free it before the query product takes its place
             sims = _dictionary_sims(state, q_chunk)
         out = _predict_chunk(state, q_chunk, k_chunk, v_chunk, sims)
-    del sims  # spent; held through the merge it slowed absorb-only streaming ~5%
+    del sims  # spent: the merge runs without the chunk's largest array
     lrs = _merge(state, k_chunk, v_chunk, assignments, seeds)
     return out, ChunkUpdateRecord(assignments, seeds, lrs)
 
