@@ -285,8 +285,9 @@ def update_dictionary(
     moves by lr * (token - row) where lr = 1 / (count after this chunk's
     increments). All merge deltas for one centroid are taken against the
     same pre-merge row, which makes the result the exact running mean of
-    everything the centroid has absorbed. Each row receives its deltas one
-    at a time in chunk order. The constant_lr ablation takes lr = rate / m
+    everything the centroid has absorbed. All deltas land through one
+    unbuffered add, so each row receives its deltas one at a time in chunk
+    order. The constant_lr ablation takes lr = rate / m
     for a centroid that m of the chunk's tokens merge into, so the row
     moves that fixed fraction of the way to their mean (mini-batch k-means
     with a constant step); with m = 1 that is the rate itself. Rows the
@@ -300,8 +301,8 @@ def update_dictionary(
     rows. The chunk entries build valid assignments and skip these checks.
     """
     cfg = state.config
+    lc = _leading_len(k_chunk, "k chunk")
     shapes = (np.shape(k_chunk), np.shape(v_chunk), np.shape(assignments))
-    lc = shapes[0][0]
     if shapes != ((lc, state.d), (lc, state.d), (lc,)):
         raise ConfigurationError(
             f"update needs [L, {state.d}] k and v chunks and L assignments, got shapes {shapes}"
@@ -335,8 +336,15 @@ def update_dictionary(
 def _merge(state: OvqState, k_chunk, v_chunk, assignments, seeds) -> np.ndarray:
     """The dictionary update behind every chunk entry, for inputs that
     are valid by construction: ``seeds`` lists the seeding chunk positions
-    in the order of the fresh rows they take. Advances the token and chunk
-    counters and returns the [L] learning rates, 1.0 for seeding tokens."""
+    in the order of the fresh rows they take. Every merging token's delta
+    is taken against the pre-merge rows and lands through one unbuffered
+    ``np.add.at`` on the flat view of each row array, which adds in index
+    order, so each row takes its deltas one at a time in chunk order.
+    Advances the token and chunk counters and returns the [L] learning
+    rates, 1.0 for seeding tokens."""
+    for name in ("means_k", "means_v"):
+        if not getattr(state, name).flags.c_contiguous:
+            raise InvalidStateError(f"{name} must be C-contiguous for the merge's flat view")
     cfg = state.config
     lc = len(assignments)
     state.tokens_seen += lc
@@ -353,8 +361,6 @@ def _merge(state: OvqState, k_chunk, v_chunk, assignments, seeds) -> np.ndarray:
         targets, k_chunk, v_chunk = assignments[merging], k_chunk[merging], v_chunk[merging]
     else:
         targets = assignments
-    if not len(targets):  # every token seeded, or the chunk is empty
-        return np.ones(lc)
 
     per_target = np.bincount(targets, minlength=state.n_active)
     counts = state.counts[: state.n_active]
@@ -367,24 +373,12 @@ def _merge(state: OvqState, k_chunk, v_chunk, assignments, seeds) -> np.ndarray:
         rates = 1.0 / counts[targets]
 
     lr_col = rates.astype(state.means_k.dtype, copy=False)[:, None]
-    repeated = int(per_target.max()) > 1
-    if repeated:
-        # A target's first delta lands by fancy assignment; np.add.at adds the
-        # rest unbuffered in index order, so each row takes its deltas one at
-        # a time in chunk order.
-        first = np.zeros(len(targets), dtype=bool)
-        first[np.unique(targets, return_index=True)[1]] = True
-        rest = ~first
+    # numpy's fast path for add.at takes 1-D indices and values.
+    flat = (targets[:, None] * state.d + np.arange(state.d)).ravel()
     for means, x in ((state.means_k, k_chunk), (state.means_v, v_chunk)):
-        rows = means[targets]
-        delta = x - rows
+        delta = x - means[targets]
         delta *= lr_col
-        rows += delta
-        if repeated:
-            means[targets[first]] = rows[first]
-            np.add.at(means, targets[rest], delta[rest])
-        else:
-            means[targets] = rows
+        np.add.at(means.reshape(-1), flat, delta.ravel())
 
     if not n_new:
         return rates
@@ -446,13 +440,22 @@ def _predict_chunk(state: OvqState, q_chunk, k_chunk, v_chunk, sims) -> np.ndarr
     return (out + dict_out) / (total + dict_total)
 
 
+def _leading_len(m, name: str) -> int:
+    """The length of an [L, d] chunk or [T, d] stream along its first axis;
+    a 0-d array has none and is rejected by ``name``."""
+    shape = np.shape(m)
+    if not shape:
+        raise ConfigurationError(f"{name} must be an array of rows, got a 0-d array")
+    return shape[0]
+
+
 def _checked_chunk(state: OvqState, q_chunk, k_chunk, v_chunk) -> list:
     """The chunk's [q, k, v] in the state dtype, checked at the boundary:
     [L, d] arrays with 1 <= L <= chunk_len, finite, with unit-norm query and
     key rows. ``q_chunk`` is None for an absorb-only chunk, and stays None."""
     dt = DTYPES[state.config.dtype]
     arrays = [None if m is None else np.asarray(m, dtype=dt) for m in (q_chunk, k_chunk, v_chunk)]
-    lc = arrays[1].shape[0]
+    lc = _leading_len(arrays[1], "k chunk")
     if not 1 <= lc <= state.config.chunk_len:
         raise ConfigurationError(f"chunk of {lc} tokens is outside 1..{state.config.chunk_len}")
     for name, m in zip("qkv", arrays):
@@ -492,8 +495,9 @@ def _decide(state: OvqState, k_chunk, sims) -> tuple[np.ndarray, np.ndarray]:
         # for the rest of the first chunk.
         if not len(new_pos):
             raise InvalidStateError("empty dictionary with no centroid budget")
-        others = np.setdiff1d(np.arange(lc), new_pos, assume_unique=False)
-        if len(others):
+        others = np.ones(lc, dtype=bool)
+        others[new_pos] = False
+        if others.any():
             assignments[others] = np.argmax(k_chunk[others] @ k_chunk[new_pos].T, axis=1)
     return assignments, new_pos
 
@@ -564,12 +568,14 @@ def stream_chunks(state: OvqState, k, v, q=None) -> tuple[np.ndarray | None, lis
     boundary. Each chunk writes its rows into one array allocated up front,
     so the outputs are never held twice.
     """
-    if len(k) < 1 or len(v) != len(k) or (q is not None and len(q) != len(k)):
+    t = _leading_len(k, "k stream")
+    same = _leading_len(v, "v stream") == t and (q is None or _leading_len(q, "q stream") == t)
+    if t < 1 or not same:
         raise ConfigurationError("stream needs one or more tokens and equally long q/k/v")
     step = state.config.chunk_len
-    out = None if q is None else np.empty((len(k), state.d), dtype=DTYPES[state.config.dtype])
+    out = None if q is None else np.empty((t, state.d), dtype=DTYPES[state.config.dtype])
     trace: list[tuple[int, int]] = []
-    for start in range(0, len(k), step):
+    for start in range(0, t, step):
         chunk = slice(start, start + step)
         if q is None:
             absorb_chunk(state, k[chunk], v[chunk])

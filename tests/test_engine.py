@@ -631,6 +631,47 @@ class TestNonFiniteInput:
             assert np.array_equal(now, then)
 
 
+def _assert_state_unchanged(state, before):
+    """``state`` holds the counters, counts and rows of ``before``, a deep copy."""
+    for field in ("n_active", "tokens_seen", "chunks_seen"):
+        assert getattr(state, field) == getattr(before, field)
+    for field in ("counts", "means_k", "means_v"):
+        assert np.array_equal(getattr(state, field), getattr(before, field))
+
+
+@pytest.mark.parametrize(
+    "entry", ["absorb_chunk", "ovq_forward_chunk", "update_dictionary", "stream_chunks"]
+)
+def test_zero_dim_keys_are_rejected_by_name_and_leave_state_alone(entry):
+    rng = np.random.default_rng(52)
+    state = OvqState.fresh(OvqConfig(n_max=8, chunk_len=4), 3)
+    absorb_chunk(state, unit_rows(rng, 4, 3), rng.standard_normal((4, 3)))
+    before = copy.deepcopy(state)
+    k, v = np.float64(1.0), np.zeros(3)
+    calls = {
+        "absorb_chunk": lambda: absorb_chunk(state, k, v),
+        "ovq_forward_chunk": lambda: ovq_forward_chunk(state, unit_rows(rng, 1, 3), k, v),
+        "update_dictionary": lambda: update_dictionary(state, k, v, np.zeros(1, int), NO_SEEDS),
+        "stream_chunks": lambda: engine.stream_chunks(state, k, v),
+    }
+    with pytest.raises(ConfigurationError, match=r"^k (chunk|stream) must be .*0-d"):
+        calls[entry]()
+    _assert_state_unchanged(state, before)
+
+
+@pytest.mark.parametrize("name", ["means_v", "means_k"])
+def test_merge_rejects_rows_that_are_not_c_contiguous_and_leaves_state_alone(name):
+    # The merge adds into the flat view of each row array, which aliases
+    # the rows only when they are C-contiguous.
+    rng = np.random.default_rng(53)
+    state = OvqState.fresh(OvqConfig(n_max=8, chunk_len=4), 3)
+    setattr(state, name, np.asfortranarray(getattr(state, name)))
+    before = copy.deepcopy(state)
+    with pytest.raises(InvalidStateError, match=name):
+        absorb_chunk(state, *_chunk(rng, 4, 3))
+    _assert_state_unchanged(state, before)
+
+
 class TestUnitNormRule:
     """One rule for query and key rows: finite and unit norm, and the error
     names the array and the first row that breaks it."""
