@@ -297,16 +297,20 @@ def update_dictionary(
     assignments and seeds: it rejects, before any state change, chunk and
     assignment shapes that disagree, the chunks ``absorb_chunk`` rejects,
     growth past n_max, repeated or out-of-chunk seed positions, assignments
-    outside the grown dictionary and seeds that do not point at the fresh
-    rows. The chunk entries build valid assignments and skip these checks.
+    that are not integers or fall outside the grown dictionary, and seeds
+    that do not point at the fresh rows. The chunk entries build valid
+    assignments and skip these checks.
     """
     cfg = state.config
     lc = _leading_len(k_chunk, "k chunk")
-    shapes = (np.shape(k_chunk), np.shape(v_chunk), np.shape(assignments))
+    assignments = np.asarray(assignments)
+    shapes = (np.shape(k_chunk), np.shape(v_chunk), assignments.shape)
     if shapes != ((lc, state.d), (lc, state.d), (lc,)):
         raise ConfigurationError(
             f"update needs [L, {state.d}] k and v chunks and L assignments, got shapes {shapes}"
         )
+    if not np.issubdtype(assignments.dtype, np.integer):
+        raise ConfigurationError(f"assignments must be integers, got {assignments.dtype}")
     _, k_chunk, v_chunk = _checked_chunk(state, None, k_chunk, v_chunk)
     positions = np.asarray(new_centroid_positions)
     n_new = len(positions)
@@ -336,10 +340,8 @@ def update_dictionary(
 def _merge(state: OvqState, k_chunk, v_chunk, assignments, seeds) -> np.ndarray:
     """The dictionary update behind every chunk entry, for inputs that
     are valid by construction: ``seeds`` lists the seeding chunk positions
-    in the order of the fresh rows they take. Every merging token's delta
-    is taken against the pre-merge rows and lands through one unbuffered
-    ``np.add.at`` on the flat view of each row array, which adds in index
-    order, so each row takes its deltas one at a time in chunk order.
+    in the order of the fresh rows they take. Deltas land by one
+    ``np.add.at`` on each row array's flat view (see ``update_dictionary``).
     Advances the token and chunk counters and returns the [L] learning
     rates, 1.0 for seeding tokens."""
     for name in ("means_k", "means_v"):
@@ -441,12 +443,10 @@ def _predict_chunk(state: OvqState, q_chunk, k_chunk, v_chunk, sims) -> np.ndarr
 
 
 def _leading_len(m, name: str) -> int:
-    """The length of an [L, d] chunk or [T, d] stream along its first axis;
-    a 0-d array has none and is rejected by ``name``."""
-    shape = np.shape(m)
-    if not shape:
+    """Rows in a chunk or stream ``m``; a 0-d ``m`` is rejected by ``name``."""
+    if not np.ndim(m):
         raise ConfigurationError(f"{name} must be an array of rows, got a 0-d array")
-    return shape[0]
+    return len(m)
 
 
 def _checked_chunk(state: OvqState, q_chunk, k_chunk, v_chunk) -> list:

@@ -347,6 +347,22 @@ class TestUpdateDictionary:
         for now, then in zip((state.means_k, state.means_v, state.counts), before):
             assert np.array_equal(now, then)
 
+    def test_rejects_non_integer_assignments_and_leaves_state_alone(self):
+        rng = np.random.default_rng(54)
+        state = self._seeded_state(rng=rng)
+        before = copy.deepcopy(state)
+        with pytest.raises(ConfigurationError, match="assignments must be integers"):
+            update_dictionary(state, *_chunk(rng, 2), np.array([0.0, 0.0]), NO_SEEDS)
+        _assert_state_unchanged(state, before)
+
+    def test_list_assignments_merge_like_an_array(self):
+        rng = np.random.default_rng(55)
+        k, v = _chunk(rng, 3)
+        states = [self._seeded_state(rng=np.random.default_rng(56)) for _ in range(2)]
+        update_dictionary(states[0], k, v, [0, 0, 0], NO_SEEDS)
+        update_dictionary(states[1], k, v, np.zeros(3, dtype=int), NO_SEEDS)
+        _assert_state_unchanged(*states)
+
     def test_rejects_growth_past_capacity(self):
         rng = np.random.default_rng(42)
         state = self._seeded_state(n_max=1)
