@@ -287,11 +287,11 @@ def update_dictionary(
     same pre-merge row, which makes the result the exact running mean of
     everything the centroid has absorbed. All deltas land through one
     unbuffered add, so each row receives its deltas one at a time in chunk
-    order. The constant_lr ablation takes lr = rate / m
-    for a centroid that m of the chunk's tokens merge into, so the row
-    moves that fixed fraction of the way to their mean (mini-batch k-means
-    with a constant step); with m = 1 that is the rate itself. Rows the
-    chunk never touches are left bitwise unchanged.
+    order. The constant_lr ablation takes lr = rate / m for a centroid that
+    m of the chunk's tokens merge into, so the row moves that fixed fraction
+    of the way to their mean (mini-batch k-means with a constant step); with
+    m = 1 that is the rate itself. Rows the chunk never touches are left
+    bitwise unchanged.
 
     This is the checked entry point for callers that choose their own
     assignments and seeds: it rejects, before any state change, chunk and
@@ -301,7 +301,6 @@ def update_dictionary(
     that do not point at the fresh rows. The chunk entries build valid
     assignments and skip these checks.
     """
-    cfg = state.config
     lc = _leading_len(k_chunk, "k chunk")
     assignments = np.asarray(assignments)
     shapes = (np.shape(k_chunk), np.shape(v_chunk), assignments.shape)
@@ -316,7 +315,7 @@ def update_dictionary(
     n_new = len(positions)
     grown = state.n_active + n_new
 
-    if grown > cfg.n_max:
+    if grown > state.config.n_max:
         raise InvalidStateError("new centroids would exceed n_max")
     if n_new != len(np.unique(positions)):
         raise InvalidStateError("new centroid positions must be distinct")
@@ -332,18 +331,18 @@ def update_dictionary(
         if not np.array_equal(assignments[positions], np.arange(state.n_active, grown)):
             raise InvalidStateError("seeding tokens must point at the fresh indices")
 
-    lrs = _merge(state, k_chunk, v_chunk, assignments, positions)
+    # Range-checked, so int64 holds them; a narrower flat index would wrap.
+    lrs = _merge(state, k_chunk, v_chunk, assignments.astype(np.int64, copy=False), positions)
     seeds = np.asarray(new_centroid_positions, dtype=np.int64)
     return ChunkUpdateRecord(assignments.copy(), seeds, lrs)
 
 
 def _merge(state: OvqState, k_chunk, v_chunk, assignments, seeds) -> np.ndarray:
-    """The dictionary update behind every chunk entry, for inputs that
-    are valid by construction: ``seeds`` lists the seeding chunk positions
-    in the order of the fresh rows they take. Deltas land by one
-    ``np.add.at`` on each row array's flat view (see ``update_dictionary``).
-    Advances the token and chunk counters and returns the [L] learning
-    rates, 1.0 for seeding tokens."""
+    """The dictionary update behind every chunk entry, for inputs valid by
+    construction: ``seeds`` lists the seeding chunk positions in the order of
+    the fresh rows they take. Deltas land by one ``np.add.at`` on each row
+    array's flat view (see ``update_dictionary``). Advances the token and
+    chunk counters and returns the [L] learning rates, 1.0 for seeding tokens."""
     for name in ("means_k", "means_v"):
         if not getattr(state, name).flags.c_contiguous:
             raise InvalidStateError(f"{name} must be C-contiguous for the merge's flat view")
@@ -352,18 +351,16 @@ def _merge(state: OvqState, k_chunk, v_chunk, assignments, seeds) -> np.ndarray:
     state.tokens_seen += lc
     state.chunks_seen += 1
     n_new = len(seeds)
+    # Without seeds every token merges, and the full slice copies nothing.
+    merging = np.ones(lc, dtype=bool) if n_new else slice(None)
     if n_new:
         fresh = slice(state.n_active, state.n_active + n_new)
         state.means_k[fresh] = k_chunk[seeds]
         state.means_v[fresh] = v_chunk[seeds]
         state.counts[fresh] = 1
         state.n_active += n_new
-        merging = np.ones(lc, dtype=bool)
         merging[seeds] = False
-        targets, k_chunk, v_chunk = assignments[merging], k_chunk[merging], v_chunk[merging]
-    else:
-        targets = assignments
-
+    targets, k_chunk, v_chunk = assignments[merging], k_chunk[merging], v_chunk[merging]
     per_target = np.bincount(targets, minlength=state.n_active)
     counts = state.counts[: state.n_active]
     if cfg._fault == "count_skip":
@@ -381,9 +378,6 @@ def _merge(state: OvqState, k_chunk, v_chunk, assignments, seeds) -> np.ndarray:
         delta = x - means[targets]
         delta *= lr_col
         np.add.at(means.reshape(-1), flat, delta.ravel())
-
-    if not n_new:
-        return rates
     lrs = np.ones(lc)
     lrs[merging] = rates
     return lrs
@@ -497,8 +491,7 @@ def _decide(state: OvqState, k_chunk, sims) -> tuple[np.ndarray, np.ndarray]:
             raise InvalidStateError("empty dictionary with no centroid budget")
         others = np.ones(lc, dtype=bool)
         others[new_pos] = False
-        if others.any():
-            assignments[others] = np.argmax(k_chunk[others] @ k_chunk[new_pos].T, axis=1)
+        assignments[others] = np.argmax(k_chunk[others] @ k_chunk[new_pos].T, axis=1)
     return assignments, new_pos
 
 

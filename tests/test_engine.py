@@ -36,6 +36,15 @@ def _chunk(rng, n, d=4):
     return unit_rows(rng, n, d), rng.standard_normal((n, d))
 
 
+def _assert_state_unchanged(state, before):
+    """``state`` holds the counters, counts and rows of ``before``: a deep
+    copy taken earlier, or a second state fed the same chunk."""
+    for field in ("n_active", "tokens_seen", "chunks_seen"):
+        assert getattr(state, field) == getattr(before, field)
+    for field in ("counts", "means_k", "means_v"):
+        assert np.array_equal(getattr(state, field), getattr(before, field))
+
+
 class TestGrowthCount:
     def test_zero_tokens_zero_components(self):
         assert growth_count(0, 2048) == 0
@@ -306,11 +315,10 @@ class TestUpdateDictionary:
         # A negative index must not wrap around to the last (inactive) row.
         rng = np.random.default_rng(45)
         state = self._seeded_state(rng=rng)
-        before = (state.means_k.copy(), state.means_v.copy(), state.counts.copy())
+        before = copy.deepcopy(state)
         with pytest.raises(InvalidStateError):
             update_dictionary(state, *_chunk(rng, 2), np.array([0, -1]), NO_SEEDS)
-        for now, then in zip((state.means_k, state.means_v, state.counts), before):
-            assert np.array_equal(now, then)
+        _assert_state_unchanged(state, before)
 
     def test_rejects_duplicate_seed_positions(self):
         rng = np.random.default_rng(41)
@@ -323,18 +331,16 @@ class TestUpdateDictionary:
         # -1 would seed from the last token by wraparound; 2 == L is past the end.
         rng = np.random.default_rng(46)
         state = self._seeded_state(rng=rng)
-        before = (state.means_k.copy(), state.means_v.copy(), state.counts.copy())
+        before = copy.deepcopy(state)
         with pytest.raises(InvalidStateError, match=rf"position {position} "):
             update_dictionary(state, *_chunk(rng, 2), np.array([0, 1]), np.array([position]))
-        assert state.n_active == 1
-        for now, then in zip((state.means_k, state.means_v, state.counts), before):
-            assert np.array_equal(now, then)
+        _assert_state_unchanged(state, before)
 
     @pytest.mark.parametrize("rows", [(2, 2, 1), (2, 1, 2), (1, 2, 2)])
     def test_rejects_mismatched_shapes_and_leaves_state_alone(self, rows):
         rng = np.random.default_rng(48)
         state = self._seeded_state(rng=rng)
-        before = (state.means_k.copy(), state.means_v.copy(), state.counts.copy())
+        before = copy.deepcopy(state)
         n_k, n_v, n_a = rows
         with pytest.raises(ConfigurationError, match="assignments"):
             update_dictionary(
@@ -344,8 +350,7 @@ class TestUpdateDictionary:
                 np.zeros(n_a, dtype=int),
                 NO_SEEDS,
             )
-        for now, then in zip((state.means_k, state.means_v, state.counts), before):
-            assert np.array_equal(now, then)
+        _assert_state_unchanged(state, before)
 
     def test_rejects_non_integer_assignments_and_leaves_state_alone(self):
         rng = np.random.default_rng(54)
@@ -362,6 +367,23 @@ class TestUpdateDictionary:
         update_dictionary(states[0], k, v, [0, 0, 0], NO_SEEDS)
         update_dictionary(states[1], k, v, np.zeros(3, dtype=int), NO_SEEDS)
         _assert_state_unchanged(*states)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int8, np.uint64])
+    def test_narrow_and_unsigned_assignments_merge_like_int64(self, dtype):
+        # Row 70 of d=512 starts at flat index 35,840, past int16 and int8.
+        rng = np.random.default_rng(57)
+        states = [self._seeded_state(d=512, n_max=80) for _ in range(2)]
+        rows = unit_rows(rng, 71, 512)
+        for state in states:
+            state.means_k[:71], state.counts[:71], state.n_active = rows, 1, 71
+        k, v = unit_rows(rng, 2, 512), rng.standard_normal((2, 512))
+        recs = [
+            update_dictionary(s, k, v, np.array([70, 3], dtype=t), NO_SEEDS)
+            for s, t in zip(states, (dtype, np.int64))
+        ]
+        _assert_state_unchanged(*states)
+        assert np.array_equal(recs[0].learning_rates, recs[1].learning_rates)
+        assert not np.array_equal(states[0].means_k[70], rows[70])
 
     def test_rejects_growth_past_capacity(self):
         rng = np.random.default_rng(42)
@@ -383,12 +405,10 @@ class TestUpdateDictionary:
     def test_rejects_chunk_outside_one_to_chunk_len_and_leaves_state_alone(self, lc):
         rng = np.random.default_rng(50)
         state = self._seeded_state(rng=rng)
-        before = (state.means_k.copy(), state.means_v.copy(), state.counts.copy())
+        before = copy.deepcopy(state)
         with pytest.raises(ConfigurationError, match="chunk"):
             update_dictionary(state, *_chunk(rng, lc), np.zeros(lc, dtype=int), NO_SEEDS)
-        assert (state.n_active, state.tokens_seen, state.chunks_seen) == (1, 0, 0)
-        for now, then in zip((state.means_k, state.means_v, state.counts), before):
-            assert np.array_equal(now, then)
+        _assert_state_unchanged(state, before)
 
     @pytest.mark.parametrize("bad", ["nan_value", "long_keys"])
     def test_rejects_what_absorb_chunk_rejects_and_leaves_state_alone(self, bad):
@@ -637,22 +657,12 @@ class TestNonFiniteInput:
         rng = np.random.default_rng(44)
         state = OvqState.fresh(OvqConfig(n_max=8, chunk_len=4), 3)
         absorb_chunk(state, unit_rows(rng, 4, 3), rng.standard_normal((4, 3)))
-        before = (state.means_k.copy(), state.means_v.copy(), state.counts.copy())
+        before = copy.deepcopy(state)
         arrays = {"k": unit_rows(rng, 4, 3), "v": rng.standard_normal((4, 3))}
         arrays[name][3, 2] = bad
         with pytest.raises(ConfigurationError, match=rf"\b{name}\b.*finite"):
             absorb_chunk(state, arrays["k"], arrays["v"])
-        assert state.tokens_seen == 4
-        for now, then in zip((state.means_k, state.means_v, state.counts), before):
-            assert np.array_equal(now, then)
-
-
-def _assert_state_unchanged(state, before):
-    """``state`` holds the counters, counts and rows of ``before``, a deep copy."""
-    for field in ("n_active", "tokens_seen", "chunks_seen"):
-        assert getattr(state, field) == getattr(before, field)
-    for field in ("counts", "means_k", "means_v"):
-        assert np.array_equal(getattr(state, field), getattr(before, field))
+        _assert_state_unchanged(state, before)
 
 
 @pytest.mark.parametrize(
