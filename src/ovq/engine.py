@@ -6,7 +6,9 @@ then absorbed into it:
 
 1. predict: every chunk row attends, in one softmax over two blocks, to
    the frozen dictionary (always visible, biased by log counts) and to the
-   raw in-chunk keys and values under a causal mask;
+   raw in-chunk keys and values under a causal mask, shifted by a static
+   bound on every logit (``_logit_shift``) or, where that bound is too
+   large for the dtype, by the row max;
 2. absorb: the schedule decides how many chunk keys seed brand-new
    centroids (lowest similarity to the existing dictionary wins), and the
    rest are folded into their nearest centroid with a running-mean step.
@@ -32,6 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidStateError
 from .reference import (
+    KEY_ROW_NORM_MAX,
     UNIT_NORM_ATOL,
     AttentionOutput,
     HeadSequence,
@@ -388,51 +391,92 @@ def _dictionary_sims(state: OvqState, x: np.ndarray) -> np.ndarray:
     return x @ state.means_k[: state.n_active].T
 
 
-def _dictionary_logits(beta: float, sims, counts, out=None) -> np.ndarray:
-    """beta * sims + log counts, where sims = q . D_k^T, in the dtype of
-    sims; a row with count 0 gets -inf, so it never receives weight.
-    ``out=sims`` overwrites the product."""
+def _logit_shift(beta: float, counts, dtype) -> float | None:
+    """A static shift s for a count-biased softmax in ``dtype``, or None.
+
+    Query rows have norm at most 1 + UNIT_NORM_ATOL and key rows (dictionary
+    and in-chunk) at most KEY_ROW_NORM_MAX, so no logit beta * q.k + log
+    count exceeds s = beta (1 + UNIT_NORM_ATOL) KEY_ROW_NORM_MAX + log(max
+    count), and every row holds one at or above -s: its in-chunk diagonal,
+    or a row of count >= 1. Shifted by s, no weight exceeds 1 and each row
+    keeps one of at least exp(-2s). When 2s - ln(eps) < -ln(tiny), every
+    weight within eps of that one is a normal number, so the row max adds
+    nothing. Otherwise (beta near the float max, or float32 with s past
+    about 35.7) this returns None and callers shift by the row max."""
+    s = beta * (1.0 + UNIT_NORM_ATOL) * KEY_ROW_NORM_MAX + math.log(int(counts.max(initial=1)))
+    info = np.finfo(dtype)
+    return s if 2 * s - math.log(info.eps) < -math.log(info.tiny) else None
+
+
+def _dictionary_logits(beta: float, sims, counts, shift, out=None) -> np.ndarray:
+    """beta * sims + log counts - shift, where sims = q . D_k^T, in the
+    dtype of sims; a row with count 0 gets -inf, so it never receives
+    weight. The static ``shift`` (None for none) is folded into the [n] log
+    counts. ``out=sims`` overwrites the product."""
     out = np.multiply(sims, beta, out=out)
     with np.errstate(divide="ignore"):
-        out += np.log(counts.astype(np.float64)).astype(out.dtype, copy=False)
+        log_counts = np.log(counts.astype(np.float64))
+    if shift is not None:
+        log_counts -= shift
+    out += log_counts.astype(out.dtype, copy=False)
     return out
 
 
-def _softmax_block(logits: np.ndarray, row_max, values) -> tuple[np.ndarray, np.ndarray]:
-    """Exponentiate one column block of a row softmax against ``row_max``,
-    in place, and return its weighted values and its weight row sums."""
+def _subtract_row_max(*blocks) -> None:
+    """Shift the column blocks of one row softmax by their shared row max,
+    in place: the fallback when ``_logit_shift`` gives no static shift."""
+    row_max = np.max([b.max(axis=1, initial=-np.inf) for b in blocks], axis=0)[:, None]
     # A difference that overflows is -inf, and exp gives 0, its true weight.
     with np.errstate(over="ignore"):
-        logits -= row_max
+        for b in blocks:
+            b -= row_max
+
+
+def _softmax_block(logits: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
+    """Exponentiate one shifted column block of a row softmax in place, and
+    return its weighted values and its weight row sums. The shift, static
+    or the row max, is the caller's, and every block of a row takes the
+    same one."""
     np.exp(logits, out=logits)
     return logits @ values, logits.sum(axis=1, keepdims=True)
 
 
 def count_readout(beta: float, queries, means_k, counts, means_v) -> np.ndarray:
     """softmax(beta * q . D_k^T + log counts) . D_v over the rows whose
-    count is nonzero: the mixture readout of a count-weighted dictionary."""
-    logits = _dictionary_logits(beta, queries @ means_k.T, counts)
-    out, total = _softmax_block(logits, logits.max(axis=1, keepdims=True), means_v)
+    count is nonzero: the mixture readout of a count-weighted dictionary.
+    Shifted like predict: by ``_logit_shift``'s bound, which takes unit
+    queries and key rows within KEY_ROW_NORM_MAX, else by the row max."""
+    shift = _logit_shift(beta, counts, np.result_type(queries, means_k))
+    logits = _dictionary_logits(beta, queries @ means_k.T, counts, shift)
+    if shift is None:
+        _subtract_row_max(logits)
+    out, total = _softmax_block(logits, means_v)
     return out / total
 
 
 def _predict_chunk(state: OvqState, q_chunk, k_chunk, v_chunk, sims) -> np.ndarray:
     """softmax([beta q.D_k^T + log counts | causal beta q.k^T]) . [D_v; v]
-    as two blocks exponentiated against one row max, the summed values
-    divided by the summed row sums. ``sims`` is q_chunk . D_k^T, and this
-    overwrites it with the dictionary block's weights."""
+    as two blocks exponentiated after one shift, the summed values divided
+    by the summed row sums. The static shift of ``_logit_shift`` is folded
+    into the [n] log counts and subtracted from the [L, L] in-chunk block,
+    so the [L, n] block takes one multiply, one add and one exp; without
+    one, both blocks take their shared row max. ``sims`` is q_chunk .
+    D_k^T, and this overwrites it with the dictionary block's weights."""
     cfg = state.config
-    dict_logits = _dictionary_logits(cfg.beta, sims, state.counts[: state.n_active], out=sims)
+    counts = state.counts[: state.n_active]
+    shift = _logit_shift(cfg.beta, counts, sims.dtype)
+    dict_logits = _dictionary_logits(cfg.beta, sims, counts, shift, out=sims)
     chunk_logits = q_chunk @ k_chunk.T
     chunk_logits *= cfg.beta
     # Column j is hidden from row i when j > i (j > i + 1 under the fault).
     hidden = np.tri(len(q_chunk), k=-2 if cfg._fault == "mask_off_by_one" else -1, dtype=bool).T
     chunk_logits[hidden] = -np.inf
-    # With an empty dictionary the in-chunk block alone sets the row max.
-    row_max = chunk_logits.max(axis=1, keepdims=True)
-    np.maximum(row_max, dict_logits.max(axis=1, keepdims=True, initial=-np.inf), out=row_max)
-    out, total = _softmax_block(chunk_logits, row_max, v_chunk)
-    dict_out, dict_total = _softmax_block(dict_logits, row_max, state.means_v[: state.n_active])
+    if shift is None:
+        _subtract_row_max(chunk_logits, dict_logits)
+    else:
+        chunk_logits -= shift
+    out, total = _softmax_block(chunk_logits, v_chunk)
+    dict_out, dict_total = _softmax_block(dict_logits, state.means_v[: state.n_active])
     return (out + dict_out) / (total + dict_total)
 
 

@@ -26,6 +26,10 @@ import numpy as np
 from .errors import ConfigurationError, InvalidStateError
 
 UNIT_NORM_ATOL = 1e-6
+# The largest norm a stored key row may have. Running means of unit keys
+# stay within rounding of norm 1; predict's static logit shift and the
+# snapshot check both read this bound.
+KEY_ROW_NORM_MAX = 1.0 + 1e-3
 BASELINE_EPS = 1e-9
 _QUERY_TILE = 64  # query rows per tile of the causal mix and per linear-form block
 
@@ -166,10 +170,23 @@ def quantized_state(k, v, dict_k) -> tuple[np.ndarray, np.ndarray]:
     n = np.shape(dict_k)[0]
     counts = np.bincount(assignments, minlength=n)
     sums = np.zeros((n, np.shape(v)[1]))
-    np.add.at(sums, assignments, v)
+    _add_rows(sums, assignments, v)
     means_v = np.zeros_like(sums)
     np.divide(sums, counts[:, None], out=means_v, where=counts[:, None] > 0)
     return counts, means_v
+
+
+def _add_rows(sums: np.ndarray, index, rows) -> None:
+    """sums[index] += rows with repeats accumulating, each element taking
+    its additions in row order: 1-D ``np.add.at`` calls on the flat view of
+    the C-contiguous ``sums``, numpy's fast path, where the row form is not.
+    The flat indices are built for B = _QUERY_TILE rows at a time, so they
+    never take O(T d) memory."""
+    d = sums.shape[1]
+    flat_sums, cols, rows = sums.reshape(-1), np.arange(d), np.asarray(rows, dtype=sums.dtype)
+    for start in range(0, len(index), _QUERY_TILE):
+        block = slice(start, start + _QUERY_TILE)
+        np.add.at(flat_sums, (index[block, None] * d + cols).ravel(), rows[block].ravel())
 
 
 def _padded(a: np.ndarray, rows: int) -> np.ndarray:
@@ -288,7 +305,7 @@ def vq_attention_linear(seq: HeadSequence, dict_k) -> AttentionOutput:
         sums = w @ value_sums + in_block @ v
         out[start:stop] = (sums / np.einsum("bn,bn->b", w, seen)[:, None])[:m]
         np.add.at(counts, a[:m], 1)
-        np.add.at(value_sums, a[:m], v[:m])
+        _add_rows(value_sums, a[:m], v[:m])
     return AttentionOutput(out)
 
 
@@ -338,7 +355,7 @@ def vq_attention_chunked(seq: HeadSequence, dict_k, chunk_len: int) -> Attention
             # A repeated index rewrites its row with the same value.
             touched = assignments[folded]
             np.add.at(counts, touched, 1)
-            np.add.at(value_sums, touched, seq.v[folded])
+            _add_rows(value_sums, touched, seq.v[folded])
             log_counts[touched] = np.log(counts[touched])
             means_v[touched] = value_sums[touched] / counts[touched, None]
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .engine import ABLATIONS, DTYPES, OvqConfig, OvqState
 from .errors import ConfigurationError, ParseError
+from .reference import KEY_ROW_NORM_MAX
 
 MAGIC = b"OVQS"
 VERSION = 1
@@ -144,3 +145,8 @@ def _check_invariants(state: OvqState) -> None:
         raise ParseError("state rows past n_active must be zero")
     if not all(np.isfinite(m).all() for m in means):
         raise ParseError("state means must be finite")
+    with np.errstate(over="ignore"):  # a norm past the float max reads inf, and fails
+        norms = np.linalg.norm(state.means_k[:na], axis=1)
+    if len(norms) and norms.max() > KEY_ROW_NORM_MAX:
+        i = int(np.argmax(norms))
+        raise ParseError(f"state key row {i} has norm {norms[i]:.6g}, above {KEY_ROW_NORM_MAX}")

@@ -2,6 +2,7 @@
 running-mean dictionary update, including the ablation variants."""
 
 import copy
+import math
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from ovq import (
     softmax_attention,
 )
 from ovq.engine import select_new_centroids, update_dictionary
+from ovq.reference import KEY_ROW_NORM_MAX, UNIT_NORM_ATOL
 
 from helpers import random_sequence, traced_peak, unit_rows
 
@@ -467,22 +469,41 @@ class TestForwardChunk:
             )
 
 
+def static_shift(state):
+    """The static logit shift s = beta (1 + UNIT_NORM_ATOL) KEY_ROW_NORM_MAX
+    + ln(max count), or None when 2s - ln(eps) < -ln(tiny) fails in float64."""
+    top = int(state.counts[: state.n_active].max(initial=1))
+    s = state.config.beta * (1 + UNIT_NORM_ATOL) * KEY_ROW_NORM_MAX + math.log(top)
+    info = np.finfo(np.float64)
+    return s if 2 * s - math.log(info.eps) < -math.log(info.tiny) else None
+
+
 def unfused_predict(state, q, k, v):
     """The engine's two-block predict written out with one temporary per
     step: the dictionary block [beta q.D_k^T + log c] and the causal
-    in-chunk block [beta q.k^T] are exponentiated against their shared row
-    max, and the sum of their weighted values is divided by the sum of
-    their row sums."""
+    in-chunk block [beta q.k^T] are exponentiated after one shift, and the
+    sum of their weighted values is divided by the sum of their row sums.
+    The shift is the static bound s, subtracted from the log counts and from
+    the in-chunk block, or, where ``static_shift`` gives none, the blocks'
+    shared row max."""
     na, beta, lc = state.n_active, state.config.beta, len(q)
+    s = static_shift(state)
     with np.errstate(divide="ignore"):
-        dict_logits = beta * (q @ state.means_k[:na].T) + np.log(state.counts[:na].astype(np.float64))
+        log_counts = np.log(state.counts[:na].astype(np.float64))
+    if s is not None:
+        log_counts = log_counts - s
+    dict_logits = beta * (q @ state.means_k[:na].T) + log_counts
     chunk_logits = beta * (q @ k.T)
     chunk_logits = np.where(np.arange(lc)[None, :] > np.arange(lc)[:, None], -np.inf, chunk_logits)
-    row_max = np.max(chunk_logits, axis=1, keepdims=True)
-    if na:
-        row_max = np.maximum(row_max, np.max(dict_logits, axis=1, keepdims=True))
-    dict_w = np.exp(dict_logits - row_max)
-    chunk_w = np.exp(chunk_logits - row_max)
+    if s is not None:
+        dict_w = np.exp(dict_logits)
+        chunk_w = np.exp(chunk_logits - s)
+    else:
+        row_max = np.max(chunk_logits, axis=1, keepdims=True)
+        if na:
+            row_max = np.maximum(row_max, np.max(dict_logits, axis=1, keepdims=True))
+        dict_w = np.exp(dict_logits - row_max)
+        chunk_w = np.exp(chunk_logits - row_max)
     weighted = chunk_w @ v + dict_w @ state.means_v[:na]
     return weighted / (np.sum(chunk_w, axis=1, keepdims=True) + np.sum(dict_w, axis=1, keepdims=True))
 
@@ -502,14 +523,16 @@ def one_buffer_predict(state, q, k, v):
 
 
 class TestSharedKeyDictionaryProduct:
+    @pytest.mark.parametrize("beta,shift", [(8.0, "static bound"), (400.0, "row max")])
     @pytest.mark.parametrize("queries", ["q is k", "q equals k", "q differs"])
-    def test_forward_chunk_is_the_unfused_predict_bitwise(self, queries):
+    def test_forward_chunk_is_the_unfused_predict_bitwise(self, queries, beta, shift):
         rng = np.random.default_rng(47)
-        seq = random_sequence(rng, 96, 8, 8.0)
-        state = OvqState.fresh(OvqConfig(n_max=24, chunk_len=16, beta=8.0), 8)
+        seq = random_sequence(rng, 96, 8, beta)
+        state = OvqState.fresh(OvqConfig(n_max=24, chunk_len=16, beta=beta), 8)
         for start in range(0, seq.T, 16):
             k, v = seq.k[start : start + 16], seq.v[start : start + 16]
             q = {"q is k": k, "q equals k": k.copy(), "q differs": seq.q[start : start + 16]}[queries]
+            assert (static_shift(state) is None) == (shift == "row max")
             expected = unfused_predict(state, q, k, v)
             out, _ = ovq_forward_chunk(state, q, k, v)
             assert np.array_equal(out, expected)

@@ -15,12 +15,16 @@ from ovq import (
     absorb_chunk,
     ovq_forward_chunk,
     ovq_forward_sequence,
+    softmax_attention,
     vq_attention_online,
 )
 from ovq.engine import ABLATIONS, DTYPES, stream_chunks
 
 from helpers import random_sequence, unit_rows
 
+# 400 puts the static logit shift past its float64 bound (about 336), so
+# predict's row-max path meets the oracles as well as the static one.
+BETAS = [0.0, 1.0, 8.0, 400.0]
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
@@ -31,7 +35,7 @@ def streams(draw):
     cfg = OvqConfig(
         n_max=draw(st.integers(1, 64)),
         chunk_len=chunk_len,
-        beta=draw(st.sampled_from([0.0, 1.0, 8.0])),
+        beta=draw(st.sampled_from(BETAS)),
         ablation=ablation,
         # Fixed up front so a prefix and its extension share one plan.
         planned_chunks=draw(st.integers(1, 12)) if ablation == "linear_growth" else None,
@@ -115,6 +119,21 @@ def test_predict_is_the_concatenated_softmax_within_tolerance(case):
     np.testing.assert_allclose(out32, out64, rtol=0, atol=1e-4)
 
 
+@PROPERTY_SETTINGS
+@given(streams(), st.sampled_from([16.0, 40.0]))
+def test_float32_first_chunk_is_softmax_on_both_sides_of_the_shift_bound(case, beta):
+    """A float32 first chunk, which sees no dictionary, is causal softmax
+    attention within 1e-4 whether predict shifts by the static bound (beta
+    16) or, past its float32 limit of about 35.7, by the row max (beta 40)."""
+    cfg, seq = case
+    cfg = replace(cfg, beta=beta, dtype="float32")
+    assert (engine._logit_shift(beta, np.ones(1, dtype=np.int64), np.float32) is None) == (beta == 40.0)
+    q, k, v = (a[: cfg.chunk_len] for a in (seq.q, seq.k, seq.v))
+    out = ovq_forward_chunk(OvqState.fresh(cfg, seq.d), q, k, v)[0]
+    want = softmax_attention(HeadSequence(q, k, v, beta)).o
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-4)
+
+
 @st.composite
 def repeating_streams(draw):
     """Keys near a few directions, so chunks send many tokens to one
@@ -127,7 +146,7 @@ def repeating_streams(draw):
     cfg = OvqConfig(
         n_max=draw(st.integers(1, 24)),
         chunk_len=chunk_len,
-        beta=draw(st.sampled_from([0.0, 1.0, 8.0])),
+        beta=draw(st.sampled_from(BETAS)),
         ablation=ablation,
         constant_lr_rate=draw(st.sampled_from([0.25, 1.0])),
         planned_chunks=draw(st.integers(1, 8)) if ablation == "linear_growth" else None,

@@ -10,15 +10,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ovq import (
+    HeadSequence,
     OvqConfig,
     OvqState,
     ParseError,
+    SpecialTokens,
     absorb_chunk,
     dictionary_readout,
+    gen_basic_icr,
     load_state,
     ovq_forward_chunk,
+    ovq_forward_sequence,
     save_state,
 )
+from ovq.bench import token_embeddings
 from ovq.cli import main
 from ovq.state_io import _HEADER
 
@@ -180,6 +185,37 @@ class TestImpossibleSnapshots:
         save_state(state, path)
         with pytest.raises(ParseError):
             load_state(path)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_oversized_key_row_is_refused_by_name(self, tmp_path, dtype, row):
+        # Predict's static logit shift assumes every active key row has norm
+        # at most KEY_ROW_NORM_MAX; a snapshot is the one way in for rows no
+        # stream of unit keys can make.
+        rng = np.random.default_rng(7)
+        state = _streamed_state(rng, OvqConfig(n_max=32, chunk_len=8, dtype=dtype), 4, chunks=2)
+        assert state.n_active > row
+        state.means_k[row] *= 1000
+        path = tmp_path / "big.bin"
+        save_state(state, path)
+        with pytest.raises(ParseError, match=rf"key row {row} has norm"):
+            load_state(path)
+
+    @pytest.mark.parametrize("ablation", ["none", "constant_lr"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_streamed_icr_states_pass_the_key_row_bound(self, tmp_path, dtype, ablation):
+        # Streamed rows are running means of unit keys: within rounding of
+        # norm 1, far inside the bound the snapshot check holds them to.
+        stream = gen_basic_icr(num_pairs=60, seed=3)
+        table, values = token_embeddings(SpecialTokens(stream.vocab_size).total_vocab, 32, 0)
+        x = table[stream.tokens]
+        cfg = OvqConfig(n_max=256, chunk_len=64, beta=16.0, ablation=ablation, dtype=dtype)
+        _, state, _ = ovq_forward_sequence(cfg, HeadSequence(x, x, values[stream.tokens], 16.0))
+        path = tmp_path / "icr.bin"
+        save_state(state, path)
+        back = load_state(path)
+        assert np.array_equal(back.means_k, state.means_k)
+        assert np.linalg.norm(back.means_k[: back.n_active], axis=1).max() <= 1 + 1e-6
 
     @pytest.mark.parametrize("offset", [0, 1, 2])
     def test_retired_header_bytes_must_be_zero(self, tmp_path, offset):
