@@ -17,7 +17,6 @@ import csv
 import functools
 import io
 import json
-import os
 import time
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -37,6 +36,7 @@ from .engine import (
     ovq_forward_chunk,
     ovq_forward_sequence,
     planned_active_components,
+    require_physical_memory,
     stream_chunks,
     with_planned_chunks,
 )
@@ -227,13 +227,10 @@ def token_embeddings(total_vocab: int, dim: int, seed: int):
     the same tables; both are read-only, so no caller can change what the
     next one reads. Two float64 tables that together exceed the machine's
     physical memory are refused before anything is allocated."""
-    need = 2 * total_vocab * dim * 8
-    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > ram:
-        raise ConfigurationError(
-            f"vocab_size {total_vocab - N_SPECIALS} with --dim {dim} needs {need} bytes of "
-            f"embedding tables, more than the {ram} bytes of physical memory"
-        )
+    require_physical_memory(
+        2 * total_vocab * dim * 8,
+        f"the embedding tables for vocab_size {total_vocab - N_SPECIALS} and --dim {dim}",
+    )
     rng = np.random.default_rng(seed)
     base = unit_rows(rng, total_vocab, dim)
     perm = rng.permutation(dim)

@@ -15,7 +15,8 @@ then absorbed into it:
 
 Both chunk entries, ``absorb_chunk`` and ``ovq_forward_chunk``, run one
 step: check the chunk, compute the key-dictionary product once and take
-absorb's decisions from it; with queries, predict turns that product (or
+absorb's one decision from it (``select_new_centroids``: the budget, the
+assignments and the seeds); with queries, predict turns that product (or
 the query product, when the queries differ from the keys) into dictionary
 weights in place; the merge runs last, so predict sees the old dictionary.
 
@@ -28,6 +29,8 @@ number of tokens absorbed.
 from __future__ import annotations
 
 import math
+import operator
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +50,13 @@ FAULTS = ("none", "count_skip", "mask_off_by_one", "growth_over_alloc")
 DTYPES = {"float64": np.float64, "float32": np.float32}
 # Seeds must fit the snapshot header's signed 64-bit field.
 SEED_MAX = 2**63 - 1
+# OvqConfig's integer fields and the ranges the snapshot header holds.
+_INT_FIELDS = (
+    ("n_max", 1, 2**32 - 1),
+    ("chunk_len", 1, 2**32 - 1),
+    ("seed", 0, SEED_MAX),
+    ("planned_chunks", 1, SEED_MAX),
+)
 
 
 @dataclass(frozen=True)
@@ -57,8 +67,9 @@ class OvqConfig:
     orders of magnitude over the [0.5, 1.0] similarity band; it is a
     tunable, not a calibrated constant. ``planned_chunks`` is only needed
     by the linear_growth ablation, which spreads the centroid budget evenly
-    and therefore must know the expected chunk count up front. ``seed``,
-    which only the random_assign ablation reads, must lie in [0, SEED_MAX].
+    and therefore must know the expected chunk count up front. ``seed`` is
+    read only by the random_assign ablation. Each integer field must be an
+    integer within the snapshot header field that stores it (``_INT_FIELDS``).
     ``_fault`` is a verification-harness hook that deliberately breaks one
     internal step; leave it at "none" for real use.
     """
@@ -74,10 +85,17 @@ class OvqConfig:
     _fault: str = "none"
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ConfigurationError(f"n_max must be >= 1, got {self.n_max}")
-        if self.chunk_len < 1:
-            raise ConfigurationError(f"chunk_len must be >= 1, got {self.chunk_len}")
+        for name, low, high in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "planned_chunks":
+                continue
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+            if not low <= value <= high:
+                raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value}")
+            object.__setattr__(self, name, value)
         check_beta(self.beta)
         if self.ablation not in ABLATIONS:
             raise ConfigurationError(f"unknown ablation {self.ablation!r}")
@@ -85,10 +103,6 @@ class OvqConfig:
             raise ConfigurationError(
                 f"constant learning rate must be in (0, 1], got {self.constant_lr_rate}"
             )
-        if not 0 <= self.seed <= SEED_MAX:
-            raise ConfigurationError(f"seed must be in [0, 2**63 - 1], got {self.seed}")
-        if self.planned_chunks is not None and self.planned_chunks < 1:
-            raise ConfigurationError("planned_chunks must be >= 1 when given")
         if self.dtype not in DTYPES:
             raise ConfigurationError(f"dtype must be one of {sorted(DTYPES)}")
         # beta times a unit-row dot product, which the norm tolerance lets
@@ -101,6 +115,16 @@ class OvqConfig:
             )
         if self._fault not in FAULTS:
             raise ConfigurationError(f"unknown fault {self._fault!r}")
+
+
+def require_physical_memory(need: int, what: str) -> None:
+    """Refuse, before anything is allocated, ``need`` bytes that exceed the
+    machine's physical memory; ``what`` names the inputs that ask for them."""
+    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > ram:
+        raise ConfigurationError(
+            f"{what} take {need} bytes, more than the {ram} bytes of physical memory"
+        )
 
 
 @dataclass
@@ -122,6 +146,8 @@ class OvqState:
         if d < 1:
             raise ConfigurationError(f"d must be >= 1, got {d}")
         dt = DTYPES[config.dtype]
+        need = 2 * config.n_max * d * np.dtype(dt).itemsize
+        require_physical_memory(need, f"the {config.dtype} rows for n_max {config.n_max} and d {d}")
         return cls(
             config=config,
             d=d,
@@ -224,38 +250,34 @@ def _chunk_budget(
     return max(0, min(n_new, lc, config.n_max - n_active))
 
 
-def select_new_centroids(
-    k_chunk: np.ndarray,
-    state: OvqState,
-    n_new: int,
-    *,
-    best_sim: np.ndarray | None = None,
-) -> np.ndarray:
-    """Pick which chunk positions seed new centroids.
+def select_new_centroids(state: OvqState, k_chunk, sims) -> tuple[np.ndarray, np.ndarray]:
+    """Absorb's decision for a checked chunk, leaving the state alone: the
+    [L] assignments and the sorted seeding positions, which take the fresh
+    rows in their own order. ``sims`` is ``k_chunk @ means_k[:n_active].T``.
 
-    Default rule: the ``n_new`` keys whose best dot product against the
-    existing dictionary is smallest (ties to the lower position), so the
-    seeded centroids are spread away from what is already covered. With an
-    empty dictionary the chunk bootstraps itself greedily: position 0
-    seeds, then the position least similar to anything seeded so far is
-    taken, repeating until the budget is filled. The random_assign
-    ablation replaces all of this with a uniform sample seeded by the
-    config seed and the chunk's index, so a reloaded snapshot draws what
-    an uninterrupted stream would have drawn. ``best_sim`` is each
-    position's largest dot product against the active dictionary rows when
-    the caller already holds it.
-    """
+    The chunk seeds ``_chunk_budget`` centroids; every other key goes to
+    its nearest centroid. The keys whose best dot product against the
+    dictionary is smallest seed (ties to the lower position), so new
+    centroids spread away from what is covered. An empty dictionary
+    bootstraps greedily: position 0 seeds, then the position least similar
+    to every seed so far, until the budget is filled; the other keys go to
+    their most similar seed. The random_assign ablation seeds a uniform
+    sample drawn from the config seed and the chunk's index, so a reloaded
+    snapshot draws what an uninterrupted stream would have drawn."""
+    cfg = state.config
     lc = k_chunk.shape[0]
-    if n_new > lc:
-        raise ConfigurationError(f"cannot select {n_new} centroids from {lc} positions")
-    if n_new <= 0:
-        return np.empty(0, dtype=np.int64)
+    n_new = _chunk_budget(state.tokens_seen, lc, state.chunks_seen + 1, state.n_active, cfg)
+    if state.n_active:
+        assignments = np.argmax(sims, axis=1)
+    else:
+        assignments = np.zeros(lc, dtype=np.int64)
+    if n_new == 0:
+        return assignments, np.empty(0, dtype=np.int64)
 
-    if state.config.ablation == "random_assign":
-        rng = np.random.default_rng([state.config.seed, state.chunks_seen + 1])
-        return np.sort(rng.choice(lc, size=n_new, replace=False)).astype(np.int64)
-
-    if state.n_active == 0:
+    if cfg.ablation == "random_assign":
+        rng = np.random.default_rng([cfg.seed, state.chunks_seen + 1])
+        seeds = np.sort(rng.choice(lc, size=n_new, replace=False)).astype(np.int64)
+    elif state.n_active == 0:
         selected = [0]
         if n_new > 1:
             best = k_chunk @ k_chunk[0]
@@ -263,15 +285,19 @@ def select_new_centroids(
             for _ in range(n_new - 1):
                 pick = int(np.argmin(best))
                 selected.append(pick)
-                sims = k_chunk @ k_chunk[pick]
-                best = np.maximum(best, sims)
+                best = np.maximum(best, k_chunk @ k_chunk[pick])
                 best[pick] = np.inf
-        return np.array(sorted(selected), dtype=np.int64)
-
-    if best_sim is None:
-        best_sim = np.max(_dictionary_sims(state, k_chunk), axis=1)
-    order = np.argsort(best_sim, kind="stable")
-    return np.sort(order[:n_new]).astype(np.int64)
+        seeds = np.array(sorted(selected), dtype=np.int64)
+    else:
+        # A row's max is its value at its argmax: one gather serves both.
+        order = np.argsort(sims[np.arange(lc), assignments], kind="stable")
+        seeds = np.sort(order[:n_new]).astype(np.int64)
+    assignments[seeds] = state.n_active + np.arange(n_new)
+    if state.n_active == 0:
+        others = np.ones(lc, dtype=bool)
+        others[seeds] = False
+        assignments[others] = np.argmax(k_chunk[others] @ k_chunk[seeds].T, axis=1)
+    return assignments, seeds
 
 
 def update_dictionary(
@@ -508,45 +534,15 @@ def _checked_chunk(state: OvqState, q_chunk, k_chunk, v_chunk) -> list:
     return arrays
 
 
-def _decide(state: OvqState, k_chunk, sims) -> tuple[np.ndarray, np.ndarray]:
-    """Absorb's decisions for a converted and validated chunk, leaving the
-    state alone: the [L] assignments and the sorted seeding positions, which
-    take the fresh rows in their own order. ``sims`` is the key–dictionary
-    product ``k_chunk @ means_k[:n_active].T`` against the pre-update
-    dictionary; seed selection and assignment both read it."""
-    cfg = state.config
-    lc = k_chunk.shape[0]
-    n_new = _chunk_budget(state.tokens_seen, lc, state.chunks_seen + 1, state.n_active, cfg)
-    best_sim = None
-    if state.n_active > 0:
-        assignments = np.argmax(sims, axis=1)
-        if n_new > 0:
-            # A row's max is its value at its argmax: one reduction serves both.
-            best_sim = sims[np.arange(lc), assignments]
-    else:
-        assignments = np.zeros(lc, dtype=np.int64)
-    new_pos = select_new_centroids(k_chunk, state, n_new, best_sim=best_sim)
-    if len(new_pos):
-        assignments[new_pos] = state.n_active + np.arange(len(new_pos))
-    if state.n_active == 0:
-        # Bootstrap: the freshly seeded rows are the only possible homes
-        # for the rest of the first chunk.
-        if not len(new_pos):
-            raise InvalidStateError("empty dictionary with no centroid budget")
-        others = np.ones(lc, dtype=bool)
-        others[new_pos] = False
-        assignments[others] = np.argmax(k_chunk[others] @ k_chunk[new_pos].T, axis=1)
-    return assignments, new_pos
-
-
 def _chunk_step(state: OvqState, q_chunk, k_chunk, v_chunk):
     """The one chunk step behind ``absorb_chunk`` (``q_chunk`` None) and
     ``ovq_forward_chunk``: check the chunk, take the key–dictionary product
-    once, decide, predict when there are queries, then merge. Returns the
-    [L, d] outputs (None without queries) and the chunk's record."""
+    once, decide (``select_new_centroids``), predict when there are queries,
+    then merge. Returns the [L, d] outputs (None without queries) and the
+    chunk's record."""
     q_chunk, k_chunk, v_chunk = _checked_chunk(state, q_chunk, k_chunk, v_chunk)
     sims = _dictionary_sims(state, k_chunk)
-    assignments, seeds = _decide(state, k_chunk, sims)
+    assignments, seeds = select_new_centroids(state, k_chunk, sims)
     out = None
     if q_chunk is not None:
         if not np.array_equal(q_chunk, k_chunk):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ovq import cli, load_state, load_streams, save_streams
+from ovq import cli, engine, load_state, load_streams, save_streams
 from ovq.bench import MIXER_KINDS
 from ovq.cli import _MIXER_FLAGS, _ablation_flag, _parse_ablation, build_parser, main
 from ovq.engine import ABLATIONS, FAULTS
@@ -636,6 +636,30 @@ class TestVocabTooLargeToEmbed:
         assert main([*argv, *[a.format(snap=snap) for a in mixer]]) == 2
         err = capsys.readouterr().err
         assert "vocab_size 4294967164" in err and "--dim 64" in err and "Traceback" not in err
+        assert not snap.exists()
+
+
+class TestEngineSizesTheSnapshotCannotHold:
+    """An engine size the snapshot header or the machine cannot hold exits
+    2 naming it before any stream runs: a chunk_len above the header's u32,
+    or rows larger than physical memory (about 281 TB at the u32-max n_max
+    with --dim 4096)."""
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--chunk-len", str(2**32), "--dim", "4", "--n-max", "4"], "chunk_len"),
+        (["--n-max", str(2**32 - 1), "--dim", "4096"], "n_max 4294967295 and d 4096"),
+    ], ids=["chunk-len", "rows"])
+    @pytest.mark.parametrize("save", [False, True], ids=["run", "save-state"])
+    def test_exits_two_before_any_stream_runs(
+        self, tiny_stream, tmp_path, capsys, monkeypatch, flags, named, save
+    ):
+        for module in (cli, engine):
+            monkeypatch.setattr(module, "stream_chunks", _no_work)
+        snap = tmp_path / "s.bin"
+        argv = ["run", "--stream", str(tiny_stream), *flags]
+        assert main([*argv, *(["--save-state", str(snap)] if save else [])]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
         assert not snap.exists()
 
 

@@ -136,68 +136,81 @@ class TestNewCentroidBudget:
 
 
 class TestSelectNewCentroids:
-    def _state(self, rng, n_active, d, **kw):
-        cfg = OvqConfig(n_max=32, chunk_len=16, **kw)
-        state = OvqState.fresh(cfg, d)
+    """The chunk's one decision. Each budget comes from the schedule, and
+    every call leaves the state as it found it."""
+
+    def _state(self, rng, n_active, d, n_max=32, **kw):
+        state = OvqState.fresh(OvqConfig(n_max=n_max, chunk_len=16, **kw), d)
         if n_active:
             state.means_k[:n_active] = unit_rows(rng, n_active, d)
             state.counts[:n_active] = 1
-            state.n_active = n_active
+            state.n_active = state.tokens_seen = n_active
         return state
 
-    def test_zero_budget_selects_nothing(self):
+    def _select(self, state, chunk):
+        before = copy.deepcopy(state)
+        sims = chunk @ state.means_k[: state.n_active].T
+        assignments, seeds = select_new_centroids(state, chunk, sims)
+        _assert_state_unchanged(state, before)
+        return assignments, seeds
+
+    def test_zero_budget_seeds_nothing_and_assigns_to_the_nearest(self):
+        # A full dictionary leaves the schedule no room.
         rng = np.random.default_rng(0)
-        state = self._state(rng, 4, 6)
-        assert len(select_new_centroids(unit_rows(rng, 8, 6), state, 0)) == 0
+        state = self._state(rng, 32, 6)
+        chunk = unit_rows(rng, 8, 6)
+        assignments, seeds = self._select(state, chunk)
+        assert len(seeds) == 0
+        assert np.array_equal(assignments, np.argmax(chunk @ state.means_k.T, axis=1))
 
-    def test_full_budget_selects_everything(self):
+    def test_full_budget_seeds_every_position(self):
+        # linear_growth planned over one chunk hands that chunk all of n_max.
         rng = np.random.default_rng(1)
-        state = self._state(rng, 4, 6)
-        picked = select_new_centroids(unit_rows(rng, 8, 6), state, 8)
-        assert sorted(picked) == list(range(8))
-
-    def test_budget_beyond_chunk_rejected(self):
-        rng = np.random.default_rng(2)
-        state = self._state(rng, 4, 6)
-        with pytest.raises(ConfigurationError):
-            select_new_centroids(unit_rows(rng, 4, 6), state, 5)
+        state = self._state(rng, 4, 6, ablation="linear_growth", planned_chunks=1)
+        assignments, seeds = self._select(state, unit_rows(rng, 8, 6))
+        assert list(seeds) == list(range(8))
+        assert list(assignments) == list(range(4, 12))
 
     def test_least_covered_key_wins(self):
         # Three chunk keys duplicate existing centroids; the fourth is
-        # orthogonal to all of them and must be the one selected.
+        # orthogonal to all of them, and the schedule's step is one seed.
         state = self._state(np.random.default_rng(3), 0, 4)
         state.means_k[:3] = np.eye(4)[:3]
         state.counts[:3] = 1
-        state.n_active = 3
+        state.n_active, state.tokens_seen = 3, 15
+        assert new_centroid_budget(15, 4, 1, state.config) == 1
         chunk = np.vstack([np.eye(4)[0], np.eye(4)[3], np.eye(4)[1], np.eye(4)[2]])
-        picked = select_new_centroids(chunk, state, 1)
-        assert list(picked) == [1]
+        assignments, seeds = self._select(state, chunk)
+        assert list(seeds) == [1]
+        assert list(assignments) == [0, 3, 1, 2]
 
     def test_bootstrap_starts_at_position_zero(self):
         rng = np.random.default_rng(4)
         state = self._state(rng, 0, 6)
-        picked = select_new_centroids(unit_rows(rng, 8, 6), state, 3)
-        assert 0 in picked
+        assignments, seeds = self._select(state, unit_rows(rng, 8, 6))
+        assert seeds[0] == 0 and len(seeds) == growth_count(8, 32)
+        assert set(assignments.tolist()) == set(range(len(seeds)))
 
     def test_bootstrap_spreads_apart(self):
-        # Two tight bundles of keys: greedy seeding from position 0 must
-        # cross to the other bundle for its second pick.
-        state = self._state(np.random.default_rng(5), 0, 3)
+        # Two tight bundles of keys and a first step of two seeds: greedy
+        # seeding from position 0 must cross to the other bundle, and the
+        # rest join their own bundle's seed.
+        state = self._state(np.random.default_rng(5), 0, 3, n_max=4)
         a = np.array([1.0, 0.0, 0.0])
-        b = np.array([-1.0, 0.0, 0.0])
-        chunk = np.vstack([a, a, b, a])
-        picked = select_new_centroids(chunk, state, 2)
-        assert list(picked) == [0, 2]
+        chunk = np.vstack([a, a, -a, a])
+        assignments, seeds = self._select(state, chunk)
+        assert list(seeds) == [0, 2]
+        assert list(assignments) == [0, 0, 1, 0]
 
-    def test_random_ablation_is_seeded_and_uniform(self):
+    def test_random_ablation_is_seeded(self):
         rng = np.random.default_rng(6)
         state = self._state(rng, 4, 6, ablation="random_assign", seed=9)
         chunk = unit_rows(rng, 10, 6)
-        gen = np.random.default_rng(123)
-        a = select_new_centroids(chunk, state, 3)
-        b = select_new_centroids(chunk, state, 3)
-        assert np.array_equal(a, b)
-        assert len(set(a.tolist())) == 3
+        _, a = self._select(state, chunk)
+        _, b = self._select(state, chunk)
+        n_new = new_centroid_budget(4, 10, 1, state.config)
+        draw = np.random.default_rng([9, 1]).choice(10, size=n_new, replace=False)
+        assert np.array_equal(a, b) and np.array_equal(a, np.sort(draw))
 
 
 class TestUpdateDictionary:
@@ -942,6 +955,37 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="seed"):
             OvqConfig(n_max=8, ablation="random_assign", seed=2**63)
         assert OvqConfig(n_max=8, seed=2**63 - 1).seed == 2**63 - 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_max", 8.0), ("n_max", "8"), ("chunk_len", 4.0), ("seed", 1.0),
+        ("planned_chunks", 2.5),
+    ])
+    def test_rejects_an_integer_field_that_is_not_an_integer(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            OvqConfig(**{"n_max": 8, field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_max", 2**32), ("chunk_len", 2**32), ("planned_chunks", 2**63),
+    ])
+    def test_rejects_an_integer_field_wider_than_the_snapshot_field(self, field, value):
+        # The header stores n_max and chunk_len as u32, planned_chunks as i64.
+        with pytest.raises(ConfigurationError, match=field):
+            OvqConfig(**{"n_max": 8, field: value})
+
+    def test_integer_fields_at_the_snapshot_limits_round_trip_as_ints(self, tmp_path):
+        cfg = OvqConfig(
+            n_max=np.int32(2), chunk_len=np.uint64(2**32 - 1), seed=np.int64(2**63 - 1),
+            planned_chunks=2**63 - 1, ablation="linear_growth",
+        )
+        fields = ("n_max", "chunk_len", "seed", "planned_chunks")
+        assert all(type(getattr(cfg, f)) is int for f in fields)
+        save_state(OvqState.fresh(cfg, 1), tmp_path / "s.bin")
+        assert load_state(tmp_path / "s.bin").config == cfg
+
+    def test_fresh_refuses_rows_larger_than_physical_memory(self):
+        # 2 * (2**32 - 1) * 2**20 * 8 bytes is about 70 PB: refused, never allocated.
+        with pytest.raises(ConfigurationError, match=r"n_max 4294967295 and d 1048576"):
+            OvqState.fresh(OvqConfig(n_max=2**32 - 1), 2**20)
 
     @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf"), -3.0])
     def test_rejects_beta_that_is_not_finite_and_nonnegative(self, beta):

@@ -3,14 +3,18 @@
 ``perfbench/tracer.py`` lists them in ``SPAN_TARGETS``. A name that is
 gone yields no span there and no error, so the check lives here. The
 tracer file is parsed, not imported, so nothing under ``perfbench/`` is
-run or written.
+run or written. A name that exists but that the chunk step no longer
+calls through also yields no span, so the select span's calls are counted.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ovq import OvqConfig, OvqState, engine
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -25,3 +29,24 @@ def span_targets() -> list[tuple[str, str]]:
 @pytest.mark.parametrize("module,attr", span_targets())
 def test_span_target_resolves_in_ovq(module, attr):
     assert callable(getattr(importlib.import_module(f"ovq.{module}"), attr, None))
+
+
+@pytest.mark.parametrize("with_queries", [False, True], ids=["absorb", "forward"])
+def test_select_span_runs_once_per_chunk(monkeypatch, with_queries):
+    """The tracer rebinds ``engine.select_new_centroids`` in the module
+    namespace. Every chunk, absorbed alone or predicted first, must call it
+    through that name exactly once, or the traced span reads 0."""
+    calls = []
+    original = engine.select_new_centroids
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "select_new_centroids", counted)
+    rng = np.random.default_rng(0)
+    k = rng.standard_normal((37, 4))
+    k /= np.linalg.norm(k, axis=1, keepdims=True)
+    state = OvqState.fresh(OvqConfig(n_max=8, chunk_len=5), 4)
+    engine.stream_chunks(state, k, rng.standard_normal((37, 4)), q=k if with_queries else None)
+    assert len(calls) == state.chunks_seen == 8
