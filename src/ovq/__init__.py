@@ -26,7 +26,6 @@ from .errors import (
 )
 from .gmr import (
     GaussianMixture,
-    Responsibilities,
     batch_kmeans_step,
     e_step,
     em_fit,

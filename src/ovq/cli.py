@@ -21,6 +21,7 @@ from .bench import (
     RECALL_SCHEMA,
     STATE_SCHEMA,
     TASK_SCHEMA,
+    VERIFY_SIZES,
     recall_benchmark,
     require_targets,
     rows_to_csv,
@@ -409,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     v.add_argument("--seed", type=_seed, default=0)
-    v.add_argument("--scale", choices=("small", "default", "large"), default="default")
+    v.add_argument("--scale", choices=tuple(VERIFY_SIZES), default="default")
     v.add_argument(
         "--inject-fault",
         choices=sorted(_FAULT_FLAGS),

@@ -57,6 +57,20 @@ _INT_FIELDS = (
     ("seed", 0, SEED_MAX),
     ("planned_chunks", 1, SEED_MAX),
 )
+# The head width d, which the header stores as u32.
+D_RANGE = (1, 2**32 - 1)
+
+
+def checked_int(name: str, value, low: int, high: int) -> int:
+    """``value`` as a Python int in [low, high]; anything else is a
+    ConfigurationError naming ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+    if not low <= value <= high:
+        raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -87,15 +101,8 @@ class OvqConfig:
     def __post_init__(self):
         for name, low, high in _INT_FIELDS:
             value = getattr(self, name)
-            if value is None and name == "planned_chunks":
-                continue
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
-            if not low <= value <= high:
-                raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value}")
-            object.__setattr__(self, name, value)
+            if value is not None or name != "planned_chunks":
+                object.__setattr__(self, name, checked_int(name, value, low, high))
         check_beta(self.beta)
         if self.ablation not in ABLATIONS:
             raise ConfigurationError(f"unknown ablation {self.ablation!r}")
@@ -143,8 +150,9 @@ class OvqState:
 
     @classmethod
     def fresh(cls, config: OvqConfig, d: int) -> "OvqState":
-        if d < 1:
-            raise ConfigurationError(f"d must be >= 1, got {d}")
+        """An empty state; the head width ``d`` must be an integer in
+        ``D_RANGE``, the range the snapshot header holds."""
+        d = checked_int("d", d, *D_RANGE)
         dt = DTYPES[config.dtype]
         need = 2 * config.n_max * d * np.dtype(dt).itemsize
         require_physical_memory(need, f"the {config.dtype} rows for n_max {config.n_max} and d {d}")

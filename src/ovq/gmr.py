@@ -70,26 +70,18 @@ class GaussianMixture:
         return self.means_joint[:, self.d :]
 
 
-@dataclass(frozen=True)
-class Responsibilities:
-    """Row-stochastic posterior weights, one row per data point. In hard
-    mode every row is one-hot."""
-
-    z: np.ndarray
-    hard: bool = False
-
-
 def _sq_dists(data: np.ndarray, means: np.ndarray) -> np.ndarray:
     diff = data[:, None, :] - means[None, :, :]
     return np.sum(diff * diff, axis=-1)
 
 
-def e_step(mix: GaussianMixture, data_joint: np.ndarray) -> Responsibilities:
-    """Posterior component weights for each point.
+def e_step(mix: GaussianMixture, data_joint: np.ndarray) -> np.ndarray:
+    """Posterior component weights for each point, as a row-stochastic
+    [T, N] array.
 
     Soft mode: z[t, n] proportional to prior_n * exp(-(beta/2) * squared
     distance), the exact posterior under the shared covariance I / beta,
-    normalized per row with max subtraction. Hard mode: one-hot at the
+    normalized per row by ``masked_softmax``. Hard mode: one-hot at the
     nearest component, ties to the lowest index.
     """
     data_joint = np.asarray(data_joint, dtype=np.float64)
@@ -97,11 +89,8 @@ def e_step(mix: GaussianMixture, data_joint: np.ndarray) -> Responsibilities:
     if mix.hard:
         z = np.zeros_like(d2)
         z[np.arange(len(d2)), np.argmin(d2, axis=1)] = 1.0
-        return Responsibilities(z, hard=True)
-    logw = np.log(mix.priors)[None, :] - 0.5 * mix.beta * d2
-    logw -= np.max(logw, axis=1, keepdims=True)
-    w = np.exp(logw)
-    return Responsibilities(w / np.sum(w, axis=1, keepdims=True), hard=False)
+        return z
+    return masked_softmax(np.log(mix.priors)[None, :] - 0.5 * mix.beta * d2)
 
 
 def _cluster_means(data: np.ndarray, member_masks) -> np.ndarray:
@@ -114,23 +103,25 @@ def _cluster_means(data: np.ndarray, member_masks) -> np.ndarray:
     return means
 
 
-def m_step(data_joint: np.ndarray, z: Responsibilities, beta: float) -> GaussianMixture:
-    """Re-estimate means and priors from responsibilities.
+def m_step(data_joint: np.ndarray, z: np.ndarray, beta: float) -> GaussianMixture:
+    """Re-estimate means and priors from the [T, N] weights ``z``. At
+    ``beta == math.inf`` the rows are read as one-hot and each mean is its
+    members' arithmetic mean, exactly a batch k-means step.
 
     Any component with zero total responsibility is an error, not a silent
     re-seed; the streaming engine's growth schedule is the mechanism for
     allocating components, and the oracle should surface emptiness.
     """
     data_joint = np.asarray(data_joint, dtype=np.float64)
-    gamma = np.sum(z.z, axis=0)
+    gamma = np.sum(z, axis=0)
     dead = np.flatnonzero(gamma == 0)
     if len(dead):
         raise DegenerateComponentError(dead)
-    if z.hard:
-        assignments = np.argmax(z.z, axis=1)
-        means = _cluster_means(data_joint, [assignments == n for n in range(z.z.shape[1])])
+    if beta == INFINITE:
+        assignments = np.argmax(z, axis=1)
+        means = _cluster_means(data_joint, [assignments == n for n in range(z.shape[1])])
     else:
-        means = (z.z.T @ data_joint) / gamma[:, None]
+        means = (z.T @ data_joint) / gamma[:, None]
     return GaussianMixture(means, gamma / np.sum(gamma), beta)
 
 
@@ -220,16 +211,16 @@ def gmr_predict(
 
     Computed as softmax(beta * q . D_k^T + log counts) times the value
     means, where D_k / value means are the two halves of the joint means.
-    Components with zero count get weight exactly 0. It agrees with
-    ``gmr_predict_expectation`` when the key means are unit norm.
+    Components with zero count get weight exactly 0; with every count 0,
+    both this and ``gmr_predict_expectation`` raise InvalidStateError. The
+    two agree when the key means are unit norm.
     """
     counts = np.asarray(counts, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
     populated = counts > 0
     logits = np.full(mix.n, -np.inf)
     logits[populated] = beta * (mix.means_k[populated] @ query) + np.log(counts[populated])
-    w = masked_softmax(logits[None, :])[0]
-    return w @ mix.means_v
+    return masked_softmax(logits[None, :])[0] @ mix.means_v
 
 
 def gmr_predict_expectation(
@@ -245,10 +236,7 @@ def gmr_predict_expectation(
     populated = counts > 0
     logw = np.full(mix.n, -np.inf)
     logw[populated] = np.log(counts[populated]) - 0.5 * beta * d2[populated]
-    logw -= np.max(logw)
-    w = np.exp(logw)
-    w /= w.sum()
-    return w @ mix.means_v
+    return masked_softmax(logw[None, :])[0] @ mix.means_v
 
 
 @dataclass(frozen=True)
@@ -287,13 +275,9 @@ def verify_newton_equivalence(
     return NewtonReport(max_dev, skipped)
 
 
-@dataclass(frozen=True)
-class GkrReport:
-    max_abs_deviation: float
-
-
-def verify_gkr_attention(seq: HeadSequence) -> GkrReport:
-    """Check the kernel-regression view of attention row by row.
+def verify_gkr_attention(seq: HeadSequence) -> float:
+    """Check the kernel-regression view of attention row by row, returning
+    the largest absolute deviation.
 
     For each position t the causal Gaussian-kernel estimate, with weights
     exp(-(beta/2) * ||q_t - k_i||^2) over i <= t taken from literal squared
@@ -303,8 +287,5 @@ def verify_gkr_attention(seq: HeadSequence) -> GkrReport:
     for t in range(seq.T):
         diff = seq.q[t][None, :] - seq.k[: t + 1]
         logw = -0.5 * seq.beta * (diff * diff).sum(axis=1)
-        logw -= logw.max()
-        w = np.exp(logw)
-        w /= w.sum()
-        out[t] = w @ seq.v[: t + 1]
-    return GkrReport(float(np.max(np.abs(out - reference))))
+        out[t] = masked_softmax(logw[None, :])[0] @ seq.v[: t + 1]
+    return float(np.max(np.abs(out - reference)))

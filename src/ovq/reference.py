@@ -152,11 +152,8 @@ def quantize_keys(k, dict_k) -> np.ndarray:
     t_total, b = k.shape[0], _QUERY_TILE
     assignments = np.empty(t_total, dtype=np.intp)
     for start in range(0, t_total, b):
-        tile = k[start : start + b]
-        m = len(tile)
-        if m < b:
-            tile = _padded(tile, b)
-        assignments[start : start + m] = np.argmax(tile @ dict_k.T, axis=1)[:m]
+        tile = _padded_rows(k, start, start + b)
+        assignments[start : start + b] = np.argmax(tile @ dict_k.T, axis=1)[: t_total - start]
     return assignments
 
 
@@ -189,10 +186,13 @@ def _add_rows(sums: np.ndarray, index, rows) -> None:
         np.add.at(flat_sums, (index[block, None] * d + cols).ravel(), rows[block].ravel())
 
 
-def _padded(a: np.ndarray, rows: int) -> np.ndarray:
-    """A copy of ``a`` followed by zero rows up to ``rows`` rows."""
-    out = np.zeros((rows,) + a.shape[1:], dtype=a.dtype)
-    out[: len(a)] = a
+def _padded_rows(a: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop) of ``a``: a view, or a zero-padded copy when ``a``
+    ends first."""
+    if stop <= len(a):
+        return a[start:stop]
+    out = np.zeros((stop - start,) + a.shape[1:], dtype=a.dtype)
+    out[: len(a) - start] = a[start:]
     return out
 
 
@@ -222,11 +222,8 @@ def _causal_weighted_mix(q, keys, values, beta) -> np.ndarray:
     out = np.empty((t_total, values.shape[1]))
     for start in range(0, t_total, b):
         stop = start + b
-        q_tile, keys_seen, values_seen = q[start:stop], keys[:stop], values[:stop]
-        if stop > t_total:
-            q_tile, keys_seen, values_seen = (
-                _padded(q_tile, b), _padded(keys_seen, stop), _padded(values_seen, stop)
-            )
+        q_tile = _padded_rows(q, start, stop)
+        keys_seen, values_seen = _padded_rows(keys, 0, stop), _padded_rows(values, 0, stop)
         w = np.matmul(q_tile, keys_seen.T, out=scores[: b * stop].reshape(b, stop))
         w *= beta
         w[:, start:][after_position] = -np.inf
@@ -283,13 +280,10 @@ def vq_attention_linear(seq: HeadSequence, dict_k) -> AttentionOutput:
     out = np.empty((t_total, seq.d))
     for start in range(0, t_total, b):
         stop = start + b
-        block = assignments[start:stop], seq.q[start:stop], seq.v[start:stop]
-        m = len(block[0])  # the block's real tokens
-        if m < b:
-            # Padded tokens take centroid 0, but they sit after every real
-            # row, so the causal mask drops them; they never reach the state.
-            block = [_padded(x, b) for x in block]
-        a, q, v = block
+        m = min(stop, t_total) - start  # the block's real tokens
+        # Padded tokens take centroid 0, but they sit after every real row,
+        # so the causal mask drops them; they never reach the state.
+        a, q, v = (_padded_rows(x, start, stop) for x in (assignments, seq.q, seq.v))
         one_hot = np.zeros((b, n), dtype=np.int64)
         one_hot[rows[:m], a[:m]] = 1
         seen = counts + np.cumsum(one_hot, axis=0)

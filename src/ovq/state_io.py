@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .engine import ABLATIONS, DTYPES, OvqConfig, OvqState
+from .engine import ABLATIONS, D_RANGE, DTYPES, OvqConfig, OvqState, checked_int
 from .errors import ConfigurationError, ParseError
 from .reference import KEY_ROW_NORM_MAX
 
@@ -94,9 +94,8 @@ def load_state(path) -> OvqState:
     if len(raw) != expected:
         raise ParseError(f"state file has {len(raw)} bytes, expected {expected}")
 
-    if d < 1:
-        raise ParseError(f"state has head width d = {d}, expected >= 1")
     try:
+        checked_int("d", d, *D_RANGE)
         cfg = OvqConfig(
             n_max=n_max,
             chunk_len=chunk_len,

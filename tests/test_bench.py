@@ -89,6 +89,19 @@ class TestRecallBenchmark:
         with pytest.raises(ConfigurationError):
             recall_benchmark(MixerSpec(kind="full_attention"), T=16, num_probes=32, seed=0)
 
+    @pytest.mark.parametrize("mixer", [
+        MixerSpec(kind="full_attention", d=4), MixerSpec(kind="linear_baseline", d=4),
+        MixerSpec(kind="vq_fixed", d=4, vq_n=4), ovq_mixer(4, d=4, chunk_len=4),
+    ], ids=lambda m: m.kind)
+    def test_rejects_a_run_without_probes(self, mixer):
+        with pytest.raises(ConfigurationError, match="num_probes >= 1, got 0"):
+            recall_benchmark(mixer, T=16, num_probes=0, seed=0)
+
+    def test_refuses_keys_and_codebook_larger_than_memory(self):
+        # 2 * 2**50 * 8 float64s are about 144 PB: refused, never allocated.
+        with pytest.raises(ConfigurationError, match="T 1125899906842624 and d 8"):
+            recall_benchmark(MixerSpec(kind="full_attention", d=8), T=2**50, num_probes=4, seed=0)
+
 
 class TestFixedVqState:
     """The vq_fixed recall state is the per-token linear-form loop's final

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ovq import cli, engine, load_state, load_streams, save_streams
-from ovq.bench import MIXER_KINDS
+from ovq.bench import MIXER_KINDS, VERIFY_SIZES
 from ovq.cli import _MIXER_FLAGS, _ablation_flag, _parse_ablation, build_parser, main
 from ovq.engine import ABLATIONS, FAULTS
 from ovq.tasks import GENERATORS, IGNORE, TokenStream
@@ -328,6 +328,22 @@ class TestBench:
         assert res.returncode == 2
         assert "--n-max-grid" in res.stderr
 
+    @pytest.mark.parametrize("mixer", ["full-attention", "ovq", "vq-fixed", "linear-baseline"])
+    def test_recall_arrays_larger_than_memory_exit_two(self, tmp_path, capsys, mixer):
+        # Keys and codebook at T = 2**50, d = 8 take about 144 PB: refused
+        # before anything is allocated, and no report is written.
+        out = tmp_path / "r.json"
+        argv = ["bench", "--bench", "recall", "--mixers", mixer, "--T", str(2**50), "--dim", "8"]
+        assert main([*argv, "--n-max-grid", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "T 1125899906842624 and d 8" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_state_size_accepts_a_context_length_beyond_memory(self, capsys):
+        argv = ["bench", "--bench", "state-size", "--T", str(2**50), "--dim", "8"]
+        assert main([*argv, "--mixers", "full-attention,linear-baseline", "--format", "json"]) == 0
+        assert [r["T"] for r in json.loads(capsys.readouterr().out)["rows"]] == [2**50] * 2
+
     @pytest.mark.parametrize("mixers", ["", " , "])
     def test_empty_mixer_list_is_config_error(self, capsys, mixers):
         code = main(["bench", "--mixers", mixers, "--T", "64", "--probes", "8"])
@@ -421,20 +437,23 @@ class TestLinearGrowthAblation:
         assert code == 0
 
 
-def _choices(subcommand: str, flag: str) -> set[str]:
+def _choices(subcommand: str, flag: str) -> list[str]:
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return set(next(a for a in sub.choices[subcommand]._actions if flag in a.option_strings).choices)
+    return list(next(a for a in sub.choices[subcommand]._actions if flag in a.option_strings).choices)
 
 
 class TestNameTables:
     """The CLI spells the library's names with dashes and adds none of its own."""
 
     def test_inject_fault_accepts_exactly_the_engine_faults(self):
-        assert _choices("verify", "--inject-fault") == {f.replace("_", "-") for f in FAULTS}
+        assert set(_choices("verify", "--inject-fault")) == {f.replace("_", "-") for f in FAULTS}
 
     def test_mixer_accepts_exactly_the_mixer_kinds(self):
-        assert _choices("run", "--mixer") == {k.replace("_", "-") for k in MIXER_KINDS}
+        assert set(_choices("run", "--mixer")) == {k.replace("_", "-") for k in MIXER_KINDS}
+
+    def test_verify_scale_offers_the_verify_sizes_in_order(self):
+        assert _choices("verify", "--scale") == list(VERIFY_SIZES) == ["small", "default", "large"]
 
     @pytest.mark.parametrize("kind", MIXER_KINDS)
     def test_mixers_accepts_each_kind_dash_spelled(self, capsys, kind):
@@ -660,6 +679,18 @@ class TestEngineSizesTheSnapshotCannotHold:
         assert main([*argv, *(["--save-state", str(snap)] if save else [])]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+        assert not snap.exists()
+
+    def test_head_width_above_the_u32_field_exits_two(
+        self, tiny_stream, tmp_path, capsys, monkeypatch
+    ):
+        for module in (cli, engine):
+            monkeypatch.setattr(module, "stream_chunks", _no_work)
+        snap = tmp_path / "s.bin"
+        argv = ["run", "--stream", str(tiny_stream), "--save-state", str(snap), "--n-max", "1"]
+        assert main([*argv, "--dim", str(2**32)]) == 2
+        err = capsys.readouterr().err
+        assert "d must be in [1, 4294967295], got 4294967296" in err and "Traceback" not in err
         assert not snap.exists()
 
 

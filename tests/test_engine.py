@@ -982,6 +982,17 @@ class TestConfigValidation:
         save_state(OvqState.fresh(cfg, 1), tmp_path / "s.bin")
         assert load_state(tmp_path / "s.bin").config == cfg
 
+    @pytest.mark.parametrize("d", [4.0, "4", None, 0, -1, 2**32])
+    def test_fresh_refuses_a_head_width_the_snapshot_cannot_hold(self, d):
+        # The header stores d as u32; the rule is OvqConfig's integer-field rule.
+        refused = r"^d must be (an integer|in \[1, 4294967295\])"
+        with pytest.raises(ConfigurationError, match=refused):
+            OvqState.fresh(OvqConfig(n_max=4), d)
+
+    def test_fresh_stores_an_integer_head_width_as_an_int(self):
+        state = OvqState.fresh(OvqConfig(n_max=4), np.int64(3))
+        assert type(state.d) is int and state.means_k.shape == (4, 3)
+
     def test_fresh_refuses_rows_larger_than_physical_memory(self):
         # 2 * (2**32 - 1) * 2**20 * 8 bytes is about 70 PB: refused, never allocated.
         with pytest.raises(ConfigurationError, match=r"n_max 4294967295 and d 1048576"):

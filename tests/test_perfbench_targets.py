@@ -1,10 +1,12 @@
-"""The names the traced benchmark run wraps must exist in the library.
+"""The names the benchmark reads must exist in the library.
 
-``perfbench/tracer.py`` lists them in ``SPAN_TARGETS``. A name that is
-gone yields no span there and no error, so the check lives here. The
-tracer file is parsed, not imported, so nothing under ``perfbench/`` is
-run or written. A name that exists but that the chunk step no longer
-calls through also yields no span, so the select span's calls are counted.
+``perfbench/tracer.py`` lists the names it wraps in ``SPAN_TARGETS``, and
+``perfbench/workloads.py`` reads attributes of the ``ovq`` modules it
+imports. A name that is gone yields no span, or fails only inside a
+benchmark run, so the check lives here. Both files are parsed, not
+imported, so nothing under ``perfbench/`` is run or written. A name that
+exists but that the chunk step no longer calls through also yields no
+span, so the select span's calls are counted.
 """
 
 import ast
@@ -16,7 +18,8 @@ import pytest
 
 from ovq import OvqConfig, OvqState, engine
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER, WORKLOADS = PERFBENCH / "tracer.py", PERFBENCH / "workloads.py"
 
 
 def span_targets() -> list[tuple[str, str]]:
@@ -29,6 +32,37 @@ def span_targets() -> list[tuple[str, str]]:
 @pytest.mark.parametrize("module,attr", span_targets())
 def test_span_target_resolves_in_ovq(module, attr):
     assert callable(getattr(importlib.import_module(f"ovq.{module}"), attr, None))
+
+
+def workload_reads() -> list[tuple[str, ...]]:
+    """Every attribute chain, such as ``("reference", "Dictionary",
+    "from_keys")``, that the workloads read from a module they import with
+    ``from ovq import ...``."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    modules = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "ovq"
+        for alias in node.names
+    }
+    assert modules, f"no 'from ovq import' in {WORKLOADS}"
+    chains = set()
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.append(node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id in modules:
+            chains.add((node.id, *reversed(attrs)))
+    return sorted(chains)
+
+
+@pytest.mark.parametrize("chain", workload_reads(), ids=".".join)
+def test_workload_read_resolves_in_ovq(chain):
+    obj = importlib.import_module(f"ovq.{chain[0]}")
+    for attr in chain[1:]:
+        assert hasattr(obj, attr), f"{'.'.join(chain)}: ovq has no {attr!r} there"
+        obj = getattr(obj, attr)
 
 
 @pytest.mark.parametrize("with_queries", [False, True], ids=["absorb", "forward"])
