@@ -26,9 +26,11 @@ import numpy as np
 from . import gmr
 from .engine import (
     ABLATIONS,
+    D_RANGE,
     OvqConfig,
     OvqState,
     absorb_chunk,
+    checked_int,
     count_readout,
     dictionary_readout,
     growth_count,
@@ -86,10 +88,10 @@ class MixerSpec:
             if self.ovq is None:
                 raise ConfigurationError("ovq mixer needs an OvqConfig")
             object.__setattr__(self, "ovq", replace(self.ovq, beta=self.beta))
-        if self.kind == "vq_fixed" and self.vq_n < 1:
-            raise ConfigurationError("vq_fixed needs vq_n >= 1")
-        if self.d < 1:
-            raise ConfigurationError("d must be >= 1")
+        object.__setattr__(self, "d", checked_int("d", self.d, *D_RANGE))
+        # vq_fixed holds vq_n centroids, in the range of an engine's n_max.
+        low = 1 if self.kind == "vq_fixed" else 0
+        object.__setattr__(self, "vq_n", checked_int("vq_n", self.vq_n, low, 2**32 - 1))
 
     @property
     def label(self) -> str:
@@ -431,8 +433,8 @@ def _check_newton(rng, sizes) -> CheckResult:
         n = int(rng.integers(1, 9))
         data = rng.standard_normal((t, dim))
         assignments = rng.integers(0, n, size=t)
-        report = gmr.verify_newton_equivalence(data, assignments, seed=int(rng.integers(2**31)))
-        worst = max(worst, report.max_abs_deviation)
+        dev = gmr.verify_newton_equivalence(data, assignments, seed=int(rng.integers(2**31)))
+        worst = max(worst, dev)
     return CheckResult(
         "kmeans_step_is_newton_step", {"instances": sizes["instances"]}, worst, worst <= 1e-12
     )

@@ -13,7 +13,9 @@ per-centroid counts and value sums in blocks of the same 64 rows, and the
 key-to-centroid assignment scores keys in tiles of the same 64 rows. None
 of them runs a product whose shape depends on the sequence length: a
 partial last tile is zero-padded to its full shape, so appending tokens
-leaves earlier assignments and output rows bitwise unchanged.
+leaves earlier assignments and output rows bitwise unchanged. The
+chunk-recurrent form writes each window's logits into one buffer, scales
+the whole row by beta once and normalises it in place.
 """
 
 from __future__ import annotations
@@ -319,9 +321,11 @@ def vq_attention_chunked(seq: HeadSequence, dict_k, chunk_len: int) -> Attention
     keep log count -inf (weight exactly 0) and value mean 0.
 
     Every window writes its logits [dictionary | window c-1 | window c]
-    into one buffer, and reads its values from one [n + 2L, d] buffer: the
-    held value means, which the fold updates in place, then the raw values
-    of windows c-1 and c.
+    into one buffer, multiplies the whole row by beta once, adds the log
+    counts to the dictionary block and normalises the row in place. It
+    reads its values from one [n + 2L, d] buffer: the held value means,
+    which the fold updates in place, then the raw values of windows c-1
+    and c.
     """
     if chunk_len < 1:
         raise ConfigurationError(f"chunk_len must be >= 1, got {chunk_len}")
@@ -341,31 +345,39 @@ def vq_attention_chunked(seq: HeadSequence, dict_k, chunk_len: int) -> Attention
     log_counts = np.full(n, -np.inf)
     means_v = values[:n]
 
+    cols = np.arange(seq.d)
     for start in range(0, t_total, chunk_len):
         stop = min(start + chunk_len, t_total)
         prev = max(start - chunk_len, 0)  # window c-1 is [prev, start)
         if start >= 2 * chunk_len:
             folded = slice(prev - chunk_len, prev)  # window c-2
-            # A repeated index rewrites its row with the same value.
+            # np.add.at adds unbuffered in index order, so a centroid's sum
+            # takes its values one at a time in position order. A repeated
+            # index rewrites its row with the same value.
             touched = assignments[folded]
             np.add.at(counts, touched, 1)
-            _add_rows(value_sums, touched, seq.v[folded])
-            log_counts[touched] = np.log(counts[touched])
-            means_v[touched] = value_sums[touched] / counts[touched, None]
+            flat = (touched[:, None] * seq.d + cols).ravel()
+            np.add.at(value_sums.reshape(-1), flat, seq.v[folded].ravel())
+            seen = counts[touched]
+            log_counts[touched] = np.log(seen)
+            means_v[touched] = value_sums[touched] / seen[:, None]
 
         q_c, lq, width = seq.q[start:stop], stop - start, n + stop - prev
         logits = logits_buffer[: lq * width].reshape(lq, width)
         split = n + start - prev  # the first column of window c
-        held, earlier, intra = logits[:, :n], logits[:, n:split], logits[:, split:]
+        held, intra = logits[:, :n], logits[:, split:]
         np.matmul(q_c, dict_k.T, out=held)
-        held *= seq.beta
-        held += log_counts
-        np.matmul(q_c, k_hat[prev:start].T, out=earlier)
+        np.matmul(q_c, k_hat[prev:start].T, out=logits[:, n:split])
         np.matmul(q_c, k_hat[start:stop].T, out=intra)
-        logits[:, n:] *= seq.beta
+        logits *= seq.beta
+        held += log_counts
         intra[after_position[:lq, :lq]] = -np.inf
+        # Every row sees its own key, so its max is finite.
+        logits -= logits.max(axis=1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=1, keepdims=True)
         values[n:width] = seq.v[prev:stop]
-        np.matmul(masked_softmax(logits), values[:width], out=out[start:stop])
+        np.matmul(logits, values[:width], out=out[start:stop])
 
     return AttentionOutput(out)
 

@@ -82,6 +82,18 @@ def scalar_vq_attention_linear(seq, dict_k):
     return out, counts, means_v
 
 
+def per_row_gkr_outputs(seq):
+    """``gmr.verify_gkr_attention``'s kernel estimate as it was, one row at
+    a time: row t weighs v[0..t] by exp(-(beta/2) * ||q_t - k_i||^2) from
+    literal squared distances."""
+    out = np.empty((seq.T, seq.d))
+    for t in range(seq.T):
+        diff = seq.q[t][None, :] - seq.k[: t + 1]
+        logw = -0.5 * seq.beta * (diff * diff).sum(axis=1)
+        out[t] = masked_softmax(logw[None, :])[0] @ seq.v[: t + 1]
+    return out
+
+
 def traced_peak(call):
     """(bytes ``call()`` holds at its tracemalloc peak above what was live
     before it, its result)."""

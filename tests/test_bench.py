@@ -40,6 +40,25 @@ class TestMixerSpec:
         with pytest.raises(ConfigurationError, match="beta"):
             MixerSpec(kind=kind, beta=beta, ovq=OvqConfig(n_max=8), vq_n=8)
 
+    @pytest.mark.parametrize("fields, name", [
+        ({"kind": "full_attention", "d": 4.0}, "d"),
+        ({"kind": "linear_baseline", "d": 0}, "d"),
+        ({"kind": "vq_fixed", "d": 2**32}, "d"),
+        ({"kind": "vq_fixed", "d": 8, "vq_n": 2.5}, "vq_n"),
+        ({"kind": "vq_fixed", "d": 8, "vq_n": 0}, "vq_n"),
+        ({"kind": "vq_fixed", "d": 8, "vq_n": 2**32}, "vq_n"),
+        ({"kind": "full_attention", "vq_n": -1}, "vq_n"),
+    ])
+    def test_integer_fields_take_the_one_integer_rule(self, fields, name):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+            MixerSpec(**fields)
+
+    def test_integer_fields_are_stored_as_python_ints(self):
+        mixer = MixerSpec(kind="vq_fixed", d=np.int64(8), vq_n=np.int32(4))
+        assert (type(mixer.d), type(mixer.vq_n)) == (int, int)
+        row = recall_benchmark(mixer, T=32, num_probes=4, seed=0)
+        assert row.state_scalars == 4 * (2 * 8 + 1)
+
     def test_ovq_config_is_the_one_that_runs(self):
         mixer = ovq_mixer(64, beta=4.0)
         assert mixer.ovq == OvqConfig(n_max=64, beta=4.0)

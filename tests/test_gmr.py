@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ovq import (
+    AttentionOutput,
     ConfigurationError,
     DegenerateComponentError,
     GaussianMixture,
@@ -24,11 +25,13 @@ from ovq import (
     quantized_state,
     verify_gkr_attention,
     verify_newton_equivalence,
+    softmax_attention,
     vq_attention_linear,
 )
+from ovq import gmr
 from ovq.gmr import INFINITE
 
-from helpers import random_sequence, unit_rows
+from helpers import per_row_gkr_outputs, random_sequence, unit_rows
 
 
 def scalar_responsibilities(means, priors, beta, data):
@@ -314,19 +317,15 @@ class TestNewtonEquivalence:
         rng = np.random.default_rng(21)
         data = rng.standard_normal((100, 6))
         assignments = rng.integers(0, 8, size=100)
-        report = verify_newton_equivalence(data, assignments, seed=22)
-        assert report.max_abs_deviation <= 1e-12
-        assert not report.skipped
+        assert verify_newton_equivalence(data, assignments, seed=22) <= 1e-12
 
     def test_single_point_clusters_are_exact(self):
         data = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        report = verify_newton_equivalence(data, np.array([0, 1, 2]), seed=0)
-        assert report.max_abs_deviation == 0.0
+        assert verify_newton_equivalence(data, np.array([0, 1, 2]), seed=0) == 0.0
 
-    def test_empty_cluster_skipped_with_notice(self):
+    def test_empty_cluster_is_skipped(self):
         data = np.array([[1.0, 2.0], [3.0, 4.0]])
-        report = verify_newton_equivalence(data, np.array([0, 2]), seed=0)
-        assert report.skipped == [1]
+        assert verify_newton_equivalence(data, np.array([0, 2]), seed=0) == 0.0
 
 
 class TestKernelRegressionBridge:
@@ -344,3 +343,30 @@ class TestKernelRegressionBridge:
         rng = np.random.default_rng(25)
         seq = random_sequence(rng, 64, 16, 8.0)
         assert verify_gkr_attention(seq) <= 1e-10
+
+    @pytest.mark.parametrize("t", [1, 63, 64, 65, 128, 129, 200])
+    @pytest.mark.parametrize("d", [1, 7, 64])
+    @pytest.mark.parametrize("beta", [0.0, 8.0, 32.0])
+    def test_tiles_are_the_per_row_estimate(self, monkeypatch, t, d, beta):
+        # Against the per-row estimate as its reference, the check returns
+        # the tiled estimate's largest distance from it.
+        seq = random_sequence(np.random.default_rng(1000 * t + d), t, d, beta)
+        monkeypatch.setattr(
+            gmr, "softmax_attention", lambda s: AttentionOutput(per_row_gkr_outputs(s))
+        )
+        assert verify_gkr_attention(seq) <= 1e-13
+
+    @pytest.mark.parametrize("row", [0, 62, 63, 64, 127])
+    def test_one_leaked_future_position_fails_the_check(self, monkeypatch, row):
+        # Row ``row`` of the patched softmax attention also sees key row + 1;
+        # rows 63 and 127 end a 64-row tile, so the leak crosses into the next.
+        seq = random_sequence(np.random.default_rng(26), 129, 7, 8.0)
+
+        def leaky(s):
+            o = softmax_attention(s).o
+            w = np.exp(s.beta * (s.k[: row + 2] @ s.q[row]))
+            o[row] = w @ s.v[: row + 2] / w.sum()
+            return AttentionOutput(o)
+
+        monkeypatch.setattr(gmr, "softmax_attention", leaky)
+        assert verify_gkr_attention(seq) > 1e-10

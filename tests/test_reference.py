@@ -398,6 +398,12 @@ def chunked_cases(draw):
 @given(chunked_cases())
 @example(_chunked_case(0, 1, 3, 1, 0.0))
 @example(_chunked_case(1, 139, 5, 1, 0.0))  # 139 is a multiple of neither 7, 128 nor 64
+# One centroid, so every fold repeats it: at beta 32 with one-token windows,
+# and with one fold of a whole window at T = 2 chunk_len + 1 for 1, 7 and 128.
+@example(_chunked_case(2, 100, 4, 1, 32.0))
+@example(_chunked_case(3, 3, 6, 1, 32.0))
+@example(_chunked_case(4, 15, 3, 1, 8.0))
+@example(_chunked_case(5, 257, 5, 1, 32.0))
 def test_buffered_chunked_form_is_the_concatenating_one_bitwise(window, case):
     seq, dict_k = case
     chunk_len = {"1": 1, "7": 7, "128": 128, "T": seq.T, "T+5": seq.T + 5}[window]
