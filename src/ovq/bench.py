@@ -469,14 +469,10 @@ def _check_growth_schedule(rng, sizes, fault: str) -> CheckResult:
         t_total = int(rng.integers(1, 4096))
         chunk_len = int(rng.integers(1, 256))
         cfg = OvqConfig(n_max=n_max, chunk_len=chunk_len)
-        total = 0
-        tokens = 0
-        c = 0
-        while tokens < t_total:
-            lc = min(chunk_len, t_total - tokens)
-            c += 1
-            total += new_centroid_budget(tokens, lc, c, cfg)
-            tokens += lc
+        total = sum(
+            new_centroid_budget(tokens, min(chunk_len, t_total - tokens), c, cfg)
+            for c, tokens in enumerate(range(0, t_total, chunk_len), start=1)
+        )
         if total != growth_count(t_total, n_max):
             ok = False
             detail = f"budgets sum to {total}, schedule says {growth_count(t_total, n_max)}"
@@ -516,9 +512,7 @@ def _check_engine_invariants(rng, sizes, fault: str) -> CheckResult:
         if int(state.counts.sum()) != t:
             ok = False
             detail = f"counts sum {int(state.counts.sum())} != tokens {t}"
-        if state.n_active > cfg.n_max or any(
-            s > cfg.n_max * (2 * d + 1) for _, s in trace
-        ):
+        if state.n_active > cfg.n_max or any(s > cfg.n_max * (2 * d + 1) for _, s in trace):
             ok = False
             detail = "state exceeded hard memory bound"
     return CheckResult(

@@ -32,7 +32,15 @@ from .bench import (
     token_task_eval,
     verify_all,
 )
-from .engine import FAULTS, SEED_MAX, OvqConfig, OvqState, stream_chunks, with_planned_chunks
+from .engine import (
+    FAULTS,
+    SEED_MAX,
+    OvqConfig,
+    OvqState,
+    checked_int,
+    stream_chunks,
+    with_planned_chunks,
+)
 from .errors import ConfigurationError, GenerationError, ParseError
 from .state_io import load_state, save_state
 from .tasks import GENERATORS, SpecialTokens, load_streams, save_streams
@@ -60,17 +68,12 @@ class _StoreTyped(argparse.Action):
 
 
 def _seed(text: str) -> int:
-    """argparse type of the seed flags: numpy seeds from integers >= 0, and
-    a snapshot stores the seed in a signed 64-bit field."""
+    """argparse type of the seed flags: an integer in ``OvqConfig``'s seed
+    range."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    if value > SEED_MAX:
-        raise argparse.ArgumentTypeError(f"must be <= 2**63 - 1, got {value}")
-    return value
+        return checked_int("seed", int(text), 0, SEED_MAX)
+    except ValueError as exc:  # int()'s, or checked_int's ConfigurationError
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_ablation(text: str) -> tuple[str, float | None]:

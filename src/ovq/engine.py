@@ -42,6 +42,7 @@ from .reference import (
     AttentionOutput,
     HeadSequence,
     check_beta,
+    check_head_rows,
     check_unit_rows,
 )
 
@@ -103,7 +104,6 @@ class OvqConfig:
             value = getattr(self, name)
             if value is not None or name != "planned_chunks":
                 object.__setattr__(self, name, checked_int(name, value, low, high))
-        check_beta(self.beta)
         if self.ablation not in ABLATIONS:
             raise ConfigurationError(f"unknown ablation {self.ablation!r}")
         if self.ablation == "constant_lr" and not (0.0 < self.constant_lr_rate <= 1.0):
@@ -112,14 +112,7 @@ class OvqConfig:
             )
         if self.dtype not in DTYPES:
             raise ConfigurationError(f"dtype must be one of {sorted(DTYPES)}")
-        # beta times a unit-row dot product, which the norm tolerance lets
-        # reach (1 + UNIT_NORM_ATOL)**2, must stay finite in the dtype.
-        largest = float(np.finfo(DTYPES[self.dtype]).max) / (1.0 + UNIT_NORM_ATOL) ** 2
-        if self.beta > largest:
-            raise ConfigurationError(
-                f"beta {self.beta:g} is too large for {self.dtype}: "
-                f"beta * q.k overflows above {largest:.6g}"
-            )
+        check_beta(self.beta, DTYPES[self.dtype])
         if self._fault not in FAULTS:
             raise ConfigurationError(f"unknown fault {self._fault!r}")
 
@@ -229,14 +222,9 @@ def planned_active_components(total_tokens: int, config: OvqConfig) -> int:
         raise ConfigurationError("total_tokens must be >= 0")
     config = with_planned_chunks(config, [total_tokens])
     active = 0
-    tokens = 0
-    chunk_index = 0
-    while tokens < total_tokens:
+    for chunk_index, tokens in enumerate(range(0, total_tokens, config.chunk_len), start=1):
         lc = min(config.chunk_len, total_tokens - tokens)
-        chunk_index += 1
-        n_new = _chunk_budget(tokens, lc, chunk_index, active, config)
-        active += n_new
-        tokens += lc
+        active += _chunk_budget(tokens, lc, chunk_index, active, config)
     return active
 
 
@@ -347,7 +335,7 @@ def update_dictionary(
         )
     if not np.issubdtype(assignments.dtype, np.integer):
         raise ConfigurationError(f"assignments must be integers, got {assignments.dtype}")
-    _, k_chunk, v_chunk = _checked_chunk(state, None, k_chunk, v_chunk)
+    _, k_chunk, v_chunk, _ = _checked_chunk(state, None, k_chunk, v_chunk)
     positions = np.asarray(new_centroid_positions)
     n_new = len(positions)
     grown = state.n_active + n_new
@@ -521,25 +509,19 @@ def _leading_len(m, name: str) -> int:
     return len(m)
 
 
-def _checked_chunk(state: OvqState, q_chunk, k_chunk, v_chunk) -> list:
-    """The chunk's [q, k, v] in the state dtype, checked at the boundary:
-    [L, d] arrays with 1 <= L <= chunk_len, finite, with unit-norm query and
-    key rows. ``q_chunk`` is None for an absorb-only chunk, and stays None."""
+def _checked_chunk(state: OvqState, q_chunk, k_chunk, v_chunk) -> tuple:
+    """The chunk's q, k and v in the state dtype and whether q equals k:
+    [L, d] arrays with 1 <= L <= chunk_len, checked by ``check_head_rows``.
+    ``q_chunk`` is None for an absorb-only chunk, and stays None."""
     dt = DTYPES[state.config.dtype]
     arrays = [None if m is None else np.asarray(m, dtype=dt) for m in (q_chunk, k_chunk, v_chunk)]
     lc = _leading_len(arrays[1], "k chunk")
     if not 1 <= lc <= state.config.chunk_len:
         raise ConfigurationError(f"chunk of {lc} tokens is outside 1..{state.config.chunk_len}")
     for name, m in zip("qkv", arrays):
-        if m is None:
-            continue
-        if m.shape != (lc, state.d):
+        if m is not None and m.shape != (lc, state.d):
             raise ConfigurationError(f"{name} chunk must be [{lc}, {state.d}], got {m.shape}")
-        if name != "v":
-            check_unit_rows(m, f"{name} chunk")
-        elif not np.isfinite(m).all():
-            raise ConfigurationError("v chunk has non-finite entries")
-    return arrays
+    return (*arrays, check_head_rows(*arrays, " chunk"))
 
 
 def _chunk_step(state: OvqState, q_chunk, k_chunk, v_chunk):
@@ -548,12 +530,12 @@ def _chunk_step(state: OvqState, q_chunk, k_chunk, v_chunk):
     once, decide (``select_new_centroids``), predict when there are queries,
     then merge. Returns the [L, d] outputs (None without queries) and the
     chunk's record."""
-    q_chunk, k_chunk, v_chunk = _checked_chunk(state, q_chunk, k_chunk, v_chunk)
+    q_chunk, k_chunk, v_chunk, q_is_k = _checked_chunk(state, q_chunk, k_chunk, v_chunk)
     sims = _dictionary_sims(state, k_chunk)
     assignments, seeds = select_new_centroids(state, k_chunk, sims)
     out = None
     if q_chunk is not None:
-        if not np.array_equal(q_chunk, k_chunk):
+        if not q_is_k:
             del sims  # spent: free it before the query product takes its place
             sims = _dictionary_sims(state, q_chunk)
         out = _predict_chunk(state, q_chunk, k_chunk, v_chunk, sims)

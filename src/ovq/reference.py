@@ -52,11 +52,32 @@ def check_unit_rows(m: np.ndarray, name: str) -> None:
         )
 
 
-def check_beta(beta: float) -> None:
+def check_beta(beta: float, dtype=np.float64) -> None:
     """The logit scale must be finite and >= 0; beta = 0 (uniform weights)
-    is legal."""
+    is legal. beta times a unit-row dot product, which the norm tolerance
+    lets reach (1 + UNIT_NORM_ATOL)**2, must stay finite in ``dtype``."""
     if not (0.0 <= beta < np.inf):
         raise ConfigurationError(f"beta must be finite and >= 0, got {beta}")
+    largest = float(np.finfo(dtype).max) / (1.0 + UNIT_NORM_ATOL) ** 2
+    if beta > largest:
+        raise ConfigurationError(
+            f"beta {beta:g} is too large for {np.dtype(dtype)}: "
+            f"beta * q.k overflows above {largest:.6g}"
+        )
+
+
+def check_head_rows(q, k, v, what: str) -> bool:
+    """The row rule for one head's [L, d] queries, keys and values, each
+    named by its letter and ``what``: q and k rows finite and unit norm
+    (``check_unit_rows``), v finite. q may be None, and is checked only
+    where it differs from k. Returns whether q equals k."""
+    same = q is not None and np.array_equal(q, k)
+    if q is not None and not same:
+        check_unit_rows(q, f"q{what}")
+    check_unit_rows(k, f"k{what}")
+    if not np.isfinite(v).all():
+        raise ConfigurationError(f"v{what} has non-finite entries")
+    return same
 
 
 def masked_softmax(logits: np.ndarray) -> np.ndarray:
@@ -94,11 +115,7 @@ class HeadSequence:
         if self.T < 1 or self.d < 1:
             raise ConfigurationError("need T >= 1 and d >= 1")
         check_beta(self.beta)
-        for name in ("q", "k", "v"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ConfigurationError(f"{name} has non-finite entries")
-        check_unit_rows(self.q, "q")
-        check_unit_rows(self.k, "k")
+        check_head_rows(self.q, self.k, self.v, "")
 
     @property
     def T(self) -> int:

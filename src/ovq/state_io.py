@@ -103,7 +103,7 @@ def load_state(path) -> OvqState:
             ablation=_CODE_ABLATION[ablation_code],
             constant_lr_rate=const_rate,
             seed=seed,
-            planned_chunks=None if planned < 0 else planned,
+            planned_chunks=None if planned == -1 else planned,  # -1 marks it unset
             dtype=dtype,
         )
     except ConfigurationError as exc:

@@ -401,6 +401,8 @@ def load_streams(path) -> list[TokenStream]:
                     streams.append(TokenStream(toks, tgts, int(vocab_size), meta))
                 except (struct.error, ValueError) as exc:
                     raise ParseError(f"record {record}: truncated or corrupt: {exc}") from exc
+            if off != len(raw):
+                raise ParseError(f"the last record ends at offset {off} of a {len(raw)}-byte file")
         else:
             f.seek(0)
             for i, raw in enumerate(f, start=1):

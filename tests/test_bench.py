@@ -35,7 +35,10 @@ def ovq_mixer(n_max, d=64, beta=16.0, chunk_len=128, **kw):
 
 class TestMixerSpec:
     @pytest.mark.parametrize("kind", ["full_attention", "ovq", "vq_fixed", "linear_baseline"])
-    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf"), -3.0])
+    # The float max is finite, but beta * q.k overflows there.
+    @pytest.mark.parametrize(
+        "beta", [float("nan"), float("inf"), -float("inf"), -3.0, np.finfo(float).max]
+    )
     def test_rejects_beta_that_is_not_finite_and_nonnegative(self, kind, beta):
         with pytest.raises(ConfigurationError, match="beta"):
             MixerSpec(kind=kind, beta=beta, ovq=OvqConfig(n_max=8), vq_n=8)

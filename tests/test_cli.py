@@ -133,7 +133,8 @@ class TestRun:
         assert res.returncode == 2
 
     @pytest.mark.parametrize("mixer", ["full-attention", "ovq", "vq-fixed", "linear-baseline"])
-    @pytest.mark.parametrize("beta", ["inf", "nan", "-3"])
+    # The float max is finite, but beta * q.k overflows there for every mixer.
+    @pytest.mark.parametrize("beta", ["inf", "nan", "-3", "1.7976931348623157e308"])
     def test_beta_not_finite_and_nonnegative_is_config_error(
         self, stream_file, tmp_path, capsys, mixer, beta
     ):
@@ -351,7 +352,7 @@ class TestBench:
         assert "--mixers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mixer", ["full-attention", "ovq", "vq-fixed", "linear-baseline"])
-    @pytest.mark.parametrize("beta", ["nan", "inf", "-3"])
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-3", "1.7976931348623157e308"])
     def test_beta_not_finite_and_nonnegative_is_config_error(self, capsys, mixer, beta):
         code = main(["bench", "--mixers", mixer, "--T", "64", "--probes", "8", f"--beta={beta}"])
         assert code == 2
@@ -525,9 +526,10 @@ _SEED_CASES = [
 
 class TestNegativeSeeds:
     """numpy seeds its generators from integers >= 0; a negative seed flag
-    is a configuration error that names the flag."""
+    is a configuration error that names the flag and the range."""
 
     bad_seed = "-1"
+    message = "seed must be in [0, 9223372036854775807], got -1"
 
     @pytest.mark.parametrize("flag,argv", _SEED_CASES)
     def test_exits_two_naming_the_flag(self, tiny_stream, tmp_path, capsys, flag, argv):
@@ -535,7 +537,7 @@ class TestNegativeSeeds:
         argv = [a.format(stream=tiny_stream, out=out) for a in argv]
         assert _exit_code([*argv, flag, self.bad_seed]) == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}:" in err and "Traceback" not in err
+        assert f"argument {flag}: {self.message}" in err and "Traceback" not in err
         assert not out.exists()
 
 
@@ -544,6 +546,7 @@ class TestSeedsWiderThanTheSnapshotField(TestNegativeSeeds):
     flag takes values up to 2**63 - 1 and rejects larger ones up front."""
 
     bad_seed = str(2**63)
+    message = f"seed must be in [0, 9223372036854775807], got {2**63}"
 
     def test_save_state_run_exits_two_before_any_work(self, tiny_stream, tmp_path, capsys):
         big = tmp_path / "big.bin"

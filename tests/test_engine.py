@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ovq.engine as engine
+import ovq.reference as reference
 from ovq import (
     ConfigurationError,
     InvalidStateError,
@@ -759,13 +760,16 @@ class TestUnitNormRule:
         rng = np.random.default_rng(47)
         state = self._state(rng)
         checked = []
-        original = engine.check_unit_rows
+        original = reference.check_unit_rows
         monkeypatch.setattr(
-            engine, "check_unit_rows", lambda m, name: checked.append(name) or original(m, name)
+            reference, "check_unit_rows", lambda m, name: checked.append(name) or original(m, name)
         )
         q, k = unit_rows(rng, 4, 3), unit_rows(rng, 4, 3)
         ovq_forward_chunk(state, q, k, rng.standard_normal((4, 3)))
         assert sorted(checked) == ["k chunk", "q chunk"]
+        checked.clear()
+        ovq_forward_chunk(state, k, k.copy(), rng.standard_normal((4, 3)))
+        assert checked == ["k chunk"]
         checked.clear()
         absorb_chunk(state, unit_rows(rng, 4, 3), rng.standard_normal((4, 3)))
         assert checked == ["k chunk"]

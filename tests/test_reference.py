@@ -52,13 +52,20 @@ class TestHeadSequence:
             HeadSequence(q * 2.0, q, np.zeros((4, 3)), 1.0)
 
     @pytest.mark.parametrize(
-        "name,bad", [("q", np.nan), ("k", np.nan), ("v", np.nan), ("v", np.inf)]
+        "name,bad,message",
+        [
+            ("q", np.nan, r"^q rows must be finite and unit norm; row 2 has norm nan$"),
+            ("k", np.nan, r"^k rows must be finite and unit norm; row 2 has norm nan$"),
+            ("v", np.nan, r"^v has non-finite entries$"),
+            ("v", np.inf, r"^v has non-finite entries$"),
+        ],
+        ids=["q-nan", "k-nan", "v-nan", "v-inf"],
     )
-    def test_rejects_non_finite_entries_and_names_the_array(self, name, bad):
+    def test_rejects_non_finite_entries_and_names_the_array(self, name, bad, message):
         rng = np.random.default_rng(0)
         arrays = {"q": unit_rows(rng, 4, 3), "k": unit_rows(rng, 4, 3), "v": np.zeros((4, 3))}
         arrays[name][2, 1] = bad
-        with pytest.raises(ConfigurationError, match=rf"\b{name}\b.*non-finite"):
+        with pytest.raises(ConfigurationError, match=message):
             HeadSequence(arrays["q"], arrays["k"], arrays["v"], 1.0)
 
     @pytest.mark.parametrize("name", ["q", "k"])
@@ -75,6 +82,11 @@ class TestHeadSequence:
         q = unit_rows(rng, 2, 3)
         with pytest.raises(ConfigurationError):
             HeadSequence(q, q, np.zeros((2, 3)), -1.0)
+
+    def test_rejects_beta_whose_logits_overflow_float64(self):
+        q = unit_rows(np.random.default_rng(0), 2, 3)
+        with pytest.raises(ConfigurationError, match=r"^beta .* too large for float64"):
+            HeadSequence(q, q, np.zeros((2, 3)), np.finfo(float).max)
 
     @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
     def test_rejects_non_finite_beta_and_names_it(self, beta):

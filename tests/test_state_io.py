@@ -237,7 +237,7 @@ class TestImpossibleSnapshots:
 # Header byte offsets (little-endian, no padding): magic 0, version 4, d 8,
 # n_max 12, n_active 16, tokens 20, chunks 28, beta 36, chunk_len 44,
 # flag bytes 48, constant rate 52, seed 60, planned chunks 68.
-_D, _N_MAX, _TOKENS, _BETA, _CHUNK_LEN, _SEED = 8, 12, 20, 36, 44, 60
+_D, _N_MAX, _TOKENS, _BETA, _CHUNK_LEN, _SEED, _PLANNED = 8, 12, 20, 36, 44, 60, 68
 
 
 class TestOutOfRangeHeader:
@@ -265,6 +265,25 @@ class TestOutOfRangeHeader:
         path.write_bytes(bytes(raw))
         with pytest.raises(ParseError, match="configuration"):
             load_state(path)
+
+    @pytest.mark.parametrize("planned", [-5, -2, 0, -(2**63)])
+    def test_planned_chunks_other_than_the_unset_marker_must_be_in_range(self, tmp_path, planned):
+        rng = np.random.default_rng(9)
+        cfg = OvqConfig(n_max=16, chunk_len=8, ablation="linear_growth", planned_chunks=4)
+        path = tmp_path / "planned.bin"
+        save_state(_streamed_state(rng, cfg, 4, chunks=1), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<q", raw, _PLANNED, planned)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match=rf"planned_chunks .*got {planned}$"):
+            load_state(path)
+
+    def test_unset_planned_chunks_marker_loads_as_none(self, tmp_path):
+        rng = np.random.default_rng(9)
+        path = tmp_path / "unset.bin"
+        save_state(_streamed_state(rng, OvqConfig(n_max=16, chunk_len=8), 4, chunks=1), path)
+        assert struct.unpack_from("<q", path.read_bytes(), _PLANNED) == (-1,)
+        assert load_state(path).config.planned_chunks is None
 
     def test_float32_beta_that_overflows_is_a_parse_error(self, tmp_path):
         rng = np.random.default_rng(8)

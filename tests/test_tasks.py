@@ -296,6 +296,24 @@ class TestStreamFiles:
         with pytest.raises(ParseError):
             load_streams(path)
 
+    @pytest.mark.parametrize("extra", [1, 29])
+    def test_bytes_after_the_last_binary_record_are_a_parse_error(self, tmp_path, extra):
+        path = tmp_path / "tail.bin"
+        save_streams(_two_small_streams(), path, fmt="bin")
+        end = path.stat().st_size
+        path.write_bytes(path.read_bytes() + bytes(range(extra)))
+        with pytest.raises(ParseError, match=rf"ends at offset {end} of a {end + extra}-byte file$"):
+            load_streams(path)
+
+    def test_meta_length_past_the_end_of_the_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "long_meta.bin"
+        save_streams([TokenStream([1, 2], [IGNORE, 2], 50)], path, fmt="bin")
+        raw = bytearray(path.read_bytes())
+        raw[-6:-2] = (5).to_bytes(4, "little")  # the meta "{}" claims 5 bytes
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match=r"ends at offset 45 of a 42-byte file$"):
+            load_streams(path)
+
     def test_ignore_marker_survives_binary_encoding(self, tmp_path):
         s = TokenStream([1, 2, 3], [IGNORE, 2, IGNORE], 10, {"task": "manual"})
         path = tmp_path / "i.bin"
