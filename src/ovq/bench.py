@@ -30,7 +30,6 @@ from .engine import (
     OvqConfig,
     OvqState,
     absorb_chunk,
-    checked_int,
     count_readout,
     dictionary_readout,
     growth_count,
@@ -48,6 +47,7 @@ from .reference import (
     Dictionary,
     HeadSequence,
     check_beta,
+    checked_int,
     linear_attention_baseline,
     masked_softmax,
     quantized_state,

@@ -37,11 +37,11 @@ from .engine import (
     SEED_MAX,
     OvqConfig,
     OvqState,
-    checked_int,
     stream_chunks,
     with_planned_chunks,
 )
 from .errors import ConfigurationError, GenerationError, ParseError
+from .reference import checked_int
 from .state_io import load_state, save_state
 from .tasks import GENERATORS, SpecialTokens, load_streams, save_streams
 

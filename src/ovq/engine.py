@@ -29,7 +29,6 @@ number of tokens absorbed.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass, replace
 
@@ -44,6 +43,7 @@ from .reference import (
     check_beta,
     check_head_rows,
     check_unit_rows,
+    checked_int,
 )
 
 ABLATIONS = ("none", "random_assign", "linear_growth", "constant_lr")
@@ -60,18 +60,6 @@ _INT_FIELDS = (
 )
 # The head width d, which the header stores as u32.
 D_RANGE = (1, 2**32 - 1)
-
-
-def checked_int(name: str, value, low: int, high: int) -> int:
-    """``value`` as a Python int in [low, high]; anything else is a
-    ConfigurationError naming ``name``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
-    if not low <= value <= high:
-        raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,17 @@ key-to-centroid assignment scores keys in tiles of the same 64 rows. None
 of them runs a product whose shape depends on the sequence length: a
 partial last tile is zero-padded to its full shape, so appending tokens
 leaves earlier assignments and output rows bitwise unchanged. The
-chunk-recurrent form writes each window's logits into one buffer, scales
-the whole row by beta once and normalises it in place.
+chunk-recurrent form runs equally shaped windows in groups of up to 64
+query rows: each of its products is one stacked matmul per group, which
+makes one BLAS call per window with that window's own shapes, so its
+outputs are bitwise those of a window-at-a-time loop. It scales, masks
+and normalises a group's logits in one buffer, in place. Every form
+refuses a key dictionary with a non-finite row.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,6 +39,9 @@ UNIT_NORM_ATOL = 1e-6
 KEY_ROW_NORM_MAX = 1.0 + 1e-3
 BASELINE_EPS = 1e-9
 _QUERY_TILE = 64  # query rows per tile of the causal mix and per linear-form block
+# The chunked form's stacked value buffer holds at most this many bytes,
+# or one window's values where those alone are larger.
+_GROUP_VALUE_BYTES = 2**20
 
 
 def _as_f64(a) -> np.ndarray:
@@ -64,6 +72,18 @@ def check_beta(beta: float, dtype=np.float64) -> None:
             f"beta {beta:g} is too large for {np.dtype(dtype)}: "
             f"beta * q.k overflows above {largest:.6g}"
         )
+
+
+def checked_int(name: str, value, low: int, high: int) -> int:
+    """``value`` as a Python int in [low, high]; anything else is a
+    ConfigurationError naming ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+    if not low <= value <= high:
+        raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value}")
+    return value
 
 
 def check_head_rows(q, k, v, what: str) -> bool:
@@ -216,12 +236,19 @@ def _padded_rows(a: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 
 def _key_dictionary(dict_k, d: int) -> np.ndarray:
-    """The key centroids as float64, checked to be non-empty and d wide."""
+    """The key centroids as float64, checked to be non-empty, d wide and
+    finite. A NaN row would take every key, since np.argmax returns the
+    first NaN."""
     dict_k = _as_f64(dict_k)
     if dict_k.ndim != 2 or dict_k.shape[1] != d:
         raise ConfigurationError(f"key dictionary must be [N, {d}], got {dict_k.shape}")
     if dict_k.shape[0] < 1:
         raise InvalidStateError("empty key dictionary")
+    finite = np.isfinite(dict_k).all(axis=1)
+    if not finite.all():
+        raise ConfigurationError(
+            f"key dictionary rows must be finite; row {int(np.argmin(finite))} is not"
+        )
     return dict_k
 
 
@@ -322,79 +349,118 @@ def vq_attention_linear(seq: HeadSequence, dict_k) -> AttentionOutput:
     return AttentionOutput(out)
 
 
+def _window_groups(t_total: int, chunk_len: int, most: int):
+    """Yield (start, windows, rows) for each run of equally shaped windows:
+    the first window alone (it has no window c-1), the full windows after
+    it in groups of at most ``most``, then a short last window alone."""
+    first = min(chunk_len, t_total)
+    full, last = divmod(t_total - first, chunk_len)
+    yield 0, 1, first
+    for i in range(0, full, most):
+        yield first + i * chunk_len, min(most, full - i), chunk_len
+    if last:
+        yield t_total - last, 1, last
+
+
 def vq_attention_chunked(seq: HeadSequence, dict_k, chunk_len: int) -> AttentionOutput:
     """Chunk-recurrent form of quantized-key attention.
 
-    The sequence is cut into windows of ``chunk_len``. Queries in window c
-    see three blocks: the centroid dictionary with counts and value means
-    as of the end of window c-2, the quantized keys of window c-1 (fully
-    visible), and the quantized keys of window c under a causal mask. The
-    combined softmax reproduces the quadratic form exactly. A short final
-    window is processed as-is, without padding.
+    The sequence is cut into windows of ``chunk_len``, an integer in
+    [1, 2**32 - 1]. Queries in window c see three blocks: the centroid
+    dictionary with counts and value means as of the end of window c-2,
+    the quantized keys of window c-1 (fully visible), and the quantized
+    keys of window c under a causal mask. The combined softmax reproduces
+    the quadratic form exactly. A short final window is processed as-is,
+    without padding.
 
     One dictionary state trails the predicted window by two. At the start
     of window c >= 2 it folds in window c-2 and refreshes the log counts
     and value means of only the centroids that window reached; the others
     keep log count -inf (weight exactly 0) and value mean 0.
 
-    Every window writes its logits [dictionary | window c-1 | window c]
-    into one buffer, multiplies the whole row by beta once, adds the log
-    counts to the dictionary block and normalises the row in place. It
-    reads its values from one [n + 2L, d] buffer: the held value means,
-    which the fold updates in place, then the raw values of windows c-1
-    and c.
+    Windows run in groups of equally shaped ones: the first window alone
+    (it has no window c-1), then the full windows, g at a time, then a
+    short last window alone. g is the largest count, at least 1, whose
+    rows fit in B = _QUERY_TILE query rows and whose stacked values fit in
+    _GROUP_VALUE_BYTES (1 MiB); from chunk_len 64 on, every group is one
+    window. Slot i of a group holds its i-th window's log counts and its
+    values [held means | window c-1 | window c]. The fold stays per window
+    and in position order: slot i takes the state of the window before it
+    and folds window c-2 into it. Each group then writes its logits
+    [held | window c-1 | window c] into one [g, rows, width] buffer, with
+    one stacked np.matmul per block, scales them by beta once, adds each
+    slot's log counts, masks and normalises them in place, and multiplies
+    them by the stacked values in one more stacked np.matmul. A stacked
+    np.matmul makes one BLAS call per window, with that window's own
+    operands, shapes and strides (gemv for a one-row window, gemm
+    otherwise), so every output is bitwise the one a window-at-a-time loop
+    gives.
+
+    Beyond its [T] assignments and [T, d] quantized keys and outputs, it
+    holds at most 8 (n d + V + max(B, L) (n + 2L) + B n + 3 L d) + 3 L^2
+    bytes for n centroids and L = chunk_len, where V = max(2**17,
+    (n + 2L) d): the value sums; the stacked values, V floats (1 MiB, or
+    one window's values where those alone are larger); the logits; the
+    log counts or the key tiles of ``quantize_keys``; one fold's
+    temporaries; and the causal mask, 3 L^2 bytes while it is built.
     """
-    if chunk_len < 1:
-        raise ConfigurationError(f"chunk_len must be >= 1, got {chunk_len}")
+    chunk_len = checked_int("chunk_len", chunk_len, 1, 2**32 - 1)
     dict_k = _key_dictionary(dict_k, seq.d)
     assignments = quantize_keys(seq.k, dict_k)
     k_hat = dict_k[assignments]
-    n, t_total = dict_k.shape[0], seq.T
+    n, d, t_total = dict_k.shape[0], seq.d, seq.T
     rows, span = min(chunk_len, t_total), min(2 * chunk_len, t_total)
+    most = max(1, min(_QUERY_TILE // rows, _GROUP_VALUE_BYTES // (8 * (n + span) * d)))
 
-    out = np.empty((t_total, seq.d))
-    logits_buffer = np.empty(rows * (n + span))
-    values = np.zeros((n + span, seq.d))
+    out = np.empty((t_total, d))
+    logits_buffer = np.empty(most * rows * (n + span))
+    log_counts = np.full((most, n), -np.inf)
+    values = np.zeros((most, n + span, d))
     after_position = np.triu(np.ones((rows, rows), dtype=bool), k=1)
-    # Dictionary state as of the end of window c-2.
+    # Dictionary state as of the end of the latest folded window.
     counts = np.zeros(n, dtype=np.int64)
-    value_sums = np.zeros((n, seq.d))
-    log_counts = np.full(n, -np.inf)
-    means_v = values[:n]
+    value_sums = np.zeros((n, d))
+    latest = 0  # the slot that holds the newest log counts and value means
 
-    cols = np.arange(seq.d)
-    for start in range(0, t_total, chunk_len):
-        stop = min(start + chunk_len, t_total)
-        prev = max(start - chunk_len, 0)  # window c-1 is [prev, start)
-        if start >= 2 * chunk_len:
-            folded = slice(prev - chunk_len, prev)  # window c-2
-            # np.add.at adds unbuffered in index order, so a centroid's sum
-            # takes its values one at a time in position order. A repeated
-            # index rewrites its row with the same value.
-            touched = assignments[folded]
-            np.add.at(counts, touched, 1)
-            flat = (touched[:, None] * seq.d + cols).ravel()
-            np.add.at(value_sums.reshape(-1), flat, seq.v[folded].ravel())
-            seen = counts[touched]
-            log_counts[touched] = np.log(seen)
-            means_v[touched] = value_sums[touched] / seen[:, None]
+    cols = np.arange(d)
+    for start, g, lq in _window_groups(t_total, chunk_len, most):
+        stop, held_rows = start + g * lq, min(start, chunk_len)  # window c-1's length
+        prev, split = start - held_rows, n + held_rows  # split: the first column of window c
+        width = split + lq
+        for i, at in enumerate(range(start, stop, lq)):
+            if i != latest:  # slot i takes the state of the window before it
+                log_counts[i], values[i, :n] = log_counts[latest], values[latest, :n]
+                latest = i
+            if at >= 2 * chunk_len:
+                folded = slice(at - 2 * chunk_len, at - chunk_len)  # window c-2
+                # np.add.at adds unbuffered in index order, so a centroid's
+                # sum takes its values one at a time in position order. A
+                # repeated index rewrites its row with the same value.
+                touched = assignments[folded]
+                np.add.at(counts, touched, 1)
+                flat = (touched[:, None] * d + cols).ravel()
+                np.add.at(value_sums.reshape(-1), flat, seq.v[folded].ravel())
+                seen = counts[touched]
+                log_counts[i, touched] = np.log(seen)
+                values[i, touched] = value_sums[touched] / seen[:, None]
 
-        q_c, lq, width = seq.q[start:stop], stop - start, n + stop - prev
-        logits = logits_buffer[: lq * width].reshape(lq, width)
-        split = n + start - prev  # the first column of window c
-        held, intra = logits[:, :n], logits[:, split:]
-        np.matmul(q_c, dict_k.T, out=held)
-        np.matmul(q_c, k_hat[prev:start].T, out=logits[:, n:split])
-        np.matmul(q_c, k_hat[start:stop].T, out=intra)
+        q = seq.q[start:stop].reshape(g, lq, d)
+        logits = logits_buffer[: g * lq * width].reshape(g, lq, width)
+        intra = logits[:, :, split:]
+        keys_prev = k_hat[prev : prev + g * held_rows].reshape(g, held_rows, d)
+        np.matmul(q, dict_k.T, out=logits[:, :, :n])
+        np.matmul(q, keys_prev.transpose(0, 2, 1), out=logits[:, :, n:split])
+        np.matmul(q, k_hat[start:stop].reshape(g, lq, d).transpose(0, 2, 1), out=intra)
         logits *= seq.beta
-        held += log_counts
-        intra[after_position[:lq, :lq]] = -np.inf
+        logits[:, :, :n] += log_counts[:g, None]
+        np.copyto(intra, -np.inf, where=after_position[:lq, :lq])
         # Every row sees its own key, so its max is finite.
-        logits -= logits.max(axis=1, keepdims=True)
+        logits -= logits.max(axis=2, keepdims=True)
         np.exp(logits, out=logits)
-        logits /= logits.sum(axis=1, keepdims=True)
-        values[n:width] = seq.v[prev:stop]
-        np.matmul(logits, values[:width], out=out[start:stop])
+        logits /= logits.sum(axis=2, keepdims=True)
+        values[:g, n:split] = seq.v[prev : prev + g * held_rows].reshape(g, held_rows, d)
+        values[:g, split:width] = seq.v[start:stop].reshape(g, lq, d)
+        np.matmul(logits, values[:g, :width], out=out[start:stop].reshape(g, lq, d))
 
     return AttentionOutput(out)
 

@@ -12,9 +12,9 @@ import struct
 
 import numpy as np
 
-from .engine import ABLATIONS, D_RANGE, DTYPES, OvqConfig, OvqState, checked_int
+from .engine import ABLATIONS, D_RANGE, DTYPES, OvqConfig, OvqState
 from .errors import ConfigurationError, ParseError
-from .reference import KEY_ROW_NORM_MAX
+from .reference import KEY_ROW_NORM_MAX, checked_int
 
 MAGIC = b"OVQS"
 VERSION = 1

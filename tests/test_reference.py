@@ -227,6 +227,29 @@ class TestQuantizeKeys:
         with pytest.raises(InvalidStateError):
             quantize_keys(unit_rows(rng, 3, 4), np.empty((0, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda seq, dict_k: quantize_keys(seq.k, dict_k),
+            lambda seq, dict_k: quantized_state(seq.k, seq.v, dict_k),
+            lambda seq, dict_k: vq_attention_quadratic(seq, Dictionary.from_keys(dict_k)),
+            lambda seq, dict_k: vq_attention_linear(seq, dict_k),
+            lambda seq, dict_k: vq_attention_chunked(seq, dict_k, 4),
+        ],
+        ids=["quantize_keys", "quantized_state", "quadratic", "linear", "chunked"],
+    )
+    def test_non_finite_dictionary_row_is_refused_by_row(self, form, bad):
+        # np.argmax returns the first NaN, so one NaN entry used to send
+        # every key to its row and make every output NaN, without a word.
+        rng = np.random.default_rng(10)
+        seq, dict_k = random_sequence(rng, 10, 3, 8.0), unit_rows(rng, 4, 3)
+        dict_k[1, 0] = dict_k[3, 2] = bad
+        with pytest.raises(
+            ConfigurationError, match=r"^key dictionary rows must be finite; row 1 is not$"
+        ):
+            form(seq, dict_k)
+
     @pytest.mark.parametrize("m", [1, 63, 64, 65, 127, 300])
     def test_prefix_assignments_are_bitwise_the_full_ones(self, m):
         # Keys are scored in fixed 64-row tiles, so a prefix's assignments
@@ -375,6 +398,27 @@ class TestChunkedFormEquivalence:
         with pytest.raises(ConfigurationError):
             vq_attention_chunked(seq, unit_rows(rng, 2, 3), 0)
 
+    @pytest.mark.parametrize(
+        "chunk_len,message",
+        [
+            (7.0, r"^chunk_len must be an integer, got 7\.0$"),
+            ("7", r"^chunk_len must be an integer, got '7'$"),
+            (-1, r"^chunk_len must be in \[1, 4294967295\], got -1$"),
+            (2**32, r"^chunk_len must be in \[1, 4294967295\], got 4294967296$"),
+        ],
+    )
+    def test_window_takes_the_engines_integer_rule(self, chunk_len, message):
+        rng = np.random.default_rng(20)
+        seq = random_sequence(rng, 14, 3, 1.0)
+        with pytest.raises(ConfigurationError, match=message):
+            vq_attention_chunked(seq, unit_rows(rng, 2, 3), chunk_len)
+
+    def test_numpy_integer_window_is_the_int_one(self):
+        rng = np.random.default_rng(20)
+        seq, dict_k = random_sequence(rng, 14, 3, 1.0), unit_rows(rng, 2, 3)
+        got = vq_attention_chunked(seq, dict_k, np.int64(7)).o
+        assert np.array_equal(got, vq_attention_chunked(seq, dict_k, 7).o)
+
     def test_causality_within_tolerance(self):
         rng = np.random.default_rng(21)
         seq = random_sequence(rng, 24, 5, 8.0)
@@ -405,7 +449,9 @@ def chunked_cases(draw):
     return _chunked_case(seed, t, d, n, draw(st.sampled_from([0.0, 1.0, 8.0, 32.0])))
 
 
-@pytest.mark.parametrize("window", ["1", "7", "128", "T", "T+5"])
+# Windows 2, 63, 64 and 65 put 32, 1, 1 and 1 full windows in a group of
+# stacked products; 1 and 7 put 64 and 9.
+@pytest.mark.parametrize("window", ["1", "2", "7", "63", "64", "65", "128", "T", "T+5"])
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(chunked_cases())
 @example(_chunked_case(0, 1, 3, 1, 0.0))
@@ -416,9 +462,25 @@ def chunked_cases(draw):
 @example(_chunked_case(3, 3, 6, 1, 32.0))
 @example(_chunked_case(4, 15, 3, 1, 8.0))
 @example(_chunked_case(5, 257, 5, 1, 32.0))
+# Group edges: T = 64k - 1 and 64k + 1 for one-token windows; a partial
+# group and then a short last window (94 = 7 + 9*7 + 3*7 + 3 for window 7,
+# 83 = 2 + 32*2 + 8*2 + 1 for window 2); one-wide keys and one centroid,
+# where numpy runs products as gemv, as a dot or in its own loop; and
+# 2,000 centroids, where the 1 MiB value cap, not the 64 query rows, sets
+# 4 windows a group.
+@example(_chunked_case(6, 127, 3, 5, 8.0))
+@example(_chunked_case(7, 129, 2, 7, 1.0))
+@example(_chunked_case(8, 94, 4, 6, 8.0))
+@example(_chunked_case(9, 83, 3, 9, 32.0))
+@example(_chunked_case(10, 130, 1, 4, 8.0))
+@example(_chunked_case(11, 65, 1, 1, 32.0))
+@example(_chunked_case(12, 130, 16, 2000, 8.0))
 def test_buffered_chunked_form_is_the_concatenating_one_bitwise(window, case):
     seq, dict_k = case
-    chunk_len = {"1": 1, "7": 7, "128": 128, "T": seq.T, "T+5": seq.T + 5}[window]
+    chunk_len = {
+        "1": 1, "2": 2, "7": 7, "63": 63, "64": 64, "65": 65, "128": 128,
+        "T": seq.T, "T+5": seq.T + 5,
+    }[window]
     got = vq_attention_chunked(seq, dict_k, chunk_len).o
     assert np.array_equal(got, concatenating_vq_attention_chunked(seq, dict_k, chunk_len))
 
@@ -547,6 +609,27 @@ _MEMORY_CASES = {
         128 * 1024 * 8,
     ),
 }
+
+
+def chunked_form_bound(n, d, chunk_len, b=64):
+    """The working memory ``vq_attention_chunked``'s docstring states, in
+    bytes, beyond its [T] assignments and [T, d] quantized keys and outputs."""
+    span = n + 2 * chunk_len
+    values = max(2**17, span * d)
+    floats = n * d + values + max(b, chunk_len) * span + b * n + 3 * chunk_len * d
+    return 8 * floats + 3 * chunk_len**2
+
+
+def test_chunked_form_stays_within_its_stated_memory_bound():
+    """At n = 2,048, d = 64 and one-token windows, one window's values take
+    1 MiB, so a group of 64 one-token windows without the value cap would
+    hold 64 MiB of value means; the bound here is about 4 MiB."""
+    rng = np.random.default_rng(26)
+    t, n, d = 130, 2048, 64
+    seq, dict_k = random_sequence(rng, t, d, 8.0), unit_rows(rng, n, d)
+    vq_attention_chunked(random_sequence(rng, 3, d, 8.0), dict_k, 1)  # first-call imports
+    peak = traced_peak(lambda: vq_attention_chunked(seq, dict_k, 1))[0]
+    assert peak - 8 * t * (2 * d + 1) <= chunked_form_bound(n, d, 1)
 
 
 @pytest.mark.parametrize("name", sorted(_MEMORY_CASES))
