@@ -65,6 +65,7 @@ from .tasks import (
 from .bench import (
     MixerSpec,
     RecallRow,
+    StateRow,
     recall_benchmark,
     state_size_sweep,
     token_task_eval,

@@ -62,7 +62,7 @@ from .tasks import N_SPECIALS, SpecialTokens, TokenStream
 MIXER_KINDS = ("full_attention", "ovq", "vq_fixed", "linear_baseline")
 
 RECALL_SCHEMA = "ovq-recall-report-v1"
-STATE_SCHEMA = "ovq-state-report-v1"
+STATE_SCHEMA = "ovq-state-report-v2"
 TASK_SCHEMA = "ovq-task-report-v1"
 VERIFY_SCHEMA = "ovq-verify-report-v1"
 
@@ -134,6 +134,14 @@ class RecallRow:
     wall_time_ms: float
 
 
+@dataclass(frozen=True)
+class StateRow:
+    mixer: str
+    T: int
+    n_max: int | None
+    state_scalars: int
+
+
 def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     g = rng.standard_normal((n, d))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -200,20 +208,11 @@ def recall_benchmark(mixer: MixerSpec, T: int, num_probes: int, seed: int) -> Re
     )
 
 
-def state_size_sweep(mixers, T_grid) -> list[RecallRow]:
+def state_size_sweep(mixers, T_grid) -> list[StateRow]:
     """Live state scalars per mixer and context length, from
-    ``MixerSpec.state_scalars``. Accuracy columns are not applicable here."""
+    ``MixerSpec.state_scalars``."""
     rows = [
-        RecallRow(
-            mixer=mixer.label,
-            T=T,
-            n_max=mixer.n_max,
-            seed=-1,
-            top1_accuracy=float("nan"),
-            mean_cosine=float("nan"),
-            state_scalars=mixer.state_scalars(T),
-            wall_time_ms=0.0,
-        )
+        StateRow(mixer.label, T, mixer.n_max, mixer.state_scalars(T))
         for mixer in mixers
         for T in T_grid
     ]
@@ -330,7 +329,7 @@ def rows_to_json(rows, schema: str, meta: dict) -> str:
 class CheckResult:
     name: str
     params: dict
-    max_deviation: float
+    max_deviation: float | None
     passed: bool
     detail: str = ""
 
@@ -342,47 +341,56 @@ VERIFY_SIZES = {
 }
 
 
-def _random_head_sequence(rng, t_max, d_max) -> HeadSequence:
-    t = int(rng.integers(1, t_max + 1))
-    d = int(rng.integers(1, d_max + 1))
-    beta = float(rng.choice((1.0, 8.0, 32.0)))
-    return HeadSequence(
-        unit_rows(rng, t, d), unit_rows(rng, t, d), rng.standard_normal((t, d)), beta
+def _judged(name: str, params: dict, deviations, tol: float, detail: str = "") -> CheckResult:
+    """The one judging rule of every check: the largest deviation, NaN
+    kept, must be within ``tol`` and no failure ``detail`` stated. A NaN or
+    infinite worst fails and reads ``None``, so the report stays strict JSON."""
+    worst = float(np.max(deviations, initial=0.0))
+    return CheckResult(
+        name, params, worst if np.isfinite(worst) else None, worst <= tol and not detail, detail
     )
 
 
+def _max_abs(a, b) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
+def _head_sequence(rng, t: int, d: int, beta: float) -> HeadSequence:
+    """Unit q rows, then unit k rows, then standard normal v rows."""
+    q, k = unit_rows(rng, t, d), unit_rows(rng, t, d)
+    return HeadSequence(q, k, rng.standard_normal((t, d)), beta)
+
+
+def _random_head_sequence(rng, t_max, d_max) -> HeadSequence:
+    t = int(rng.integers(1, t_max + 1))
+    d = int(rng.integers(1, d_max + 1))
+    return _head_sequence(rng, t, d, float(rng.choice((1.0, 8.0, 32.0))))
+
+
 def _check_vq_forms(rng, sizes) -> CheckResult:
-    worst = 0.0
+    devs = []
     for _ in range(sizes["instances"]):
         seq = _random_head_sequence(rng, sizes["t_max"], 32)
         n = int(rng.integers(1, 65))
         dict_k = unit_rows(rng, n, seq.d)
         quad = vq_attention_quadratic(seq, Dictionary.from_keys(dict_k)).o
-        lin = vq_attention_linear(seq, dict_k).o
-        worst = max(worst, float(np.max(np.abs(quad - lin))))
+        devs.append(_max_abs(quad, vq_attention_linear(seq, dict_k).o))
         for chunk_len in (1, 7, 128, seq.T):
-            chunked = vq_attention_chunked(seq, dict_k, chunk_len).o
-            worst = max(worst, float(np.max(np.abs(quad - chunked))))
-    return CheckResult(
-        "vq_quadratic_linear_chunked",
-        {"instances": sizes["instances"], "t_max": sizes["t_max"]},
-        worst,
-        worst <= 1e-10,
-    )
+            devs.append(_max_abs(quad, vq_attention_chunked(seq, dict_k, chunk_len).o))
+    params = {"instances": sizes["instances"], "t_max": sizes["t_max"]}
+    return _judged("vq_quadratic_linear_chunked", params, devs, 1e-10)
 
 
 def _check_gkr(rng, sizes) -> CheckResult:
-    worst = 0.0
-    for _ in range(sizes["instances"]):
-        seq = _random_head_sequence(rng, min(sizes["t_max"], 128), 32)
-        worst = max(worst, gmr.verify_gkr_attention(seq))
-    return CheckResult(
-        "gkr_vs_softmax_attention", {"instances": sizes["instances"]}, worst, worst <= 1e-10
-    )
+    devs = [
+        gmr.verify_gkr_attention(_random_head_sequence(rng, min(sizes["t_max"], 128), 32))
+        for _ in range(sizes["instances"])
+    ]
+    return _judged("gkr_vs_softmax_attention", {"instances": sizes["instances"]}, devs, 1e-10)
 
 
 def _check_gmr_bridge(rng, sizes) -> CheckResult:
-    worst = 0.0
+    devs = []
     for _ in range(sizes["instances"]):
         seq = _random_head_sequence(rng, min(sizes["t_max"], 128), 16)
         n = int(rng.integers(1, 17))
@@ -395,17 +403,13 @@ def _check_gmr_bridge(rng, sizes) -> CheckResult:
         )
         q = seq.q[-1]
         soft = gmr.gmr_predict(mix, counts, q, seq.beta)
-        expect = gmr.gmr_predict_expectation(mix, counts, q, seq.beta)
-        readout = count_readout(seq.beta, q[None, :], dict_k, counts, means_v)[0]
-        worst = max(worst, float(np.max(np.abs(soft - expect))))
-        worst = max(worst, float(np.max(np.abs(soft - readout))))
-    return CheckResult(
-        "gmr_prediction_bridge", {"instances": sizes["instances"]}, worst, worst <= 1e-10
-    )
+        devs.append(_max_abs(soft, gmr.gmr_predict_expectation(mix, counts, q, seq.beta)))
+        devs.append(_max_abs(soft, count_readout(seq.beta, q[None, :], dict_k, counts, means_v)[0]))
+    return _judged("gmr_prediction_bridge", {"instances": sizes["instances"]}, devs, 1e-10)
 
 
 def _check_hard_em_kmeans(rng, sizes) -> CheckResult:
-    exact = True
+    devs = []
     for _ in range(sizes["instances"]):
         t = int(rng.integers(8, 64))
         dim = 2 * int(rng.integers(1, 7))
@@ -417,31 +421,26 @@ def _check_hard_em_kmeans(rng, sizes) -> CheckResult:
             stepped = gmr.m_step(data, z, gmr.INFINITE)
         except gmr.DegenerateComponentError:
             continue
-        assignments = np.argmax(z, axis=1)
-        km = gmr.batch_kmeans_step(data, assignments, n)
-        exact = exact and np.array_equal(stepped.means_joint, km)
-    return CheckResult(
-        "hard_em_equals_kmeans", {"instances": sizes["instances"]}, 0.0 if exact else 1.0, exact
-    )
+        km = gmr.batch_kmeans_step(data, np.argmax(z, axis=1), n)
+        devs.append(not np.array_equal(stepped.means_joint, km))
+    return _judged("hard_em_equals_kmeans", {"instances": sizes["instances"]}, devs, 0.0)
 
 
 def _check_newton(rng, sizes) -> CheckResult:
-    worst = 0.0
+    devs = []
     for _ in range(sizes["instances"]):
         t = int(rng.integers(10, 120))
         dim = int(rng.integers(2, 12))
         n = int(rng.integers(1, 9))
         data = rng.standard_normal((t, dim))
         assignments = rng.integers(0, n, size=t)
-        dev = gmr.verify_newton_equivalence(data, assignments, seed=int(rng.integers(2**31)))
-        worst = max(worst, dev)
-    return CheckResult(
-        "kmeans_step_is_newton_step", {"instances": sizes["instances"]}, worst, worst <= 1e-12
-    )
+        seed = int(rng.integers(2**31))
+        devs.append(gmr.verify_newton_equivalence(data, assignments, seed=seed))
+    return _judged("kmeans_step_is_newton_step", {"instances": sizes["instances"]}, devs, 1e-12)
 
 
 def _check_running_mean(rng, sizes) -> CheckResult:
-    worst = 0.0
+    devs = []
     for _ in range(2 * max(2, sizes["instances"] // 4)):
         m = int(rng.integers(2, 65))
         d = int(rng.integers(2, 17))
@@ -449,22 +448,18 @@ def _check_running_mean(rng, sizes) -> CheckResult:
         ks = unit_rows(rng, m, d)
         vs = rng.standard_normal((m, d))
         stream_chunks(state, ks, vs)
-        worst = max(worst, float(np.max(np.abs(state.means_k[0] - ks.mean(axis=0)))))
-        worst = max(worst, float(np.max(np.abs(state.means_v[0] - vs.mean(axis=0)))))
-    return CheckResult(
-        "online_running_mean", {"instances": sizes["instances"]}, worst, worst <= 1e-12
-    )
+        devs.append(_max_abs(state.means_k[0], ks.mean(axis=0)))
+        devs.append(_max_abs(state.means_v[0], vs.mean(axis=0)))
+    return _judged("online_running_mean", {"instances": sizes["instances"]}, devs, 1e-12)
 
 
 def _check_growth_schedule(rng, sizes, fault: str) -> CheckResult:
-    ok = True
     detail = ""
     for _ in range(sizes["instances"]):
         n_max = int(rng.integers(2, 4096))
         ts = np.arange(0, 10 * min(n_max, 64) + 1)
         vals = np.array([growth_count(int(t), n_max) for t in ts])
         if np.any(np.diff(vals) < 0) or vals.max() > n_max:
-            ok = False
             detail = "growth_count not monotone or above cap"
         t_total = int(rng.integers(1, 4096))
         chunk_len = int(rng.integers(1, 256))
@@ -474,7 +469,6 @@ def _check_growth_schedule(rng, sizes, fault: str) -> CheckResult:
             for c, tokens in enumerate(range(0, t_total, chunk_len), start=1)
         )
         if total != growth_count(t_total, n_max):
-            ok = False
             detail = f"budgets sum to {total}, schedule says {growth_count(t_total, n_max)}"
     # Realized growth on an actual stream must follow the schedule exactly
     # whenever the first chunk's budget is nonzero.
@@ -484,18 +478,15 @@ def _check_growth_schedule(rng, sizes, fault: str) -> CheckResult:
     for c in range(1, 9):
         absorb_chunk(state, unit_rows(rng2, 64, 8), rng2.standard_normal((64, 8)))
         if state.n_active != growth_count(64 * c, 512):
-            ok = False
             detail = (
                 f"after chunk {c}: {state.n_active} active, schedule says "
                 f"{growth_count(64 * c, 512)}"
             )
-    return CheckResult(
-        "growth_schedule", {"instances": sizes["instances"]}, 0.0 if ok else 1.0, ok, detail
-    )
+    params = {"instances": sizes["instances"]}
+    return _judged("growth_schedule", params, [bool(detail)], 0.0, detail)
 
 
 def _check_engine_invariants(rng, sizes, fault: str) -> CheckResult:
-    ok = True
     detail = ""
     for _ in range(sizes["engine_instances"]):
         t = int(rng.integers(64, sizes["engine_t_max"] + 1))
@@ -507,60 +498,40 @@ def _check_engine_invariants(rng, sizes, fault: str) -> CheckResult:
             seed=int(rng.integers(2**31)),
             _fault=fault,
         )
-        seq = HeadSequence(unit_rows(rng, t, d), unit_rows(rng, t, d), rng.standard_normal((t, d)), 8.0)
-        _, state, trace = ovq_forward_sequence(cfg, seq)
+        _, state, trace = ovq_forward_sequence(cfg, _head_sequence(rng, t, d, 8.0))
         if int(state.counts.sum()) != t:
-            ok = False
             detail = f"counts sum {int(state.counts.sum())} != tokens {t}"
         if state.n_active > cfg.n_max or any(s > cfg.n_max * (2 * d + 1) for _, s in trace):
-            ok = False
             detail = "state exceeded hard memory bound"
-    return CheckResult(
-        "count_conservation_and_memory_bound",
-        {"instances": sizes["engine_instances"], "t_max": sizes["engine_t_max"]},
-        0.0 if ok else 1.0,
-        ok,
-        detail,
-    )
+    params = {"instances": sizes["engine_instances"], "t_max": sizes["engine_t_max"]}
+    return _judged("count_conservation_and_memory_bound", params, [bool(detail)], 0.0, detail)
 
 
 def _check_chunk_causality(rng, sizes, fault: str) -> CheckResult:
     # A fresh state's first chunk must reproduce plain causal attention,
     # and outputs for a prefix must not change when more chunks follow.
-    worst = 0.0
-    ok = True
+    devs, detail = [], ""
     for _ in range(sizes["instances"]):
         d = int(rng.integers(2, 33))
         lc = int(rng.integers(2, 65))
         cfg = OvqConfig(n_max=64, chunk_len=lc, beta=8.0, _fault=fault)
-        seq = HeadSequence(
-            unit_rows(rng, lc, d), unit_rows(rng, lc, d), rng.standard_normal((lc, d)), 8.0
-        )
-        state = OvqState.fresh(cfg, d)
-        out, _ = ovq_forward_chunk(state, seq.q, seq.k, seq.v)
-        worst = max(worst, float(np.max(np.abs(out - softmax_attention(seq).o))))
-
-        longer = HeadSequence(
-            np.concatenate([seq.q, unit_rows(rng, lc, d)]),
-            np.concatenate([seq.k, unit_rows(rng, lc, d)]),
-            np.concatenate([seq.v, rng.standard_normal((lc, d))]),
-            8.0,
-        )
+        seq = _head_sequence(rng, lc, d, 8.0)
+        out, _ = ovq_forward_chunk(OvqState.fresh(cfg, d), seq.q, seq.k, seq.v)
+        devs.append(_max_abs(out, softmax_attention(seq).o))
+        more = _head_sequence(rng, lc, d, 8.0)
+        parts = zip((seq.q, seq.k, seq.v), (more.q, more.k, more.v))
+        longer = HeadSequence(*(np.concatenate(p) for p in parts), 8.0)
         short_out, _, _ = ovq_forward_sequence(cfg, seq)
         long_out, _, _ = ovq_forward_sequence(cfg, longer)
         if not np.array_equal(short_out.o, long_out.o[:lc]):
-            ok = False
-    passed = ok and worst <= 1e-10
-    return CheckResult(
-        "chunk_causality", {"instances": sizes["instances"]}, worst, passed,
-        "" if ok else "prefix outputs changed when more chunks followed",
-    )
+            detail = "prefix outputs changed when more chunks followed"
+    return _judged("chunk_causality", {"instances": sizes["instances"]}, devs, 1e-10, detail)
 
 
 def _check_stream_oracle(rng, sizes, fault: str) -> CheckResult:
     # The engine against its per-token transcription under every ablation:
     # equal counts, bitwise equal rows, outputs within 1e-10.
-    worst, differ = 0.0, 0
+    devs, differ = [], 0
     for _ in range(sizes["instances"]):
         seq = _random_head_sequence(rng, sizes["t_max"], 16)
         if rng.random() < 0.5:
@@ -579,12 +550,10 @@ def _check_stream_oracle(rng, sizes, fault: str) -> CheckResult:
         got = (state.counts[:na], state.means_k[:na], state.means_v[:na])
         want = (oracle.counts, oracle.means_k, oracle.means_v)
         differ += na != len(oracle.counts) or not all(map(np.array_equal, got, want))
-        worst = max(worst, float(np.max(np.abs(out.o - oracle.o))))
+        devs.append(_max_abs(out.o, oracle.o))
     params = {"instances": sizes["instances"], "t_max": sizes["t_max"]}
     detail = f"{differ} final dictionaries differ from the oracle's" if differ else ""
-    return CheckResult(
-        "engine_vs_stream_oracle", params, worst, not differ and worst <= 1e-10, detail
-    )
+    return _judged("engine_vs_stream_oracle", params, devs, 1e-10, detail)
 
 
 def verify_all(seed: int = 0, sizes: str = "default", fault: str = "none") -> dict:

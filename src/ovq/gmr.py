@@ -259,7 +259,7 @@ def verify_newton_equivalence(
     init_assignments = np.asarray(init_assignments)
     rng = np.random.default_rng(seed)
     n_clusters = int(np.max(init_assignments)) + 1 if len(init_assignments) else 0
-    max_dev = 0.0
+    deviations = []
     for n in range(n_clusters):
         members = data_joint[init_assignments == n]
         if len(members) == 0:
@@ -268,8 +268,8 @@ def verify_newton_equivalence(
         grad = 2.0 * np.sum(mu0[None, :] - members, axis=0)
         newton = mu0 - grad / (2.0 * len(members))
         mean = np.sum(members, axis=0) / len(members)
-        max_dev = max(max_dev, float(np.max(np.abs(newton - mean))))
-    return max_dev
+        deviations.append(np.max(np.abs(newton - mean)))
+    return float(np.max(deviations, initial=0.0))
 
 
 def verify_gkr_attention(seq: HeadSequence) -> float:

@@ -79,6 +79,11 @@ class TokenStream:
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=np.int64)
         self.targets = np.asarray(self.targets, dtype=np.int64)
+        if self.tokens.ndim != 1 or self.targets.ndim != 1:
+            raise ConfigurationError(
+                f"tokens and targets must be 1-D, got shapes {self.tokens.shape} "
+                f"and {self.targets.shape}"
+            )
         if self.tokens.shape != self.targets.shape:
             raise ConfigurationError("tokens and targets must have equal length")
         if not isinstance(self.meta, dict):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ovq import (
+    AttentionOutput,
     ConfigurationError,
     HeadSequence,
     IGNORE,
@@ -14,6 +15,7 @@ from ovq import (
     OvqConfig,
     TokenStream,
     bench,
+    engine,
     gen_basic_icr,
     ovq_forward_sequence,
     quantized_state,
@@ -279,6 +281,42 @@ class TestVerifyAll:
     def test_seed_variation_stays_clean(self):
         for seed in range(5):
             assert verify_all(seed=seed, sizes="small")["all_passed"]
+
+    def test_nan_engine_outputs_fail_both_engine_checks_as_strict_json(self, monkeypatch):
+        # A running max(worst, nan) keeps worst, so NaN predictions used to
+        # pass engine_vs_stream_oracle with max_deviation 0.0.
+        real = engine._predict_chunk
+        monkeypatch.setattr(engine, "_predict_chunk", lambda *a: real(*a) * np.nan)
+        report = verify_all(seed=0, sizes="small")
+        checks = {c["name"]: c for c in report["checks"]}
+        for name in ("engine_vs_stream_oracle", "chunk_causality"):
+            assert not checks[name]["passed"]
+            assert checks[name]["max_deviation"] is None
+        assert not report["all_passed"]
+        json.dumps(report, allow_nan=False)
+
+    def test_nan_linear_form_fails_the_vq_forms_check(self, monkeypatch):
+        real = bench.vq_attention_linear
+        monkeypatch.setattr(
+            bench, "vq_attention_linear", lambda *a: AttentionOutput(real(*a).o * np.nan)
+        )
+        (check, *_) = verify_all(seed=0, sizes="small")["checks"]
+        assert check["name"] == "vq_quadratic_linear_chunked"
+        assert not check["passed"] and check["max_deviation"] is None
+
+    @pytest.mark.parametrize(
+        "deviations,detail,expect",
+        [
+            ([], "", (0.0, True)),
+            ([1e-11, 0.0], "", (1e-11, True)),
+            ([1e-11, np.nan, 0.0], "", (None, False)),
+            ([np.inf, 0.0], "", (None, False)),
+            ([0.0], "flag", (0.0, False)),
+        ],
+    )
+    def test_one_judging_rule(self, deviations, detail, expect):
+        check = bench._judged("c", {}, deviations, 1e-10, detail)
+        assert (check.max_deviation, check.passed) == expect
 
     def test_hundred_seeds_zero_failures(self, monkeypatch):
         micro = {"instances": 2, "t_max": 48, "engine_instances": 1, "engine_t_max": 512}

@@ -17,6 +17,15 @@ from ovq.engine import ABLATIONS, FAULTS
 from ovq.tasks import GENERATORS, IGNORE, TokenStream
 
 
+def _strict_json(text: str):
+    """Parse a report, refusing the NaN and Infinity that JSON lacks."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_cli(*args, **kw):
     return subprocess.run(
         [sys.executable, "-m", "ovq.cli", *args], capture_output=True, text=True, **kw
@@ -290,6 +299,24 @@ class TestStreamWithoutTargets:
         assert not snap.exists()
 
 
+class TestStreamIdsNotOneDimensional:
+    """A JSON-lines record whose ids are a number or a nested list used to
+    reach ``run``: a bare ``TypeError`` traceback for a number, and for a
+    matrix an exit 2 blaming q or a chunk shape. Now the loader names the
+    line."""
+
+    @pytest.mark.parametrize("ids", [5, [[1, 2], [3, 4]]], ids=["0d", "2d"])
+    @pytest.mark.parametrize("snapshot", [False, True])
+    def test_run_exits_two_naming_the_line(self, tmp_path, capsys, ids, snapshot):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"tokens": ids, "targets": ids, "vocab_size": 8}) + "\n")
+        argv = ["run", "--stream", str(path), *_TINY_RUN, "--out", str(tmp_path / "r.csv")]
+        if snapshot:
+            argv += ["--save-state", str(tmp_path / "s.bin")]
+        assert main(argv) == 2
+        assert "line 1: bad stream record: tokens and targets must be 1-D" in capsys.readouterr().err
+
+
 class TestBench:
     def test_state_size_csv(self):
         res = run_cli(
@@ -298,8 +325,21 @@ class TestBench:
         )
         assert res.returncode == 0
         lines = res.stdout.splitlines()
-        assert lines[0].startswith("# schema: ovq-state-report-v1")
+        assert lines[0].startswith("# schema: ovq-state-report-v2")
+        assert lines[2] == "mixer,T,n_max,state_scalars"
         assert "16777216" in res.stdout
+
+    def test_state_size_json_is_strict(self, capsys):
+        # State rows used to carry recall placeholders, accuracy NaN among
+        # them, which json.dumps writes as a bare NaN.
+        argv = ["bench", "--bench", "state-size", "--mixers", "ovq", "--T", "64"]
+        assert main([*argv, "--n-max-grid", "8", "--format", "json"]) == 0
+        doc = _strict_json(capsys.readouterr().out)
+        assert doc["schema"] == "ovq-state-report-v2"
+        # growth_count(64, 8) = 7 components of 2 * 64 + 1 scalars each
+        assert doc["rows"] == [
+            {"mixer": "ovq(n_max=8,L=128)", "T": 64, "n_max": 8, "state_scalars": 7 * 129}
+        ]
 
     def test_recall_grid_json(self):
         res = run_cli(
@@ -727,6 +767,7 @@ def cli_argvs(draw, sub):
         argv = [
             "--mixer" if sub == "run" else "--mixers", draw(st.sampled_from(sorted(_MIXER_FLAGS))),
             "--ablation", draw(st.sampled_from(["none", "rand-assign"])),
+            "--format", draw(st.sampled_from(["csv", "json"])),
         ]
         if sub == "bench":
             argv += ["--bench", draw(st.sampled_from(["recall", "state-size"]))]
@@ -745,15 +786,19 @@ def cli_argvs(draw, sub):
 @given(data=st.data())
 def test_generated_integer_flags_exit_cleanly(tiny_stream, sub, data):
     """Any subcommand with any small integer flag values exits 0 or 2, and
-    1 only for ``verify``; a negative seed is always 2."""
+    1 only for ``verify``; a negative seed is always 2. A JSON report
+    written on 0 or 1 is strict JSON."""
     argv, negative_seed = data.draw(cli_argvs(sub))
-    out = ["--out", str(tiny_stream.with_name(f"{sub}.out"))]
+    path = tiny_stream.with_name(f"{sub}.out")
+    out = ["--out", str(path)]
     if sub == "run":
         out += ["--stream", str(tiny_stream)]
     code = _exit_code([sub, *argv, *out])
     assert code in ((0, 1, 2) if sub == "verify" else (0, 2))
     if negative_seed:
         assert code == 2
+    if code in (0, 1) and (sub == "verify" or "json" in argv):
+        _strict_json(path.read_text())
 
 
 @pytest.fixture(scope="module")
@@ -808,7 +853,8 @@ _ODD_BASE = {
 @given(data=st.data())
 def test_generated_float_ablation_and_grid_flags_exit_cleanly(tiny_stream, sub, data):
     """``run`` and ``bench`` with a non-finite, negative or huge --beta, an
-    odd const-lr rate, or an empty, gapped or negative grid exit 0 or 2."""
+    odd const-lr rate, or an empty, gapped or negative grid exit 0 or 2,
+    and a JSON report written on 0 is strict JSON."""
     flags = dict(_ODD_BASE[sub])
     for flag, values in _ODD_VALUES.items():
         if flag in ("--beta", "--ablation") or flag in flags:
@@ -822,5 +868,9 @@ def test_generated_float_ablation_and_grid_flags_exit_cleanly(tiny_stream, sub, 
         argv = ["bench", "--bench", kind, "--mixers"]
     argv.append(data.draw(st.sampled_from(sorted(_MIXER_FLAGS))))
     argv += [f"{flag}={value}" for flag, value in flags.items()]
-    out = str(tiny_stream.with_name(f"{sub}-odd.out"))
-    assert _exit_code([*argv, "--out", out]) in (0, 2)
+    fmt = data.draw(st.sampled_from(["csv", "json"]), label="--format")
+    out = tiny_stream.with_name(f"{sub}-odd.out")
+    code = _exit_code([*argv, "--format", fmt, "--out", str(out)])
+    assert code in (0, 2)
+    if code == 0 and fmt == "json":
+        _strict_json(out.read_text())

@@ -327,6 +327,14 @@ class TestNewtonEquivalence:
         data = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert verify_newton_equivalence(data, np.array([0, 2]), seed=0) == 0.0
 
+    @pytest.mark.parametrize("row", [0, 11])
+    def test_nan_entry_comes_back_as_nan(self, row):
+        # A running max(max_dev, nan) keeps max_dev, so a NaN deviation read
+        # as the other clusters' rounding error, first cluster or last.
+        data = np.random.default_rng(3).standard_normal((12, 3))
+        data[row, 1] = np.nan
+        assert math.isnan(verify_newton_equivalence(data, np.arange(12) % 3, seed=0))
+
 
 class TestKernelRegressionBridge:
     def test_single_token(self):

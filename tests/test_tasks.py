@@ -357,6 +357,13 @@ class TestStreamIds:
         with pytest.raises(ParseError, match=r"^line 1: "):
             load_streams(path)
 
+    @pytest.mark.parametrize(
+        "tokens,targets", [(5, 5), ([[1, 2], [3, 4]], [[IGNORE, 2], [IGNORE, 4]])], ids=["0d", "2d"]
+    )
+    def test_ids_that_are_not_one_dimensional_are_rejected(self, tokens, targets):
+        with pytest.raises(ConfigurationError, match=r"must be 1-D"):
+            TokenStream(tokens, targets, 50)
+
     def test_ids_at_the_range_edges_are_accepted(self):
         s = TokenStream([0, 180], [IGNORE, 180], 50)
         assert s.tokens.tolist() == [0, 180] and s.targets.tolist() == [IGNORE, 180]
