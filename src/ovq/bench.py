@@ -498,7 +498,9 @@ def _check_engine_invariants(rng, sizes, fault: str) -> CheckResult:
             seed=int(rng.integers(2**31)),
             _fault=fault,
         )
-        _, state, trace = ovq_forward_sequence(cfg, _head_sequence(rng, t, d, 8.0))
+        # Absorb-only: predict never writes the state this check reads.
+        seq, state = _head_sequence(rng, t, d, 8.0), OvqState.fresh(cfg, d)
+        _, trace = stream_chunks(state, seq.k, seq.v)
         if int(state.counts.sum()) != t:
             detail = f"counts sum {int(state.counts.sum())} != tokens {t}"
         if state.n_active > cfg.n_max or any(s > cfg.n_max * (2 * d + 1) for _, s in trace):
@@ -509,7 +511,7 @@ def _check_engine_invariants(rng, sizes, fault: str) -> CheckResult:
 
 def _check_chunk_causality(rng, sizes, fault: str) -> CheckResult:
     # A fresh state's first chunk must reproduce plain causal attention,
-    # and outputs for a prefix must not change when more chunks follow.
+    # and its outputs must not change when more chunks follow.
     devs, detail = [], ""
     for _ in range(sizes["instances"]):
         d = int(rng.integers(2, 33))
@@ -521,9 +523,8 @@ def _check_chunk_causality(rng, sizes, fault: str) -> CheckResult:
         more = _head_sequence(rng, lc, d, 8.0)
         parts = zip((seq.q, seq.k, seq.v), (more.q, more.k, more.v))
         longer = HeadSequence(*(np.concatenate(p) for p in parts), 8.0)
-        short_out, _, _ = ovq_forward_sequence(cfg, seq)
         long_out, _, _ = ovq_forward_sequence(cfg, longer)
-        if not np.array_equal(short_out.o, long_out.o[:lc]):
+        if not np.array_equal(out, long_out.o[:lc]):
             detail = "prefix outputs changed when more chunks followed"
     return _judged("chunk_causality", {"instances": sizes["instances"]}, devs, 1e-10, detail)
 

@@ -161,11 +161,8 @@ class ChunkUpdateRecord:
 
 
 def growth_count(t: int, n_max: int) -> int:
-    """Dictionary capacity after t tokens: floor(t * n_max / (t + n_max)).
-
-    Exact integer arithmetic; monotone nondecreasing in t and bounded by
-    n_max.
-    """
+    """Dictionary capacity after t tokens: floor(t * n_max / (t + n_max)),
+    in exact integers; nondecreasing in t and always below n_max."""
     if t < 0:
         raise ConfigurationError(f"t must be >= 0, got {t}")
     if n_max < 1:
@@ -203,16 +200,19 @@ def with_planned_chunks(config: OvqConfig, stream_lengths) -> OvqConfig:
 
 
 def planned_active_components(total_tokens: int, config: OvqConfig) -> int:
-    """Active component count after streaming ``total_tokens`` tokens in
-    chunks of ``config.chunk_len`` (last chunk may be short). Mirrors the
-    engine's realized growth, including the first-chunk bootstrap."""
-    if total_tokens < 0:
+    """Active components after ``total_tokens`` tokens in chunks of
+    ``config.chunk_len``, as the engine realizes them: the steps telescope to
+    ``growth_count``, plus the bootstrap seed if the first step is 0. Under
+    linear_growth or growth_over_alloc, steps run until one is 0, as all later are."""
+    t, step, n_max = total_tokens, config.chunk_len, config.n_max
+    if t < 0:
         raise ConfigurationError("total_tokens must be >= 0")
-    config = with_planned_chunks(config, [total_tokens])
-    active = 0
-    for chunk_index, tokens in enumerate(range(0, total_tokens, config.chunk_len), start=1):
-        lc = min(config.chunk_len, total_tokens - tokens)
-        active += _chunk_budget(tokens, lc, chunk_index, active, config)
+    if config.ablation != "linear_growth" and config._fault != "growth_over_alloc":
+        return growth_count(t, n_max) + (t > 0 and growth_count(min(step, t), n_max) == 0)
+    config, active, tokens, n_new = with_planned_chunks(config, [t]), 0, 0, 1
+    while tokens < t and n_new:
+        n_new = _chunk_budget(tokens, min(step, t - tokens), tokens // step + 1, active, config)
+        active, tokens = active + n_new, tokens + step
     return active
 
 
@@ -442,12 +442,14 @@ def _subtract_row_max(*blocks) -> None:
             b -= row_max
 
 
-def _softmax_block(logits: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
+def _softmax_block(logits: np.ndarray, values, visible=None) -> tuple[np.ndarray, np.ndarray]:
     """Exponentiate one shifted column block of a row softmax in place, and
     return its weighted values and its weight row sums. The shift, static
     or the row max, is the caller's, and every block of a row takes the
-    same one."""
+    same one. A 0/1 ``visible`` block multiplies the weights after the exp."""
     np.exp(logits, out=logits)
+    if visible is not None:
+        logits *= visible
     return logits @ values, logits.sum(axis=1, keepdims=True)
 
 
@@ -469,23 +471,26 @@ def _predict_chunk(state: OvqState, q_chunk, k_chunk, v_chunk, sims) -> np.ndarr
     as two blocks exponentiated after one shift, the summed values divided
     by the summed row sums. The static shift of ``_logit_shift`` is folded
     into the [n] log counts and subtracted from the [L, L] in-chunk block,
-    so the [L, n] block takes one multiply, one add and one exp; without
-    one, both blocks take their shared row max. ``sims`` is q_chunk .
-    D_k^T, and this overwrites it with the dictionary block's weights."""
+    so the [L, n] block takes one multiply, one add and one exp, and the
+    in-chunk block is masked after its exp; without one, hidden in-chunk
+    logits are -inf and both blocks take their shared row max. ``sims`` is
+    q_chunk . D_k^T, and this overwrites it with the dictionary weights."""
     cfg = state.config
     counts = state.counts[: state.n_active]
     shift = _logit_shift(cfg.beta, counts, sims.dtype)
     dict_logits = _dictionary_logits(cfg.beta, sims, counts, shift, out=sims)
     chunk_logits = q_chunk @ k_chunk.T
     chunk_logits *= cfg.beta
-    # Column j is hidden from row i when j > i (j > i + 1 under the fault).
-    hidden = np.tri(len(q_chunk), k=-2 if cfg._fault == "mask_off_by_one" else -1, dtype=bool).T
-    chunk_logits[hidden] = -np.inf
+    # Row i sees column j <= i (j <= i + 1 under the fault). Past the static
+    # shift every logit is <= 0, so a hidden column's exp is finite and its
+    # weight, zeroed after the exp, is the 0 exp(-inf) would give.
+    visible = np.tri(len(q_chunk), k=int(cfg._fault == "mask_off_by_one"), dtype=chunk_logits.dtype)
     if shift is None:
+        chunk_logits[visible == 0] = -np.inf  # kept out of the row max
         _subtract_row_max(chunk_logits, dict_logits)
     else:
         chunk_logits -= shift
-    out, total = _softmax_block(chunk_logits, v_chunk)
+    out, total = _softmax_block(chunk_logits, v_chunk, visible)
     dict_out, dict_total = _softmax_block(dict_logits, state.means_v[: state.n_active])
     return (out + dict_out) / (total + dict_total)
 

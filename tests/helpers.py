@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 
 from ovq import HeadSequence
+from ovq.engine import _chunk_budget, with_planned_chunks
 from ovq.reference import masked_softmax, quantize_keys
 
 
@@ -92,6 +93,17 @@ def per_row_gkr_outputs(seq):
         logw = -0.5 * seq.beta * (diff * diff).sum(axis=1)
         out[t] = masked_softmax(logw[None, :])[0] @ seq.v[: t + 1]
     return out
+
+
+def looped_planned_active_components(total_tokens, config):
+    """``engine.planned_active_components`` as it was: the engine's budget
+    replayed for every chunk of the stream, the bootstrap seed included."""
+    config = with_planned_chunks(config, [total_tokens])
+    active = 0
+    for chunk_index, tokens in enumerate(range(0, total_tokens, config.chunk_len), start=1):
+        lc = min(config.chunk_len, total_tokens - tokens)
+        active += _chunk_budget(tokens, lc, chunk_index, active, config)
+    return active
 
 
 def traced_peak(call):

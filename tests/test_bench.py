@@ -304,6 +304,26 @@ class TestVerifyAll:
         assert check["name"] == "vq_quadratic_linear_chunked"
         assert not check["passed"] and check["max_deviation"] is None
 
+    def test_invariant_check_streams_without_predicting(self, monkeypatch):
+        # It reads counts, n_active and the trace, which predict never writes.
+        steps, predicts = [], []
+        step, predict = engine._chunk_step, engine._predict_chunk
+        monkeypatch.setattr(engine, "_chunk_step", lambda *a: steps.append(a[1]) or step(*a))
+        monkeypatch.setattr(engine, "_predict_chunk", lambda *a: predicts.append(1) or predict(*a))
+        sizes = bench.VERIFY_SIZES["small"]
+        check = bench._check_engine_invariants(np.random.default_rng(0), sizes, "none")
+        assert check.passed and steps and predicts == []
+        assert all(q is None for q in steps)
+
+    def test_causality_check_runs_three_chunk_steps_per_instance(self, monkeypatch):
+        # The one-chunk sequence runs once; its outputs are the long run's prefix.
+        steps = []
+        step = engine._chunk_step
+        monkeypatch.setattr(engine, "_chunk_step", lambda *a: steps.append(1) or step(*a))
+        sizes = bench.VERIFY_SIZES["small"]
+        check = bench._check_chunk_causality(np.random.default_rng(0), sizes, "none")
+        assert check.passed and len(steps) == 3 * sizes["instances"]
+
     @pytest.mark.parametrize(
         "deviations,detail,expect",
         [

@@ -341,6 +341,19 @@ class TestBench:
             {"mixer": "ovq(n_max=8,L=128)", "T": 64, "n_max": 8, "state_scalars": 7 * 129}
         ]
 
+    def test_state_size_at_a_huge_context_returns_at_once(self):
+        # The component count used to replay the schedule chunk by chunk:
+        # 2**43 chunks here, so this never returned.
+        try:
+            res = run_cli(
+                "bench", "--bench", "state-size", "--mixers", "ovq", "--T", str(2**50), timeout=30
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("state-size at T = 2**50 did not return within 30 s")
+        assert res.returncode == 0
+        # growth_count(2**50, 2048) = 2047 components of 2 * 64 + 1 scalars each
+        assert res.stdout.splitlines()[-1] == f'"ovq(n_max=2048,L=128)",{2**50},2048,{2047 * 129}'
+
     def test_recall_grid_json(self):
         res = run_cli(
             "bench", "--bench", "recall", "--mixers", "full-attention,linear-baseline",

@@ -485,30 +485,36 @@ class TestForwardChunk:
 
 def static_shift(state):
     """The static logit shift s = beta (1 + UNIT_NORM_ATOL) KEY_ROW_NORM_MAX
-    + ln(max count), or None when 2s - ln(eps) < -ln(tiny) fails in float64."""
+    + ln(max count), or None when 2s - ln(eps) < -ln(tiny) fails in the
+    state's dtype."""
     top = int(state.counts[: state.n_active].max(initial=1))
     s = state.config.beta * (1 + UNIT_NORM_ATOL) * KEY_ROW_NORM_MAX + math.log(top)
-    info = np.finfo(np.float64)
+    info = np.finfo(state.means_k.dtype)
     return s if 2 * s - math.log(info.eps) < -math.log(info.tiny) else None
 
 
 def unfused_predict(state, q, k, v):
     """The engine's two-block predict written out with one temporary per
-    step: the dictionary block [beta q.D_k^T + log c] and the causal
-    in-chunk block [beta q.k^T] are exponentiated after one shift, and the
-    sum of their weighted values is divided by the sum of their row sums.
-    The shift is the static bound s, subtracted from the log counts and from
-    the in-chunk block, or, where ``static_shift`` gives none, the blocks'
-    shared row max."""
+    step, in the state's dtype: the dictionary block [beta q.D_k^T + log c]
+    and the causal in-chunk block [beta q.k^T], whose hidden logits are
+    -inf, are exponentiated after one shift, and the sum of their weighted
+    values is divided by the sum of their row sums. Row i sees column j <= i
+    (j <= i + 1 under the mask_off_by_one fault). The shift is the static
+    bound s, subtracted from the log counts and from the in-chunk block, or,
+    where ``static_shift`` gives none, the blocks' shared row max."""
     na, beta, lc = state.n_active, state.config.beta, len(q)
+    dt = state.means_k.dtype
+    q, k, v = (np.asarray(a, dtype=dt) for a in (q, k, v))
     s = static_shift(state)
     with np.errstate(divide="ignore"):
         log_counts = np.log(state.counts[:na].astype(np.float64))
     if s is not None:
         log_counts = log_counts - s
-    dict_logits = beta * (q @ state.means_k[:na].T) + log_counts
+    dict_logits = beta * (q @ state.means_k[:na].T) + log_counts.astype(dt)
     chunk_logits = beta * (q @ k.T)
-    chunk_logits = np.where(np.arange(lc)[None, :] > np.arange(lc)[:, None], -np.inf, chunk_logits)
+    seen = 1 if state.config._fault == "mask_off_by_one" else 0
+    hidden = np.arange(lc)[None, :] > np.arange(lc)[:, None] + seen
+    chunk_logits = np.where(hidden, -np.inf, chunk_logits)
     if s is not None:
         dict_w = np.exp(dict_logits)
         chunk_w = np.exp(chunk_logits - s)
@@ -516,8 +522,10 @@ def unfused_predict(state, q, k, v):
         row_max = np.max(chunk_logits, axis=1, keepdims=True)
         if na:
             row_max = np.maximum(row_max, np.max(dict_logits, axis=1, keepdims=True))
-        dict_w = np.exp(dict_logits - row_max)
-        chunk_w = np.exp(chunk_logits - row_max)
+        # Near the largest beta a difference can overflow to -inf: weight 0.
+        with np.errstate(over="ignore"):
+            dict_w = np.exp(dict_logits - row_max)
+            chunk_w = np.exp(chunk_logits - row_max)
     weighted = chunk_w @ v + dict_w @ state.means_v[:na]
     return weighted / (np.sum(chunk_w, axis=1, keepdims=True) + np.sum(dict_w, axis=1, keepdims=True))
 
@@ -536,20 +544,37 @@ def one_buffer_predict(state, q, k, v):
     return w @ np.concatenate([state.means_v[:na], v], axis=0)
 
 
+# Just below check_beta's float64 limit, where logit differences overflow.
+BETA_NEAR_FLOAT64_MAX = float(np.finfo(np.float64).max) / 1.01
+
+
 class TestSharedKeyDictionaryProduct:
-    @pytest.mark.parametrize("beta,shift", [(8.0, "static bound"), (400.0, "row max")])
+    # The row-max fallback takes float64 past beta of about 336 and float32
+    # past a static shift of about 35.7.
+    @pytest.mark.parametrize(
+        "dtype,beta,shift",
+        [
+            ("float64", 8.0, "static bound"),
+            ("float64", 400.0, "row max"),
+            ("float64", BETA_NEAR_FLOAT64_MAX, "row max"),
+            ("float32", 8.0, "static bound"),
+            ("float32", 40.0, "row max"),
+        ],
+    )
+    @pytest.mark.parametrize("fault", ["none", "mask_off_by_one"])
     @pytest.mark.parametrize("queries", ["q is k", "q equals k", "q differs"])
-    def test_forward_chunk_is_the_unfused_predict_bitwise(self, queries, beta, shift):
+    def test_forward_chunk_is_the_unfused_predict_bitwise(self, queries, fault, dtype, beta, shift):
         rng = np.random.default_rng(47)
         seq = random_sequence(rng, 96, 8, beta)
-        state = OvqState.fresh(OvqConfig(n_max=24, chunk_len=16, beta=beta), 8)
+        cfg = OvqConfig(n_max=24, chunk_len=16, beta=beta, dtype=dtype, _fault=fault)
+        state = OvqState.fresh(cfg, 8)
         for start in range(0, seq.T, 16):
             k, v = seq.k[start : start + 16], seq.v[start : start + 16]
             q = {"q is k": k, "q equals k": k.copy(), "q differs": seq.q[start : start + 16]}[queries]
             assert (static_shift(state) is None) == (shift == "row max")
             expected = unfused_predict(state, q, k, v)
             out, _ = ovq_forward_chunk(state, q, k, v)
-            assert np.array_equal(out, expected)
+            assert out.dtype == expected.dtype and np.array_equal(out, expected)
         assert state.n_active > 0
 
     @pytest.mark.parametrize("queries", ["q is k", "q equals k", "q differs"])

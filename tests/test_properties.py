@@ -18,9 +18,9 @@ from ovq import (
     softmax_attention,
     vq_attention_online,
 )
-from ovq.engine import ABLATIONS, DTYPES, stream_chunks
+from ovq.engine import ABLATIONS, DTYPES, FAULTS, planned_active_components, stream_chunks
 
-from helpers import random_sequence, unit_rows
+from helpers import looped_planned_active_components, random_sequence, unit_rows
 
 # 400 puts the static logit shift past its float64 bound (about 336), so
 # predict's row-max path meets the oracles as well as the static one.
@@ -250,3 +250,32 @@ def test_merge_is_the_token_by_token_loop_bitwise(case):
     rates = engine._merge(state, k, v, assignments, seeds)
     got = (state.means_k, state.means_v, state.counts, rates)
     assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@st.composite
+def capacity_plans(draw):
+    ablation = draw(st.sampled_from(ABLATIONS))
+    planned = draw(st.none() | st.integers(1, 60))
+    cfg = OvqConfig(
+        n_max=draw(st.integers(1, 300)),
+        chunk_len=draw(st.integers(1, 70)),
+        ablation=ablation,
+        planned_chunks=planned if ablation == "linear_growth" else None,
+        _fault=draw(st.sampled_from(FAULTS)),
+    )
+    # Streamed through the engine: at most 40 chunks. Replayed only: up to
+    # 5,000 tokens.
+    return cfg, draw(st.integers(0, 40 * cfg.chunk_len)), draw(st.integers(0, 5000))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(capacity_plans(), st.integers(0, 2**32 - 1))
+def test_planned_components_are_the_replayed_and_the_realized_growth(plan, seed):
+    cfg, streamed, replayed = plan
+    for t in (streamed, replayed):
+        assert planned_active_components(t, cfg) == looped_planned_active_components(t, cfg)
+    if streamed:
+        rng = np.random.default_rng(seed)
+        state = OvqState.fresh(engine.with_planned_chunks(cfg, [streamed]), 2)
+        stream_chunks(state, unit_rows(rng, streamed, 2), rng.standard_normal((streamed, 2)))
+        assert state.n_active == planned_active_components(streamed, cfg)
