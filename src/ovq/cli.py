@@ -229,7 +229,7 @@ def _run_with_snapshots(args, streams) -> list[dict]:
     rows = []
     for stream in streams:
         x = qk_table[stream.tokens]
-        out, _ = stream_chunks(state, x, v_table[stream.tokens], q=x)
+        out = stream_chunks(state, x, v_table[stream.tokens], q=x)
         rows.append(score_task(stream, out, v_table, label, state.scalars_stored()))
     if args.save_state:
         save_state(state, args.save_state)

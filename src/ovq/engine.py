@@ -200,20 +200,22 @@ def with_planned_chunks(config: OvqConfig, stream_lengths) -> OvqConfig:
 
 
 def planned_active_components(total_tokens: int, config: OvqConfig) -> int:
-    """Active components after ``total_tokens`` tokens in chunks of
-    ``config.chunk_len``, as the engine realizes them: the steps telescope to
-    ``growth_count``, plus the bootstrap seed if the first step is 0. Under
-    linear_growth or growth_over_alloc, steps run until one is 0, as all later are."""
+    """Active components the schedule plans after ``total_tokens`` tokens in
+    chunks of ``config.chunk_len``, in closed form (``_fault`` is not planned):
+    the steps telescope to ``growth_count``, plus the bootstrap seed if the
+    first step is 0. Under linear_growth, C chunks take ``per`` rows for q
+    chunks, then r, then 0, each clamped to its tokens (``last`` in chunk C)."""
     t, step, n_max = total_tokens, config.chunk_len, config.n_max
     if t < 0:
         raise ConfigurationError("total_tokens must be >= 0")
-    if config.ablation != "linear_growth" and config._fault != "growth_over_alloc":
+    if config.ablation != "linear_growth":
         return growth_count(t, n_max) + (t > 0 and growth_count(min(step, t), n_max) == 0)
-    config, active, tokens, n_new = with_planned_chunks(config, [t]), 0, 0, 1
-    while tokens < t and n_new:
-        n_new = _chunk_budget(tokens, min(step, t - tokens), tokens // step + 1, active, config)
-        active, tokens = active + n_new, tokens + step
-    return active
+    per = int(round(n_max / with_planned_chunks(config, [t]).planned_chunks))
+    if not per or not t:
+        return int(t > 0)  # only the bootstrap seed
+    c, last, (q, r) = -(-t // step), (t - 1) % step + 1, divmod(n_max, per)
+    final = min(min(per * c, n_max) - min(per * (c - 1), n_max), last)
+    return min(per, step) * min(c - 1, q) + (c - 1 > q) * min(r, step) + final
 
 
 def _chunk_budget(
@@ -574,15 +576,15 @@ def dictionary_readout(state: OvqState, queries: np.ndarray) -> np.ndarray:
     )
 
 
-def stream_chunks(state: OvqState, k, v, q=None) -> tuple[np.ndarray | None, list[tuple[int, int]]]:
+def stream_chunks(state: OvqState, k, v, q=None) -> np.ndarray | None:
     """Feed a stream through ``state`` in chunks of ``config.chunk_len``
     (the last chunk may be short). With queries every chunk is predicted
     and then absorbed; without, it is only absorbed.
 
-    Returns the [T, d] outputs in the state's dtype (None without queries)
-    and a trace of (tokens seen, live state scalars) at every chunk
-    boundary. Each chunk writes its rows into one array allocated up front,
-    so the outputs are never held twice.
+    Returns the [T, d] outputs in the state's dtype, None without queries.
+    Each chunk writes its rows into one array allocated up front, so the
+    outputs are never held twice. What the stream did to the dictionary
+    is read from ``state``.
     """
     t = _leading_len(k, "k stream")
     same = _leading_len(v, "v stream") == t and (q is None or _leading_len(q, "q stream") == t)
@@ -590,30 +592,24 @@ def stream_chunks(state: OvqState, k, v, q=None) -> tuple[np.ndarray | None, lis
         raise ConfigurationError("stream needs one or more tokens and equally long q/k/v")
     step = state.config.chunk_len
     out = None if q is None else np.empty((t, state.d), dtype=DTYPES[state.config.dtype])
-    trace: list[tuple[int, int]] = []
     for start in range(0, t, step):
         chunk = slice(start, start + step)
         if q is None:
             absorb_chunk(state, k[chunk], v[chunk])
         else:
             out[chunk] = ovq_forward_chunk(state, q[chunk], k[chunk], v[chunk])[0]
-        trace.append((state.tokens_seen, state.scalars_stored()))
-    return out, trace
+    return out
 
 
-def ovq_forward_sequence(
-    config: OvqConfig, seq: HeadSequence
-) -> tuple[AttentionOutput, OvqState, list[tuple[int, int]]]:
+def ovq_forward_sequence(config: OvqConfig, seq: HeadSequence) -> tuple[AttentionOutput, OvqState]:
     """Stream a whole sequence chunk by chunk from a fresh state.
 
-    Returns the [T, d] outputs, the final state, and a trace of
-    (tokens seen, live state scalars) at every chunk boundary. The
-    sequence's beta must be the config's, which is the one predict uses.
+    Returns the [T, d] outputs and the final state. The sequence's beta
+    must be the config's, which is the one predict uses.
     """
     if seq.beta != config.beta:
         raise ConfigurationError(
             f"sequence beta {seq.beta} differs from config beta {config.beta}"
         )
     state = OvqState.fresh(with_planned_chunks(config, [seq.T]), seq.d)
-    out, trace = stream_chunks(state, seq.k, seq.v, q=seq.q)
-    return AttentionOutput(out), state, trace
+    return AttentionOutput(stream_chunks(state, seq.k, seq.v, q=seq.q)), state

@@ -77,8 +77,11 @@ class TokenStream:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.tokens = np.asarray(self.tokens, dtype=np.int64)
-        self.targets = np.asarray(self.targets, dtype=np.int64)
+        for name in ("tokens", "targets"):
+            ids = np.asarray(getattr(self, name))
+            if ids.size and not np.issubdtype(ids.dtype, np.integer):
+                raise ConfigurationError(f"{name} must be integers that fit int64, got {ids.dtype}")
+            setattr(self, name, ids.astype(np.int64, copy=False))
         if self.tokens.ndim != 1 or self.targets.ndim != 1:
             raise ConfigurationError(
                 f"tokens and targets must be 1-D, got shapes {self.tokens.shape} "

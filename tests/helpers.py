@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 
-from ovq import HeadSequence
+from ovq import HeadSequence, absorb_chunk, ovq_forward_chunk
 from ovq.engine import _chunk_budget, with_planned_chunks
 from ovq.reference import masked_softmax, quantize_keys
 
@@ -96,14 +96,39 @@ def per_row_gkr_outputs(seq):
 
 
 def looped_planned_active_components(total_tokens, config):
-    """``engine.planned_active_components`` as it was: the engine's budget
-    replayed for every chunk of the stream, the bootstrap seed included."""
+    """The engine's ``_chunk_budget`` replayed for every chunk of one fresh
+    stream, the bootstrap seed and the ``_fault`` hook included: the count
+    the engine realizes, which ``engine.planned_active_components`` states
+    in closed form for fault-free configs."""
     config = with_planned_chunks(config, [total_tokens])
     active = 0
     for chunk_index, tokens in enumerate(range(0, total_tokens, config.chunk_len), start=1):
         lc = min(config.chunk_len, total_tokens - tokens)
         active += _chunk_budget(tokens, lc, chunk_index, active, config)
     return active
+
+
+def stepped_chunks(state, k, v, q=None):
+    """``engine.stream_chunks`` one chunk entry at a time (``absorb_chunk``,
+    or ``ovq_forward_chunk`` with queries), asserting after chunk c that
+    c chunks of L tokens more (the last one short) were seen and that
+    n_active never fell, stayed within n_max and rose by the chunk's seeds.
+    Returns n_active after every chunk."""
+    step, n_max = state.config.chunk_len, state.config.n_max
+    tokens, chunks, t = state.tokens_seen, state.chunks_seen, len(k)
+    actives = []
+    for c, start in enumerate(range(0, t, step), start=1):
+        chunk, before = slice(start, start + step), state.n_active
+        if q is None:
+            record = absorb_chunk(state, k[chunk], v[chunk])
+        else:
+            record = ovq_forward_chunk(state, q[chunk], k[chunk], v[chunk])[1]
+        assert state.tokens_seen == tokens + min(c * step, t)
+        assert state.chunks_seen == chunks + c
+        assert before <= state.n_active <= n_max
+        assert state.n_active - before == len(record.new_centroid_positions)
+        actives.append(state.n_active)
+    return actives
 
 
 def traced_peak(call):

@@ -36,6 +36,7 @@ from ovq import (
     new_centroid_budget,
     ovq_forward_chunk,
     ovq_forward_sequence,
+    planned_active_components,
     quantized_state,
     recall_benchmark,
     state_size_sweep,
@@ -47,7 +48,7 @@ from ovq import (
 )
 from ovq.gmr import INFINITE
 
-from helpers import random_sequence, unit_rows
+from helpers import random_sequence, stepped_chunks, unit_rows
 
 
 def _report(number: int, name: str) -> None:
@@ -268,7 +269,7 @@ def test_criterion_07_engine_invariants():
         if i % 4 == 0:  # prefix causality, bitwise
             half = max(cfg.chunk_len, (t // 2 // cfg.chunk_len) * cfg.chunk_len)
             prefix = HeadSequence(seq.q[:half], seq.k[:half], seq.v[:half], 8.0)
-            prefix_out, _, _ = ovq_forward_sequence(cfg, prefix)
+            prefix_out, _ = ovq_forward_sequence(cfg, prefix)
             full_out = np.concatenate(outputs, axis=0)
             assert np.array_equal(prefix_out.o, full_out[:half])
     elapsed = time.perf_counter() - start
@@ -351,7 +352,7 @@ def test_criterion_10_comparative_ordering():
 def test_criterion_11_state_accounting():
     """Clustered state stays below its capacity bound out to 65536 tokens
     while the growing cache scales with T; scheduled component counts are
-    asserted as exact integers and against a real engine trace."""
+    asserted as exact integers and against a real engine after every chunk."""
     d = 32
     cfg = OvqConfig(n_max=2048, chunk_len=128, beta=8.0)
     mixers = [
@@ -375,11 +376,13 @@ def test_criterion_11_state_accounting():
         assert clustered[t] == growth_count(t, 2048) * (2 * d + 1)
     assert clustered[65536] == 1985 * 65  # floor(65536 * 2048 / 67584) = 1985
 
-    # engine trace cross-check at a moderate length
+    # engine cross-check at a moderate length, at every chunk boundary
     rng = np.random.default_rng(1011)
     seq = random_sequence(rng, 4096, d, 8.0)
-    _, state, trace = ovq_forward_sequence(cfg, seq)
-    assert trace[-1][1] == clustered[4096] == state.scalars_stored()
+    state = OvqState.fresh(cfg, d)
+    actives = stepped_chunks(state, seq.k, seq.v, q=seq.q)
+    assert actives == [planned_active_components(128 * c, cfg) for c in range(1, 33)]
+    assert clustered[4096] == state.scalars_stored()
     _report(11, "state accounting constant vs linear, exact at sampled lengths")
 
 

@@ -13,11 +13,12 @@ from ovq import (
     IGNORE,
     MixerSpec,
     OvqConfig,
+    OvqState,
     TokenStream,
     bench,
     engine,
     gen_basic_icr,
-    ovq_forward_sequence,
+    planned_active_components,
     quantized_state,
     recall_benchmark,
     state_size_sweep,
@@ -25,8 +26,9 @@ from ovq import (
     verify_all,
 )
 from ovq.bench import rows_to_csv, rows_to_json, token_embeddings
+from ovq.engine import with_planned_chunks
 
-from helpers import random_sequence, scalar_vq_attention_linear, unit_rows
+from helpers import random_sequence, scalar_vq_attention_linear, stepped_chunks, unit_rows
 
 
 def ovq_mixer(n_max, d=64, beta=16.0, chunk_len=128, **kw):
@@ -166,11 +168,16 @@ class TestStateSizeSweep:
         rng = np.random.default_rng(5)
         cfg = OvqConfig(n_max=256, chunk_len=64, beta=8.0, ablation=ablation)
         seq = random_sequence(rng, 1500, 8, 8.0)
-        _, state, trace = ovq_forward_sequence(cfg, seq)
+        # One plan for every prefix, as a whole-stream run fixes it.
+        planned = with_planned_chunks(cfg, [seq.T])
+        state = OvqState.fresh(planned, 8)
+        actives = stepped_chunks(state, seq.k, seq.v, q=seq.q)
+        bounds = [min(64 * c, 1500) for c in range(1, len(actives) + 1)]
+        assert actives == [planned_active_components(t, planned) for t in bounds]
         mixer = MixerSpec(kind="ovq", beta=8.0, d=8, ovq=cfg)
         (row,) = state_size_sweep([mixer], [1500])
         recall = recall_benchmark(mixer, T=1500, num_probes=16, seed=5)
-        assert row.state_scalars == recall.state_scalars == trace[-1][1] == state.scalars_stored()
+        assert row.state_scalars == recall.state_scalars == state.scalars_stored()
 
 
 class TestTokenTaskEval:
@@ -305,7 +312,7 @@ class TestVerifyAll:
         assert not check["passed"] and check["max_deviation"] is None
 
     def test_invariant_check_streams_without_predicting(self, monkeypatch):
-        # It reads counts, n_active and the trace, which predict never writes.
+        # It reads counts and n_active, which predict never writes.
         steps, predicts = [], []
         step, predict = engine._chunk_step, engine._predict_chunk
         monkeypatch.setattr(engine, "_chunk_step", lambda *a: steps.append(a[1]) or step(*a))

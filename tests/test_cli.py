@@ -98,6 +98,15 @@ class TestRun:
         )
         assert res.returncode == 0, res.stderr
 
+    def test_narrow_embeddings_warn_on_every_run_path(self, stream_file, tmp_path):
+        # Snapshot runs used to score an 8-wide table without the warning.
+        snap, warning = tmp_path / "state.bin", "UserWarning: embedding dim below 16"
+        argv = ["run", "--stream", str(stream_file), "--dim", "8", "--n-max", "64"]
+        for extra in ([], ["--save-state", str(snap)], ["--load-state", str(snap)]):
+            res = run_cli(*argv, *extra, "--out", str(tmp_path / "r.csv"))
+            assert res.returncode == 0 and warning in res.stderr, (extra, res.stderr)
+            assert res.stderr.count(warning) == 1
+
     def _save_snapshot(self, stream_file, tmp_path):
         snap = tmp_path / "state.bin"
         code = main([
@@ -317,6 +326,15 @@ class TestStreamIdsNotOneDimensional:
         assert "line 1: bad stream record: tokens and targets must be 1-D" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ids", [[1.5, 2, 3], ["1", "2", "3"]], ids=["fraction", "strings"])
+def test_run_refuses_stream_ids_that_are_not_integers(tmp_path, capsys, ids):
+    # They used to load as [1, 2, 3], and run exited 0.
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"tokens": ids, "targets": [IGNORE, 2, 3], "vocab_size": 8}) + "\n")
+    assert main(["run", "--stream", str(path), *_TINY_RUN, "--out", str(tmp_path / "r.csv")]) == 2
+    assert "line 1: bad stream record: tokens must be integers" in capsys.readouterr().err
+
+
 class TestBench:
     def test_state_size_csv(self):
         res = run_cli(
@@ -353,6 +371,21 @@ class TestBench:
         assert res.returncode == 0
         # growth_count(2**50, 2048) = 2047 components of 2 * 64 + 1 scalars each
         assert res.stdout.splitlines()[-1] == f'"ovq(n_max=2048,L=128)",{2**50},2048,{2047 * 129}'
+
+    def test_linear_growth_state_size_at_the_largest_capacity_returns_at_once(self):
+        # Under linear_growth the count used to replay one chunk at a time
+        # until the cap: 2**32 - 1 one-token chunks here, over an hour.
+        top = 2**32 - 1
+        try:
+            res = run_cli(
+                "bench", "--bench", "state-size", "--mixers", "ovq", "--ablation", "linear-growth",
+                "--n-max-grid", str(top), "--chunk-len", "1", "--T", str(top), timeout=30,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("linear-growth state-size at n_max = T = 2**32 - 1 did not return in 30 s")
+        assert res.returncode == 0
+        # One row a chunk, per = round(n_max / planned chunks) = 1: all n_max rows fill.
+        assert res.stdout.splitlines()[-1] == f'"ovq(n_max={top},L=1)",{top},{top},{top * 129}'
 
     def test_recall_grid_json(self):
         res = run_cli(

@@ -29,7 +29,7 @@ from ovq import (
 from ovq.engine import select_new_centroids, update_dictionary
 from ovq.reference import KEY_ROW_NORM_MAX, UNIT_NORM_ATOL
 
-from helpers import random_sequence, traced_peak, unit_rows
+from helpers import random_sequence, stepped_chunks, traced_peak, unit_rows
 
 NO_SEEDS = np.empty(0, dtype=np.int64)
 
@@ -634,7 +634,7 @@ class TestSharedKeyDictionaryProduct:
     def test_float32_predict_stays_float32(self):
         rng = np.random.default_rng(49)
         seq = random_sequence(rng, 48, 8, 8.0)
-        out, state, _ = ovq_forward_sequence(
+        out, state = ovq_forward_sequence(
             OvqConfig(n_max=32, chunk_len=16, beta=8.0, dtype="float32"), seq
         )
         assert out.o.dtype == np.float32
@@ -679,7 +679,7 @@ class TestFloat32BetaBound:
         beta = float(np.finfo(np.float32).max) / 1.01
         rng = np.random.default_rng(52)
         seq = random_sequence(rng, 150, 6, beta)
-        out, _, _ = ovq_forward_sequence(
+        out, _ = ovq_forward_sequence(
             OvqConfig(n_max=8, chunk_len=16, beta=beta, dtype="float32"), seq
         )
         assert np.isfinite(out.o).all()
@@ -696,7 +696,7 @@ class TestFloat64BetaNearMax:
         seq = random_sequence(rng, 150, 6, 1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out, _, _ = ovq_forward_sequence(OvqConfig(n_max=24, chunk_len=16, beta=1e308), seq)
+            out, _ = ovq_forward_sequence(OvqConfig(n_max=24, chunk_len=16, beta=1e308), seq)
         assert np.isfinite(out.o).all()
 
 
@@ -824,7 +824,7 @@ class TestForwardSequence:
     def test_single_chunk_sequence_equals_plain_attention(self):
         rng = np.random.default_rng(18)
         seq = random_sequence(rng, 20, 6, 8.0)
-        out, _, _ = ovq_forward_sequence(OvqConfig(n_max=64, chunk_len=32, beta=8.0), seq)
+        out, _ = ovq_forward_sequence(OvqConfig(n_max=64, chunk_len=32, beta=8.0), seq)
         np.testing.assert_allclose(out.o, softmax_attention(seq).o, atol=1e-12)
 
     def test_sequence_beta_that_differs_from_config_beta_raises(self):
@@ -838,7 +838,7 @@ class TestForwardSequence:
     def test_count_conservation_exact(self):
         rng = np.random.default_rng(19)
         seq = random_sequence(rng, 333, 8, 8.0)
-        _, state, _ = ovq_forward_sequence(OvqConfig(n_max=64, chunk_len=32, beta=8.0), seq)
+        _, state = ovq_forward_sequence(OvqConfig(n_max=64, chunk_len=32, beta=8.0), seq)
         assert int(state.counts.sum()) == 333
         assert state.tokens_seen == 333
 
@@ -847,30 +847,26 @@ class TestForwardSequence:
         d = 32
         seq = random_sequence(rng, 8192, d, 8.0)
         cfg = OvqConfig(n_max=2048, chunk_len=128, beta=8.0)
-        _, state, trace = ovq_forward_sequence(cfg, seq)
-        sizes = [s for _, s in trace]
-        assert sizes == sorted(sizes)
-        at_2048 = dict(trace)[2048]
-        assert at_2048 == growth_count(2048, 2048) * (2 * d + 1) == 1024 * 65
-        assert sizes[-1] <= 2048 * (2 * d + 1)
-        for c, (tokens, _) in enumerate(trace, start=1):
-            assert state.config.chunk_len * c == tokens
-        assert state.n_active == growth_count(8192, 2048)
+        state = OvqState.fresh(cfg, d)
+        # Asserts the counters, the cap and the seeds after every chunk.
+        actives = stepped_chunks(state, seq.k, seq.v, q=seq.q)
+        assert actives == [growth_count(128 * c, 2048) for c in range(1, 65)]
+        assert actives[15] == 1024 and state.n_active == growth_count(8192, 2048)
 
     def test_planned_components_match_realized(self):
         rng = np.random.default_rng(21)
         for t in (64, 200, 1000, 4097):
             cfg = OvqConfig(n_max=256, chunk_len=96, beta=8.0)
             seq = random_sequence(rng, t, 8, 8.0)
-            _, state, _ = ovq_forward_sequence(cfg, seq)
+            _, state = ovq_forward_sequence(cfg, seq)
             assert state.n_active == planned_active_components(t, cfg)
 
     def test_determinism_bitwise(self):
         rng = np.random.default_rng(22)
         seq = random_sequence(rng, 257, 8, 8.0)
         cfg = OvqConfig(n_max=64, chunk_len=32, beta=8.0, seed=5)
-        out1, s1, _ = ovq_forward_sequence(cfg, seq)
-        out2, s2, _ = ovq_forward_sequence(cfg, seq)
+        out1, s1 = ovq_forward_sequence(cfg, seq)
+        out2, s2 = ovq_forward_sequence(cfg, seq)
         assert np.array_equal(out1.o, out2.o)
         assert np.array_equal(s1.means_k, s2.means_k)
         assert np.array_equal(s1.counts, s2.counts)
@@ -879,8 +875,8 @@ class TestForwardSequence:
         rng = np.random.default_rng(23)
         seq = random_sequence(rng, 200, 8, 8.0)
         cfg = OvqConfig(n_max=64, chunk_len=32, beta=8.0, ablation="random_assign", seed=11)
-        out1, s1, _ = ovq_forward_sequence(cfg, seq)
-        out2, s2, _ = ovq_forward_sequence(cfg, seq)
+        out1, s1 = ovq_forward_sequence(cfg, seq)
+        out2, s2 = ovq_forward_sequence(cfg, seq)
         assert np.array_equal(out1.o, out2.o)
         assert np.array_equal(s1.means_k, s2.means_k)
         # growth is schedule-driven regardless of how seeds are picked
@@ -890,16 +886,16 @@ class TestForwardSequence:
         rng = np.random.default_rng(24)
         seq = random_sequence(rng, 256, 8, 8.0)
         cfg = OvqConfig(n_max=64, chunk_len=32, beta=8.0, ablation="linear_growth")
-        _, state, trace = ovq_forward_sequence(cfg, seq)
+        state = OvqState.fresh(engine.with_planned_chunks(cfg, [seq.T]), 8)
+        actives = stepped_chunks(state, seq.k, seq.v, q=seq.q)
         assert state.n_active == 64  # 8 planned chunks x 8 per chunk
-        increments = np.diff([0] + [s // (2 * 8 + 1) for _, s in trace])
-        assert np.all(increments == 8)
+        assert np.all(np.diff([0] + actives) == 8)
 
     def test_float32_mode_tracks_reference_loosely(self):
         rng = np.random.default_rng(25)
         seq = random_sequence(rng, 48, 8, 8.0)
-        out64, _, _ = ovq_forward_sequence(OvqConfig(n_max=32, chunk_len=16, beta=8.0), seq)
-        out32, state32, _ = ovq_forward_sequence(
+        out64, _ = ovq_forward_sequence(OvqConfig(n_max=32, chunk_len=16, beta=8.0), seq)
+        out32, state32 = ovq_forward_sequence(
             OvqConfig(n_max=32, chunk_len=16, beta=8.0, dtype="float32"), seq
         )
         assert state32.means_k.dtype == np.float32
@@ -914,7 +910,7 @@ class TestForwardSequence:
         k, v = _chunk(rng, 2048, 16)
         state = OvqState.fresh(OvqConfig(n_max=4, chunk_len=32, dtype=dtype), 16)
         engine.stream_chunks(OvqState.fresh(state.config, 16), k[:200], v[:200], q=k[:200])
-        peak, (out, _) = traced_peak(lambda: engine.stream_chunks(state, k, v, q=k))
+        peak, out = traced_peak(lambda: engine.stream_chunks(state, k, v, q=k))
         assert out.dtype == np.dtype(dtype) and out.shape == (2048, 16)
         assert peak <= out.nbytes + 2**16
 
@@ -924,7 +920,7 @@ class TestDictionaryReadout:
         rng = np.random.default_rng(27)
         seq = random_sequence(rng, 128, 8, 8.0)
         cfg = OvqConfig(n_max=32, chunk_len=16, beta=8.0)
-        _, state, _ = ovq_forward_sequence(cfg, seq)
+        _, state = ovq_forward_sequence(cfg, seq)
         q = unit_rows(rng, 3, 8)
         na = state.n_active
         logits = 8.0 * (q @ state.means_k[:na].T) + np.log(state.counts[:na])

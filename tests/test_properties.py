@@ -20,7 +20,7 @@ from ovq import (
 )
 from ovq.engine import ABLATIONS, DTYPES, FAULTS, planned_active_components, stream_chunks
 
-from helpers import looped_planned_active_components, random_sequence, unit_rows
+from helpers import looped_planned_active_components, random_sequence, stepped_chunks, unit_rows
 
 # 400 puts the static logit shift past its float64 bound (about 336), so
 # predict's row-max path meets the oracles as well as the static one.
@@ -51,7 +51,8 @@ def streams(draw):
 @given(streams())
 def test_counts_conserved_and_memory_bounded(case):
     cfg, seq = case
-    _, state, trace = ovq_forward_sequence(cfg, seq)
+    state = OvqState.fresh(cfg, seq.d)
+    stepped_chunks(state, seq.k, seq.v, q=seq.q)  # asserts the per-chunk counts and bound
     assert state.tokens_seen == seq.T
     assert int(state.counts.sum()) == seq.T
     assert 1 <= state.n_active <= cfg.n_max
@@ -59,10 +60,6 @@ def test_counts_conserved_and_memory_bounded(case):
     assert not np.any(state.counts[state.n_active :])
     assert not np.any(state.means_k[state.n_active :])
     assert not np.any(state.means_v[state.n_active :])
-    assert [tokens for tokens, _ in trace] == [
-        min(c * cfg.chunk_len, seq.T) for c in range(1, len(trace) + 1)
-    ]
-    assert all(s <= cfg.n_max * (2 * seq.d + 1) for _, s in trace)
 
 
 @PROPERTY_SETTINGS
@@ -71,8 +68,8 @@ def test_prefix_outputs_unchanged_when_more_chunks_follow(case, prefix_chunks):
     cfg, seq = case
     cut = min(prefix_chunks * cfg.chunk_len, seq.T)
     prefix = HeadSequence(seq.q[:cut], seq.k[:cut], seq.v[:cut], seq.beta)
-    short_out, _, _ = ovq_forward_sequence(cfg, prefix)
-    long_out, _, _ = ovq_forward_sequence(cfg, seq)
+    short_out, _ = ovq_forward_sequence(cfg, prefix)
+    long_out, _ = ovq_forward_sequence(cfg, seq)
     assert np.array_equal(short_out.o, long_out.o[:cut])
 
 
@@ -272,10 +269,12 @@ def capacity_plans(draw):
 @given(capacity_plans(), st.integers(0, 2**32 - 1))
 def test_planned_components_are_the_replayed_and_the_realized_growth(plan, seed):
     cfg, streamed, replayed = plan
+    # The plan leaves the fault out; the replay of the engine's budget keeps it.
     for t in (streamed, replayed):
-        assert planned_active_components(t, cfg) == looped_planned_active_components(t, cfg)
+        planned = planned_active_components(t, cfg)
+        assert planned == looped_planned_active_components(t, replace(cfg, _fault="none"))
     if streamed:
         rng = np.random.default_rng(seed)
         state = OvqState.fresh(engine.with_planned_chunks(cfg, [streamed]), 2)
         stream_chunks(state, unit_rows(rng, streamed, 2), rng.standard_normal((streamed, 2)))
-        assert state.n_active == planned_active_components(streamed, cfg)
+        assert state.n_active == looped_planned_active_components(streamed, cfg)

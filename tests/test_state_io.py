@@ -210,7 +210,7 @@ class TestImpossibleSnapshots:
         table, values = token_embeddings(SpecialTokens(stream.vocab_size).total_vocab, 32, 0)
         x = table[stream.tokens]
         cfg = OvqConfig(n_max=256, chunk_len=64, beta=16.0, ablation=ablation, dtype=dtype)
-        _, state, _ = ovq_forward_sequence(cfg, HeadSequence(x, x, values[stream.tokens], 16.0))
+        _, state = ovq_forward_sequence(cfg, HeadSequence(x, x, values[stream.tokens], 16.0))
         path = tmp_path / "icr.bin"
         save_state(state, path)
         back = load_state(path)

@@ -364,6 +364,31 @@ class TestStreamIds:
         with pytest.raises(ConfigurationError, match=r"must be 1-D"):
             TokenStream(tokens, targets, 50)
 
+    @pytest.mark.parametrize("field", ["tokens", "targets"])
+    @pytest.mark.parametrize(
+        "bad", [[1.5, 2, 3], ["1", "2", "3"], [1.0, 2.0, 3.0], [True, False, True], [2**70, 2, 3]],
+        ids=["fraction", "strings", "whole-floats", "booleans", "past-int64"],
+    )
+    def test_ids_that_are_not_integers_are_rejected_and_named(self, field, bad):
+        # The int64 cast used to truncate 1.5 to 1 and parse "1" as 1, and
+        # raised a bare OverflowError past int64.
+        ids = {"tokens": [1, 2, 3], "targets": [IGNORE, 2, 3], field: bad}
+        with pytest.raises(ConfigurationError, match=rf"^{field} must be integers that fit int64"):
+            TokenStream(ids["tokens"], ids["targets"], 50)
+
+    @pytest.mark.parametrize("field", ["tokens", "targets"])
+    @pytest.mark.parametrize("bad", [[1.5, 2, 3], ["1", "2", "3"]], ids=["fraction", "strings"])
+    def test_jsonl_loader_rejects_ids_that_are_not_integers(self, tmp_path, field, bad):
+        path = tmp_path / "s.jsonl"
+        rec = {"tokens": [1, 2, 3], "targets": [IGNORE, 2, 3], "vocab_size": 50, field: bad}
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(ParseError, match=rf"^line 1: bad stream record: {field} must be"):
+            load_streams(path)
+
+    def test_empty_ids_are_accepted(self):
+        s = TokenStream([], [], 50)
+        assert s.tokens.dtype == s.targets.dtype == np.int64 and len(s) == 0
+
     def test_ids_at_the_range_edges_are_accepted(self):
         s = TokenStream([0, 180], [IGNORE, 180], 50)
         assert s.tokens.tolist() == [0, 180] and s.targets.tolist() == [IGNORE, 180]
