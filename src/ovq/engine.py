@@ -38,6 +38,7 @@ from .errors import ConfigurationError, InvalidStateError
 from .reference import (
     KEY_ROW_NORM_MAX,
     UNIT_NORM_ATOL,
+    _QUERY_TILE,
     AttentionOutput,
     HeadSequence,
     check_beta,
@@ -420,18 +421,15 @@ def _logit_shift(beta: float, counts, dtype) -> float | None:
     return s if 2 * s - math.log(info.eps) < -math.log(info.tiny) else None
 
 
-def _dictionary_logits(beta: float, sims, counts, shift, out=None) -> np.ndarray:
-    """beta * sims + log counts - shift, where sims = q . D_k^T, in the
-    dtype of sims; a row with count 0 gets -inf, so it never receives
-    weight. The static ``shift`` (None for none) is folded into the [n] log
-    counts. ``out=sims`` overwrites the product."""
-    out = np.multiply(sims, beta, out=out)
+def _count_bias(counts, shift, dtype) -> np.ndarray:
+    """log counts - shift as an [n] row in ``dtype``, added to beta * q . D_k^T
+    to make the dictionary logits; a row with count 0 gets -inf, so it never
+    receives weight. The static ``shift`` (None for none) is folded in here."""
     with np.errstate(divide="ignore"):
-        log_counts = np.log(counts.astype(np.float64))
+        bias = np.log(counts.astype(np.float64))
     if shift is not None:
-        log_counts -= shift
-    out += log_counts.astype(out.dtype, copy=False)
-    return out
+        bias -= shift
+    return bias.astype(dtype, copy=False)
 
 
 def _subtract_row_max(*blocks) -> None:
@@ -459,13 +457,26 @@ def count_readout(beta: float, queries, means_k, counts, means_v) -> np.ndarray:
     """softmax(beta * q . D_k^T + log counts) . D_v over the rows whose
     count is nonzero: the mixture readout of a count-weighted dictionary.
     Shifted like predict: by ``_logit_shift``'s bound, which takes unit
-    queries and key rows within KEY_ROW_NORM_MAX, else by the row max."""
-    shift = _logit_shift(beta, counts, np.result_type(queries, means_k))
-    logits = _dictionary_logits(beta, queries @ means_k.T, counts, shift)
-    if shift is None:
-        _subtract_row_max(logits)
-    out, total = _softmax_block(logits, means_v)
-    return out / total
+    queries and key rows within KEY_ROW_NORM_MAX, else by the row max.
+    The [queries, d] outputs are scored in tiles of B = _QUERY_TILE query
+    rows that share one logit buffer, so at most B n logits are held; a
+    call of at most B queries is one tile."""
+    dtype = np.result_type(queries, means_k)
+    shift = _logit_shift(beta, counts, dtype)
+    bias = _count_bias(counts, shift, dtype)
+    out = np.empty((len(queries), means_v.shape[1]), dtype=np.result_type(dtype, means_v))
+    buffer = np.empty((min(len(queries), _QUERY_TILE), len(means_k)), dtype=dtype)
+    for start in range(0, len(queries), _QUERY_TILE):
+        tile = slice(start, start + _QUERY_TILE)
+        q = queries[tile]
+        logits = np.matmul(q, means_k.T, out=buffer[: len(q)])
+        logits *= beta
+        logits += bias
+        if shift is None:
+            _subtract_row_max(logits)
+        weighted, total = _softmax_block(logits, means_v)
+        np.divide(weighted, total, out=out[tile])
+    return out
 
 
 def _predict_chunk(state: OvqState, q_chunk, k_chunk, v_chunk, sims) -> np.ndarray:
@@ -480,7 +491,8 @@ def _predict_chunk(state: OvqState, q_chunk, k_chunk, v_chunk, sims) -> np.ndarr
     cfg = state.config
     counts = state.counts[: state.n_active]
     shift = _logit_shift(cfg.beta, counts, sims.dtype)
-    dict_logits = _dictionary_logits(cfg.beta, sims, counts, shift, out=sims)
+    dict_logits = np.multiply(sims, cfg.beta, out=sims)
+    dict_logits += _count_bias(counts, shift, sims.dtype)
     chunk_logits = q_chunk @ k_chunk.T
     chunk_logits *= cfg.beta
     # Row i sees column j <= i (j <= i + 1 under the fault). Past the static

@@ -303,17 +303,18 @@ def vq_attention_linear(seq: HeadSequence, dict_k) -> AttentionOutput:
     counts) times the value means, without forming either.
 
     Queries go in blocks of B = _QUERY_TILE rows, each read as the state at
-    the block start plus the block's own tokens: the counts add a cumsum
-    of one-hot rows, and the value sums add one causal [B, B] matrix of
-    each row's weights on the earlier-or-same tokens' centroids times the
-    block's values. A partial last block is zero-padded to B rows, whose
-    outputs are dropped and whose tokens count nowhere, so no product's
-    shape depends on T and appending tokens leaves earlier rows bitwise
-    unchanged. Besides the [T] assignments and the [T, d] outputs, working
-    memory is O(B n + n d), never O(T). After each block
-    the state takes its tokens one at a time in position order, so the
-    counts and value sums are bitwise those of a token-by-token stream;
-    ``quantized_state`` builds the final one alone.
+    the block start plus the block's own tokens. Row r sees centroid i when
+    its block-start count is positive or its first position in the block
+    is <= r. One causal [B, B] matrix holds each row's weights on the
+    earlier-or-same tokens' centroids: times the block's values it adds to
+    the value sums, and its row sums add to the count total w . C. A
+    partial last block is zero-padded to B rows, whose outputs are dropped
+    and whose tokens count nowhere, so no product's shape depends on T and
+    appending tokens leaves earlier rows bitwise unchanged. Besides the [T]
+    assignments and the [T, d] outputs, working memory is O(B n + n d),
+    never O(T). After each block the state takes its tokens one at a time
+    in position order, so the counts and value sums are bitwise those of a
+    token-by-token stream; ``quantized_state`` builds the final one alone.
     """
     dict_k = _key_dictionary(dict_k, seq.d)
     n, b, t_total = dict_k.shape[0], _QUERY_TILE, seq.T
@@ -323,6 +324,7 @@ def vq_attention_linear(seq: HeadSequence, dict_k) -> AttentionOutput:
     value_sums = np.zeros((n, seq.d))
     earlier_or_same = np.tri(b)
     rows = np.arange(b)
+    w = np.empty((b, n))
     out = np.empty((t_total, seq.d))
     for start in range(0, t_total, b):
         stop = start + b
@@ -330,20 +332,24 @@ def vq_attention_linear(seq: HeadSequence, dict_k) -> AttentionOutput:
         # Padded tokens take centroid 0, but they sit after every real row,
         # so the causal mask drops them; they never reach the state.
         a, q, v = (_padded_rows(x, start, stop) for x in (assignments, seq.q, seq.v))
-        one_hot = np.zeros((b, n), dtype=np.int64)
-        one_hot[rows[:m], a[:m]] = 1
-        seen = counts + np.cumsum(one_hot, axis=0)
-        w = q @ dict_k.T
+        np.matmul(q, dict_k.T, out=w)
         w *= seq.beta
-        w[seen == 0] = -np.inf
+        if not counts.all():
+            # Row r sees centroid i from its first position in the block
+            # on, and from row 0 if a key reached it before the block.
+            first = np.where(counts > 0, 0, b)
+            np.minimum.at(first, a[:m], rows[:m])
+            np.copyto(w, -np.inf, where=rows[:, None] < first)
         # |beta q.D| <= beta is finite, so a difference that overflows is
         # below -1.7e308: -inf, and exp gives 0, its true double weight.
         with np.errstate(over="ignore"):
             w -= w.max(axis=1, keepdims=True)
         np.exp(w, out=w)
-        in_block = w[:, a] * earlier_or_same
+        in_block = np.take(w, a, axis=1)
+        in_block *= earlier_or_same
         sums = w @ value_sums + in_block @ v
-        out[start:stop] = (sums / np.einsum("bn,bn->b", w, seen)[:, None])[:m]
+        totals = w @ counts + in_block.sum(axis=1)
+        np.divide(sums[:m], totals[:m, None], out=out[start:stop])
         np.add.at(counts, a[:m], 1)
         _add_rows(value_sums, a[:m], v[:m])
     return AttentionOutput(out)

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 
 from ovq import HeadSequence, absorb_chunk, ovq_forward_chunk
-from ovq.engine import _chunk_budget, with_planned_chunks
+from ovq.engine import _chunk_budget, _logit_shift, _subtract_row_max, with_planned_chunks
 from ovq.reference import masked_softmax, quantize_keys
 
 
@@ -141,6 +141,23 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1] - before, result
     finally:
         tracemalloc.stop()
+
+
+def untiled_count_readout(beta, queries, means_k, counts, means_v):
+    """``engine.count_readout`` as it was: one [queries, n] logit array for
+    every query at once, shifted by the same rule."""
+    dtype = np.result_type(queries, means_k)
+    shift = _logit_shift(beta, counts, dtype)
+    logits = np.multiply(queries @ means_k.T, beta)
+    with np.errstate(divide="ignore"):
+        log_counts = np.log(counts.astype(np.float64))
+    if shift is not None:
+        log_counts -= shift
+    logits += log_counts.astype(dtype, copy=False)
+    if shift is None:
+        _subtract_row_max(logits)
+    np.exp(logits, out=logits)
+    return (logits @ means_v) / logits.sum(axis=1, keepdims=True)
 
 
 def allocating_masked_softmax(logits):

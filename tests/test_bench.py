@@ -25,10 +25,17 @@ from ovq import (
     token_task_eval,
     verify_all,
 )
-from ovq.bench import rows_to_csv, rows_to_json, token_embeddings
+from ovq.bench import RECALL_SCHEMA, rows_to_csv, rows_to_json, token_embeddings
 from ovq.engine import with_planned_chunks
+from ovq.tasks import N_SPECIALS
 
-from helpers import random_sequence, scalar_vq_attention_linear, stepped_chunks, unit_rows
+from helpers import (
+    random_sequence,
+    scalar_vq_attention_linear,
+    stepped_chunks,
+    traced_peak,
+    unit_rows,
+)
 
 
 def ovq_mixer(n_max, d=64, beta=16.0, chunk_len=128, **kw):
@@ -102,14 +109,30 @@ class TestRecallBenchmark:
         assert 0.0 <= row.top1_accuracy <= 1.0
         assert row.state_scalars == 64 * (2 * 64 + 1)
 
-    def test_deterministic_apart_from_wall_time(self):
-        a = recall_benchmark(ovq_mixer(512), T=256, num_probes=32, seed=4)
-        b = recall_benchmark(ovq_mixer(512), T=256, num_probes=32, seed=4)
-        assert (a.top1_accuracy, a.mean_cosine, a.state_scalars) == (
-            b.top1_accuracy,
-            b.mean_cosine,
-            b.state_scalars,
-        )
+    def test_reports_are_byte_identical_across_runs(self):
+        # No recall field is a measurement, so the same flags write the same bytes.
+        mixers = [ovq_mixer(512), MixerSpec(kind="full_attention"), MixerSpec(kind="vq_fixed", vq_n=32)]
+
+        def reports():
+            rows = [recall_benchmark(m, T=256, num_probes=32, seed=4) for m in mixers]
+            meta = {"seed": 4}
+            return rows_to_csv(rows, RECALL_SCHEMA, meta), rows_to_json(rows, RECALL_SCHEMA, meta)
+
+        assert reports() == reports()
+
+    @pytest.mark.parametrize("mixer", [
+        MixerSpec(kind="full_attention", d=8), MixerSpec(kind="linear_baseline", d=8),
+        MixerSpec(kind="vq_fixed", d=8, vq_n=64), ovq_mixer(512, d=8),
+    ], ids=lambda m: m.kind)
+    def test_working_memory_is_tiles_not_probes_by_pairs(self, mixer):
+        # At T = probes = 2,048 one [probes, T] float64 array takes 32 MiB.
+        # The readouts and the decode score 64 probes at a time, so beyond
+        # the [T, d] keys and codebook and the [probes, d] probes and
+        # outputs a run holds about one [64, T] tile of scores.
+        t, d = 2048, 8
+        recall_benchmark(mixer, T=128, num_probes=64, seed=0)  # first-call imports
+        peak = traced_peak(lambda: recall_benchmark(mixer, T=t, num_probes=t, seed=0))[0]
+        assert peak <= 8 * (2 * t * d + 2 * t * d + 2 * 64 * t)
 
     def test_rejects_more_probes_than_pairs(self):
         with pytest.raises(ConfigurationError):
@@ -195,6 +218,21 @@ class TestTokenTaskEval:
         b = token_task_eval(ovq_mixer(256), stream, embedding_seed=1)
         assert a == b
 
+    def test_decode_holds_one_tile_of_scores(self):
+        # 2,048 targets over a 4,227-row value table: one [targets, vocab]
+        # float64 product would take 66 MiB; the decode scores 64 targets
+        # at a time.
+        rng = np.random.default_rng(33)
+        t, vocab, d = 2048, 4096, 16
+        tokens = rng.integers(0, vocab, t)
+        stream = TokenStream(tokens, tokens, vocab)
+        v_table = unit_rows(rng, vocab + N_SPECIALS, d)
+        out = v_table[tokens]
+        bench.score_task(stream, out, v_table, "table", 0)  # first-call imports
+        peak, report = traced_peak(lambda: bench.score_task(stream, out, v_table, "table", 0))
+        assert report["accuracy"] == 1.0
+        assert peak <= 8 * (t * d + 4 * t + 2 * 64 * len(v_table))
+
     def test_small_dimension_warns(self):
         stream = gen_basic_icr(num_pairs=5, key_len=1, val_len=1, num_queries=1, seed=8)
         with pytest.warns(UserWarning):
@@ -250,16 +288,16 @@ class TestTokenTaskEval:
 class TestReportFormats:
     def test_csv_has_versioned_header_and_meta(self):
         rows = [recall_benchmark(MixerSpec(kind="full_attention"), 64, 16, 0)]
-        text = rows_to_csv(rows, "ovq-recall-report-v1", {"seed": 0})
+        text = rows_to_csv(rows, RECALL_SCHEMA, {"seed": 0})
         lines = text.splitlines()
-        assert lines[0] == "# schema: ovq-recall-report-v1"
+        assert lines[0] == "# schema: ovq-recall-report-v2"
         assert lines[1].startswith("# meta: {")
-        assert lines[2].split(",")[0] == "mixer"
+        assert lines[2] == "mixer,T,n_max,seed,top1_accuracy,mean_cosine,state_scalars"
 
     def test_json_carries_schema_and_meta(self):
         rows = [recall_benchmark(MixerSpec(kind="full_attention"), 64, 16, 0)]
-        doc = json.loads(rows_to_json(rows, "ovq-recall-report-v1", {"seed": 0}))
-        assert doc["schema"] == "ovq-recall-report-v1"
+        doc = json.loads(rows_to_json(rows, RECALL_SCHEMA, {"seed": 0}))
+        assert doc["schema"] == "ovq-recall-report-v2"
         assert doc["meta"] == {"seed": 0}
         assert doc["rows"][0]["T"] == 64
 

@@ -29,7 +29,13 @@ from ovq import (
 from ovq.engine import select_new_centroids, update_dictionary
 from ovq.reference import KEY_ROW_NORM_MAX, UNIT_NORM_ATOL
 
-from helpers import random_sequence, stepped_chunks, traced_peak, unit_rows
+from helpers import (
+    random_sequence,
+    stepped_chunks,
+    traced_peak,
+    unit_rows,
+    untiled_count_readout,
+)
 
 NO_SEEDS = np.empty(0, dtype=np.int64)
 
@@ -946,6 +952,42 @@ class TestDictionaryReadout:
         absorb_chunk(state, unit_rows(rng, 4, 3), rng.standard_normal((4, 3)))
         with pytest.raises(ConfigurationError, match=r"\bqueries\b"):
             dictionary_readout(state, np.asarray(probe))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("beta", [8.0, 40.0])
+    def test_tiles_are_the_untiled_formula(self, dtype, beta):
+        # 64-row tiles either side of a tile boundary, and many tiles. In
+        # float32, beta 40 takes the row-max fallback instead of the shift.
+        # numpy sends a one-row tile to gemv, which rounds unlike gemm: at 65
+        # queries that puts float32's last row a few ulps off.
+        atol = 1e-12 if dtype == np.float64 else 1e-6
+        rng = np.random.default_rng(30)
+        n, d = 300, 16
+        means_k, means_v = unit_rows(rng, n, d).astype(dtype), rng.standard_normal((n, d)).astype(dtype)
+        counts = rng.integers(0, 4, n)
+        counts[0] = 1
+        for rows in (1, 63, 64, 65, 1000):
+            q = unit_rows(rng, rows, d).astype(dtype)
+            got = engine.count_readout(beta, q, means_k, counts, means_v)
+            want = untiled_count_readout(beta, q, means_k, counts, means_v)
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+            if rows == 1:
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_working_memory_is_one_tile_of_logits(self, dtype):
+        # Beyond its [queries, d] outputs a readout holds one [64, n] logit
+        # tile and [n] rows, at 1,000 queries and at 8,000; one [queries, n]
+        # array would hold 16 and 125 tiles.
+        rng = np.random.default_rng(31)
+        n, d, itemsize = 2048, 16, np.dtype(dtype).itemsize
+        means_k, means_v = unit_rows(rng, n, d).astype(dtype), rng.standard_normal((n, d)).astype(dtype)
+        counts = rng.integers(1, 5, n)
+        for rows in (1000, 8000):
+            q = unit_rows(rng, rows, d).astype(dtype)
+            peak, out = traced_peak(lambda: engine.count_readout(8.0, q, means_k, counts, means_v))
+            assert peak - out.nbytes <= 2 * 64 * n * itemsize
 
     def test_accepts_a_single_unit_probe_vector(self):
         rng = np.random.default_rng(29)

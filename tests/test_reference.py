@@ -351,12 +351,14 @@ class TestLinearFormEquivalence:
 @st.composite
 def linear_form_cases(draw):
     """A sequence of up to 300 rows, so it ends inside or at the end of a
-    64-row block and may cross several, and a key dictionary of 1 to 64 rows,
-    which the short sequences leave partly unreached."""
+    64-row block and may cross several, and a key dictionary of 1 to 64 or
+    65 to 2,048 rows. Many centroids are first reached in the middle of a
+    block, after it, and the larger dictionaries stay mostly unreached."""
     t, d = draw(st.integers(1, 300)), draw(st.integers(1, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     seq = random_sequence(rng, t, d, draw(st.sampled_from([0.0, 1.0, 8.0, 32.0])))
-    return seq, unit_rows(rng, draw(st.integers(1, 64)), d)
+    n = draw(st.one_of(st.integers(1, 64), st.integers(65, 2048)))
+    return seq, unit_rows(rng, n, d)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -372,6 +374,31 @@ def test_blocked_linear_form_is_the_per_token_loop(case):
     assert counts.dtype == want_counts.dtype and np.array_equal(counts, want_counts)
     assert np.array_equal(means_v, want_means_v)
     np.testing.assert_allclose(out.o, want_out, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 2048])
+def test_linear_form_sees_a_centroid_from_its_first_position_in_its_block(n):
+    """Keys are dictionary rows, so each centroid first arrives where the
+    test puts it: mid-block, at a block's last and first rows, and twice
+    in one block. The row before each arrival queries the arriving
+    centroid's own key at beta 2,000, so a row that saw a centroid before
+    its arrival would take its row max from it and underflow every weight
+    it may use; a row that missed its own token's centroid would drop its
+    own value. Rows stay within 1e-12 of the per-token loop."""
+    rng = np.random.default_rng(34)
+    t, d, beta = 200, 16, 2000.0
+    dict_k = unit_rows(rng, n, d)
+    a = rng.integers(0, 4, t)  # the first block reaches centroids 0 to 3
+    arrivals = {101: 4, 127: 5, 128: 6, 150: 7, 160: 7}
+    for position, centroid in arrivals.items():
+        a[position] = centroid
+    q = unit_rows(rng, t, d)
+    for position, centroid in arrivals.items():
+        q[position - 1] = dict_k[centroid]
+    seq = HeadSequence(q, dict_k[a], rng.standard_normal((t, d)), beta)
+    assert np.array_equal(quantize_keys(seq.k, dict_k), a)
+    want, _, _ = scalar_vq_attention_linear(seq, dict_k)
+    np.testing.assert_allclose(vq_attention_linear(seq, dict_k).o, want, rtol=0, atol=1e-12)
 
 
 class TestChunkedFormEquivalence:
@@ -630,6 +657,21 @@ def test_chunked_form_stays_within_its_stated_memory_bound():
     vq_attention_chunked(random_sequence(rng, 3, d, 8.0), dict_k, 1)  # first-call imports
     peak = traced_peak(lambda: vq_attention_chunked(seq, dict_k, 1))[0]
     assert peak - 8 * t * (2 * d + 1) <= chunked_form_bound(n, d, 1)
+
+
+def test_linear_form_holds_one_block_of_logits():
+    """Beyond its [T] assignments and [T, d] outputs, the linear form holds
+    one [64, n] logit block with its mask and [n, d] value sums: at most
+    two [64, n] and two [n, d] float64 arrays, at T = 2,048 and 8,192 (n =
+    2,048, d = 16). Per-block [64, n] count matrices would hold five."""
+    rng = np.random.default_rng(35)
+    n, d = 2048, 16
+    dict_k = unit_rows(rng, n, d)
+    vq_attention_linear(random_sequence(rng, 100, d, 8.0), dict_k)  # first-call imports
+    for t in (2048, 8192):
+        seq = random_sequence(rng, t, d, 8.0)
+        peak = traced_peak(lambda: vq_attention_linear(seq, dict_k))[0]
+        assert peak - 8 * t * (d + 1) <= 8 * (2 * 64 * n + 2 * n * d)
 
 
 @pytest.mark.parametrize("name", sorted(_MEMORY_CASES))
