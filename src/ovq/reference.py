@@ -323,7 +323,7 @@ def vq_attention_linear(seq: HeadSequence, dict_k) -> AttentionOutput:
     counts = np.zeros(n, dtype=np.int64)
     value_sums = np.zeros((n, seq.d))
     earlier_or_same = np.tri(b)
-    rows = np.arange(b)
+    rows = np.arange(b, dtype=np.int8)  # positions 0..B fit int8; its [B, n] compare is cheap
     w = np.empty((b, n))
     out = np.empty((t_total, seq.d))
     for start in range(0, t_total, b):
@@ -337,9 +337,9 @@ def vq_attention_linear(seq: HeadSequence, dict_k) -> AttentionOutput:
         if not counts.all():
             # Row r sees centroid i from its first position in the block
             # on, and from row 0 if a key reached it before the block.
-            first = np.where(counts > 0, 0, b)
+            first = np.where(counts > 0, np.int8(0), np.int8(b))
             np.minimum.at(first, a[:m], rows[:m])
-            np.copyto(w, -np.inf, where=rows[:, None] < first)
+            np.putmask(w, rows[:, None] < first, -np.inf)
         # |beta q.D| <= beta is finite, so a difference that overflows is
         # below -1.7e308: -inf, and exp gives 0, its true double weight.
         with np.errstate(over="ignore"):
