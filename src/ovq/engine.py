@@ -13,12 +13,14 @@ then absorbed into it:
    centroids (lowest similarity to the existing dictionary wins), and the
    rest are folded into their nearest centroid with a running-mean step.
 
-Both chunk entries, ``absorb_chunk`` and ``ovq_forward_chunk``, run one
-step: check the chunk, compute the key-dictionary product once and take
-absorb's one decision from it (``select_new_centroids``: the budget, the
-assignments and the seeds); with queries, predict turns that product (or
-the query product, when the queries differ from the keys) into dictionary
-weights in place; the merge runs last, so predict sees the old dictionary.
+Every chunk runs one step on checked rows: compute the key-dictionary
+product once and take absorb's one decision from it
+(``select_new_centroids``: the budget, the assignments and the seeds);
+with queries, predict turns that product (or the query product, when the
+queries differ from the keys) into dictionary weights in place; the merge
+runs last, so predict sees the old dictionary. ``absorb_chunk`` and
+``ovq_forward_chunk`` check each chunk they are handed; ``stream_chunks``
+checks its whole stream once, before the first chunk touches the state.
 
 Dictionary capacity follows a plateauing schedule, floor(t * N / (t + N))
 components after t tokens, so growth is fast early and asymptotes to the
@@ -394,6 +396,8 @@ def _merge(state: OvqState, k_chunk, v_chunk, assignments, seeds) -> np.ndarray:
         delta = x - means[targets]
         delta *= lr_col
         np.add.at(means.reshape(-1), flat, delta.ravel())
+    if not n_new:
+        return rates
     lrs = np.ones(lc)
     lrs[merging] = rates
     return lrs
@@ -531,13 +535,46 @@ def _checked_chunk(state: OvqState, q_chunk, k_chunk, v_chunk) -> tuple:
     return (*arrays, check_head_rows(*arrays, " chunk"))
 
 
-def _chunk_step(state: OvqState, q_chunk, k_chunk, v_chunk):
-    """The one chunk step behind ``absorb_chunk`` (``q_chunk`` None) and
-    ``ovq_forward_chunk``: check the chunk, take the key–dictionary product
-    once, decide (``select_new_centroids``), predict when there are queries,
-    then merge. Returns the [L, d] outputs (None without queries) and the
+def _checked_stream(state: OvqState, q, k, v) -> tuple:
+    """The stream's q, k and v as arrays and whether q equals k: [T, d]
+    rows judged once by ``check_head_rows``, the rule every chunk of them
+    would meet, and v within the state dtype's range. float32 and float64
+    streams keep their dtype, so chunks convert as they are cut and no
+    converted copy of the stream is held; any other dtype is converted
+    here, so its rows are judged as the chunks will hold them."""
+    dt = DTYPES[state.config.dtype]
+    arrays = []
+    for name, m in zip("qkv", (q, k, v)):
+        if m is not None:
+            _leading_len(m, f"{name} stream")
+            m = np.asarray(m)
+            if m.dtype.name not in DTYPES:
+                m = m.astype(dt)
+            if m.ndim != 2 or m.shape[1] != state.d:
+                raise ConfigurationError(f"{name} stream must be [T, {state.d}], got {m.shape}")
+        arrays.append(m)
+    q, k, v = arrays
+    t = len(k)
+    if t < 1 or len(v) != t or (q is not None and len(q) != t):
+        raise ConfigurationError("stream needs one or more tokens and equally long q/k/v")
+    q_is_k = check_head_rows(q, k, v, " stream")
+    if np.finfo(v.dtype).max > np.finfo(dt).max:
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.array([v.min(), v.max()], dtype=dt)).all():
+                row = int(np.argmin(np.isfinite(v.astype(dt)).all(axis=1)))
+                raise ConfigurationError(
+                    f"v stream has entries outside the {dt.__name__} range in row {row}"
+                )
+    return q, k, v, q_is_k
+
+
+def _chunk_step(state: OvqState, q_chunk, k_chunk, v_chunk, q_is_k: bool):
+    """The one chunk step behind every chunk entry, for [L, d] rows already
+    checked and in the state dtype (``q_chunk`` None for absorb alone, and
+    ``q_is_k`` whether q equals k): take the key–dictionary product once,
+    decide (``select_new_centroids``), predict when there are queries, then
+    merge. Returns the [L, d] outputs (None without queries) and the
     chunk's record."""
-    q_chunk, k_chunk, v_chunk, q_is_k = _checked_chunk(state, q_chunk, k_chunk, v_chunk)
     sims = _dictionary_sims(state, k_chunk)
     assignments, seeds = select_new_centroids(state, k_chunk, sims)
     out = None
@@ -554,8 +591,9 @@ def _chunk_step(state: OvqState, q_chunk, k_chunk, v_chunk):
 def absorb_chunk(state: OvqState, k_chunk, v_chunk) -> ChunkUpdateRecord:
     """State update alone (seed selection, assignment, dictionary merge),
     without computing predictions: the chunk step of ``ovq_forward_chunk``
-    with no queries. Used when only the final memory matters."""
-    return _chunk_step(state, None, k_chunk, v_chunk)[1]
+    with no queries, after the chunk is checked. Used when only the final
+    memory matters."""
+    return _chunk_step(state, *_checked_chunk(state, None, k_chunk, v_chunk))[1]
 
 
 def ovq_forward_chunk(
@@ -569,7 +607,7 @@ def ovq_forward_chunk(
     This is ``absorb_chunk``'s step with queries. It holds one [L, n_active]
     array: predict overwrites the key–dictionary product once absorb's
     decisions are read from it, or the query product that replaces it."""
-    return _chunk_step(state, q_chunk, k_chunk, v_chunk)
+    return _chunk_step(state, *_checked_chunk(state, q_chunk, k_chunk, v_chunk))
 
 
 def dictionary_readout(state: OvqState, queries: np.ndarray) -> np.ndarray:
@@ -594,22 +632,23 @@ def stream_chunks(state: OvqState, k, v, q=None) -> np.ndarray | None:
     and then absorbed; without, it is only absorbed.
 
     Returns the [T, d] outputs in the state's dtype, None without queries.
-    Each chunk writes its rows into one array allocated up front, so the
-    outputs are never held twice. What the stream did to the dictionary
-    is read from ``state``.
+    The stream is checked once, by the rule of ``ovq_forward_chunk``, before
+    its first chunk, so a refused stream leaves ``state`` unchanged; its
+    chunks then run the chunk step unchecked. Each chunk writes its rows
+    into one array allocated up front, so the outputs are never held
+    twice. What the stream did to the dictionary is read from ``state``.
     """
-    t = _leading_len(k, "k stream")
-    same = _leading_len(v, "v stream") == t and (q is None or _leading_len(q, "q stream") == t)
-    if t < 1 or not same:
-        raise ConfigurationError("stream needs one or more tokens and equally long q/k/v")
-    step = state.config.chunk_len
-    out = None if q is None else np.empty((t, state.d), dtype=DTYPES[state.config.dtype])
-    for start in range(0, t, step):
+    q, k, v, q_is_k = _checked_stream(state, q, k, v)
+    dt, step = DTYPES[state.config.dtype], state.config.chunk_len
+    out = None if q is None else np.empty((len(k), state.d), dtype=dt)
+    for start in range(0, len(k), step):
         chunk = slice(start, start + step)
-        if q is None:
-            absorb_chunk(state, k[chunk], v[chunk])
-        else:
-            out[chunk] = ovq_forward_chunk(state, q[chunk], k[chunk], v[chunk])[0]
+        # q is converted on its own even when it equals k: handed k's rows,
+        # predict's q.k^T would take numpy's a.a^T path, whose last bits differ.
+        rows = [None if m is None else np.asarray(m[chunk], dtype=dt) for m in (q, k, v)]
+        chunk_out = _chunk_step(state, *rows, q_is_k)[0]
+        if out is not None:
+            out[chunk] = chunk_out
     return out
 
 

@@ -89,14 +89,17 @@ def checked_int(name: str, value, low: int, high: int) -> int:
 def check_head_rows(q, k, v, what: str) -> bool:
     """The row rule for one head's [L, d] queries, keys and values, each
     named by its letter and ``what``: q and k rows finite and unit norm
-    (``check_unit_rows``), v finite. q may be None, and is checked only
-    where it differs from k. Returns whether q equals k."""
+    (``check_unit_rows``), v finite; an error names the first bad row. q may
+    be None, and is checked only where it differs from k. Returns whether q
+    equals k."""
     same = q is not None and np.array_equal(q, k)
     if q is not None and not same:
         check_unit_rows(q, f"q{what}")
     check_unit_rows(k, f"k{what}")
-    if not np.isfinite(v).all():
-        raise ConfigurationError(f"v{what} has non-finite entries")
+    finite = np.isfinite(v)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise ConfigurationError(f"v{what} has non-finite entries in row {row}")
     return same
 
 

@@ -826,6 +826,63 @@ class TestUnitNormRule:
             dictionary_readout(state, probes)
 
 
+class TestStreamCheck:
+    """``stream_chunks`` judges the whole stream by the chunk rule before its
+    first chunk: a bad row in the last chunk is refused by stream array and
+    row, and the state keeps what it held."""
+
+    def _stream(self, rng, dtype="float64", t=40, d=3):
+        state = OvqState.fresh(OvqConfig(n_max=8, chunk_len=8, dtype=dtype), d)
+        absorb_chunk(state, unit_rows(rng, 8, d), rng.standard_normal((8, d)))
+        return state, unit_rows(rng, t, d), rng.standard_normal((t, d))
+
+    @pytest.mark.parametrize(
+        "name,bad,queries,message",
+        [
+            ("v", np.nan, None, r"^v stream has non-finite entries in row 35$"),
+            ("v", np.nan, "k", r"^v stream has non-finite entries in row 35$"),
+            ("k", 0.5, None, r"^k stream rows must be finite and unit norm; row 35 has norm 0\.5"),
+            ("k", 0.5, "k", r"^k stream rows must be finite and unit norm; row 35 has norm 0\.5"),
+            ("q", np.nan, "copy", r"^q stream rows must be finite and unit norm; row 35 has norm nan"),
+            ("q", 2.0, "copy", r"^q stream rows must be finite and unit norm; row 35 has norm 2\.0"),
+        ],
+        ids=["v-nan", "v-nan-forward", "k-half", "k-half-forward", "q-nan", "q-norm-2"],
+    )
+    def test_bad_last_chunk_leaves_the_state_alone(self, name, bad, queries, message):
+        rng = np.random.default_rng(54)
+        state, k, v = self._stream(rng)
+        q = {None: None, "k": k, "copy": k.copy()}[queries]
+        if name == "v":
+            v[35, 1] = bad
+        else:
+            {"q": q, "k": k}[name][35] *= bad
+        before = copy.deepcopy(state)
+        with pytest.raises(ConfigurationError, match=message):
+            engine.stream_chunks(state, k, v, q=q)
+        _assert_state_unchanged(state, before)
+
+    @pytest.mark.parametrize("with_queries", [False, True], ids=["absorb", "forward"])
+    def test_float32_state_refuses_a_value_past_its_range_before_any_chunk(self, with_queries):
+        # -1e39 is finite in the float64 stream and -inf once a chunk is cut
+        # to float32; the chunk rule found it only at the last chunk.
+        rng = np.random.default_rng(55)
+        state, k, v = self._stream(rng, "float32")
+        v[35, 2] = -1e39
+        before = copy.deepcopy(state)
+        with pytest.raises(ConfigurationError, match=r"^v stream .* float32 range in row 35$"):
+            engine.stream_chunks(state, k, v, q=k if with_queries else None)
+        _assert_state_unchanged(state, before)
+
+    def test_stream_of_another_dtype_is_judged_as_its_chunks_hold_it(self):
+        # The bool row [1, 1, 0] has norm sqrt(2) once converted; an einsum
+        # over the bools themselves reads True, norm 1.
+        rng = np.random.default_rng(56)
+        state, _, v = self._stream(rng, t=2)
+        k = np.array([[True, False, False], [True, True, False]])
+        with pytest.raises(ConfigurationError, match=r"^k stream .* row 1 has norm 1\.41421356"):
+            engine.stream_chunks(state, k, v)
+
+
 class TestForwardSequence:
     def test_single_chunk_sequence_equals_plain_attention(self):
         rng = np.random.default_rng(18)

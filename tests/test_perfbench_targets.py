@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ovq import OvqConfig, OvqState, engine
+from ovq import OvqConfig, OvqState, engine, reference
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER, WORKLOADS = PERFBENCH / "tracer.py", PERFBENCH / "workloads.py"
@@ -84,3 +84,32 @@ def test_select_span_runs_once_per_chunk(monkeypatch, with_queries):
     state = OvqState.fresh(OvqConfig(n_max=8, chunk_len=5), 4)
     engine.stream_chunks(state, k, rng.standard_normal((37, 4)), q=k if with_queries else None)
     assert len(calls) == state.chunks_seen == 8
+
+
+@pytest.mark.parametrize("with_queries", [False, True], ids=["absorb", "forward"])
+def test_stream_checks_once_and_steps_every_chunk_unchecked(monkeypatch, with_queries):
+    """``stream_chunks`` checks each stream array once, then runs every chunk
+    through ``engine._chunk_step`` and ``engine.select_new_centroids`` by
+    their module names, and never through the checked chunk entries. So the
+    tracer's ``engine.forward_chunk`` and ``engine.absorb_chunk`` spans, and
+    the chunk observers hung on them, see no stream chunk."""
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(name) or original(*a))
+
+    for name in ("_chunk_step", "select_new_centroids", "ovq_forward_chunk", "absorb_chunk"):
+        counted(engine, name)
+    checked = []
+    original_check = reference.check_unit_rows
+    monkeypatch.setattr(
+        reference, "check_unit_rows", lambda m, what: checked.append(what) or original_check(m, what)
+    )
+    rng = np.random.default_rng(1)
+    k, q = (r / np.linalg.norm(r, axis=1, keepdims=True) for r in rng.standard_normal((2, 37, 4)))
+    state = OvqState.fresh(OvqConfig(n_max=8, chunk_len=5), 4)
+    engine.stream_chunks(state, k, rng.standard_normal((37, 4)), q=q if with_queries else None)
+    assert state.chunks_seen == 8
+    assert sorted(calls) == ["_chunk_step"] * 8 + ["select_new_centroids"] * 8
+    assert sorted(checked) == (["k stream", "q stream"] if with_queries else ["k stream"])

@@ -56,8 +56,8 @@ class TestHeadSequence:
         [
             ("q", np.nan, r"^q rows must be finite and unit norm; row 2 has norm nan$"),
             ("k", np.nan, r"^k rows must be finite and unit norm; row 2 has norm nan$"),
-            ("v", np.nan, r"^v has non-finite entries$"),
-            ("v", np.inf, r"^v has non-finite entries$"),
+            ("v", np.nan, r"^v has non-finite entries in row 2$"),
+            ("v", np.inf, r"^v has non-finite entries in row 2$"),
         ],
         ids=["q-nan", "k-nan", "v-nan", "v-inf"],
     )
