@@ -643,8 +643,9 @@ def stream_chunks(state: OvqState, k, v, q=None) -> np.ndarray | None:
     out = None if q is None else np.empty((len(k), state.d), dtype=dt)
     for start in range(0, len(k), step):
         chunk = slice(start, start + step)
-        # q is converted on its own even when it equals k: handed k's rows,
-        # predict's q.k^T would take numpy's a.a^T path, whose last bits differ.
+        # q is converted on its own even when it equals k: given k's own
+        # buffer, predict's q.k^T takes numpy's a.a^T path, whose last bits
+        # differ from the general product's.
         rows = [None if m is None else np.asarray(m[chunk], dtype=dt) for m in (q, k, v)]
         chunk_out = _chunk_step(state, *rows, q_is_k)[0]
         if out is not None:
