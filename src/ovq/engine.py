@@ -13,14 +13,26 @@ then absorbed into it:
    centroids (lowest similarity to the existing dictionary wins), and the
    rest are folded into their nearest centroid with a running-mean step.
 
-Every chunk runs one step on checked rows: compute the key-dictionary
-product once and take absorb's one decision from it
+Every chunk runs one step on checked rows: take absorb's one decision
 (``select_new_centroids``: the budget, the assignments and the seeds);
-with queries, predict turns that product (or the query product, when the
-queries differ from the keys) into dictionary weights in place; the merge
-runs last, so predict sees the old dictionary. ``absorb_chunk`` and
-``ovq_forward_chunk`` check each chunk they are handed; ``stream_chunks``
-checks its whole stream once, before the first chunk touches the state.
+with queries, predict turns the key-dictionary product (or the query
+product, when the queries differ from the keys) into dictionary weights
+in place; the merge runs last, so predict sees the old dictionary.
+``absorb_chunk`` and ``ovq_forward_chunk`` check each chunk they are
+handed; ``stream_chunks`` checks its whole stream once, before the first
+chunk touches the state.
+
+The decision is the float64 key product's row argmax and the stable order
+of its row maxima. When predict does not reuse that product, a float64
+state above a measured size first screens the keys in float32 against a
+float32 [d, n_max] copy of its key rows, the mirror (n_max d 4 bytes,
+built on first use, kept in step by the merge, never stored in
+snapshots), and keeps the screen's answer only where rounding bounds
+prove it the float64 product's: every float32 runner-up more than
+2 (e32 + e64) behind its best, and on a seeding chunk the seeding and the
+next best similarity, one float64 dot per key, more than 4 e64 apart
+(``_dot_error_bound``). Every other chunk runs the float64 product, so
+decisions are bitwise the product's either way.
 
 Dictionary capacity follows a plateauing schedule, floor(t * N / (t + N))
 components after t tokens, so growth is fast early and asymptotes to the
@@ -30,9 +42,10 @@ number of tokens absorbed.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -119,9 +132,31 @@ def require_physical_memory(need: int, what: str) -> None:
 
 
 @dataclass
+class _KeyMirror:
+    """A float64 state's key rows as float32 columns, [d, n_max], for the
+    key screen (``_screened_argmax``). ``rows`` and ``counters`` are the
+    state's key array and (n_active, tokens_seen, chunks_seen) when the
+    first n_active columns last matched its rows."""
+
+    cols: np.ndarray
+    rows: np.ndarray | None = None
+    counters: tuple = ()
+
+    def in_step(self, state: "OvqState") -> bool:
+        return self.rows is state.means_k and self.counters == _counters(state)
+
+
+@dataclass
 class OvqState:
     """Mutable per-head streaming state. Single writer: chunks must be fed
-    in sequence order by one owner. Rows at index >= n_active are zeros."""
+    in sequence order by one owner. Rows at index >= n_active are zeros.
+
+    A float64 state may also hold a private float32 copy of its key rows,
+    the mirror (``_key_mirror``): built on first use by the key screen,
+    updated by ``_merge``, rebuilt when the counters or the key array are
+    not those it last matched, and never stored in snapshots. Code that
+    writes rows other than through ``_merge`` must change ``n_active``, a
+    counter or the array itself, or the mirror is stale."""
 
     config: OvqConfig
     d: int
@@ -131,15 +166,22 @@ class OvqState:
     n_active: int = 0
     tokens_seen: int = 0
     chunks_seen: int = 0
+    _mirror: _KeyMirror | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, config: OvqConfig, d: int) -> "OvqState":
         """An empty state; the head width ``d`` must be an integer in
-        ``D_RANGE``, the range the snapshot header holds."""
+        ``D_RANGE``, the range the snapshot header holds. The memory rule
+        counts the rows and, for float64, the float32 key mirror the state
+        may build."""
         d = checked_int("d", d, *D_RANGE)
         dt = DTYPES[config.dtype]
         need = 2 * config.n_max * d * np.dtype(dt).itemsize
-        require_physical_memory(need, f"the {config.dtype} rows for n_max {config.n_max} and d {d}")
+        what = f"the {config.dtype} rows"
+        if dt == np.float64:
+            need += config.n_max * d * np.dtype(np.float32).itemsize
+            what += " and float32 key mirror"
+        require_physical_memory(need, f"{what} for n_max {config.n_max} and d {d}")
         return cls(
             config=config,
             d=d,
@@ -239,10 +281,111 @@ def _chunk_budget(
     return max(0, min(n_new, lc, config.n_max - n_active))
 
 
-def select_new_centroids(state: OvqState, k_chunk, sims) -> tuple[np.ndarray, np.ndarray]:
-    """Absorb's decision for a checked chunk, leaving the state alone: the
-    [L] assignments and the sorted seeding positions, which take the fresh
-    rows in their own order. ``sims`` is ``k_chunk @ means_k[:n_active].T``.
+# The key screen runs where the float64 key product has at least
+# SCREEN_MIN_ROW entries per key (n_active d) and SCREEN_MIN_PRODUCT in all
+# (L n_active d). Its float32 product costs about half the float64 one, but
+# it adds a conversion, an argmax, a masked row max and L column writes to
+# the mirror in each merge, which cost more than that half on small
+# products. Measured per absorb-only chunk with one BLAS thread (2-core
+# x86-64, OpenBLAS 0.3.31; screen time over today's, full dictionary): at
+# n d = 2^14 it took 1.05-1.25x for L >= 8 and about 1.5x for L = 1; at
+# 2^15, 0.70-1.12x; at 2^16, 0.65-0.99x for L >= 4, but 1.08-1.93x for
+# L = 1 and 0.39-1.23x for L = 2; at 2^17, 0.47-0.88x for L >= 2 and
+# 0.95-1.08x for L = 1; at 2^18, 0.27-0.77x for every L from 1 to 128.
+SCREEN_MIN_ROW = 2**16
+SCREEN_MIN_PRODUCT = 2**18
+
+
+def _dot_error_bound(d: int, dtype) -> float:
+    """A bound on |fl(k . m) - k . m| for a d-entry dot product taken in
+    ``dtype`` after rounding both rows to it, where k is a checked key
+    (norm at most 1 + UNIT_NORM_ATOL) and m a key row (norm at most
+    KEY_ROW_NORM_MAX): gamma_{d+2} = (d+2)u / (1 - (d+2)u) times both norms,
+    with u the unit roundoff; two of the d + 2 roundings are the
+    conversions, d the products and sums in any order, fused or not
+    (Higham 2002, section 3.1, and Cauchy-Schwarz on sum |k_i m_i|). Plus
+    8 d times the smallest subnormal for what underflow adds in the
+    conversions and the products. inf where (d + 2)u >= 1/2. The norm
+    limits are those the checks apply; the factor 1 + 2^-20 covers the
+    rounding of the checks' own norms, relative (d + 2) 2^-53 at most for
+    any d in D_RANGE."""
+    info = np.finfo(dtype)
+    nu = (d + 2) * float(info.eps) / 2
+    if nu >= 0.5:
+        return math.inf
+    norms = (1.0 + UNIT_NORM_ATOL) * KEY_ROW_NORM_MAX * (1.0 + 2.0**-20)
+    return nu / (1.0 - nu) * norms + 8 * d * float(info.smallest_subnormal)
+
+
+@functools.lru_cache(maxsize=64)
+def _screen_margins(d: int) -> tuple[float, float]:
+    """The key screen's two margins at head width d: 2 (e32 + e64) for a
+    float32 argmax, 4 e64 between the seeding and the next best similarity."""
+    e64 = _dot_error_bound(d, np.float64)
+    return 2 * (_dot_error_bound(d, np.float32) + e64), 4 * e64
+
+
+def _counters(state: OvqState) -> tuple:
+    return state.n_active, state.tokens_seen, state.chunks_seen
+
+
+def _key_mirror(state: OvqState) -> np.ndarray:
+    """The float64 state's float32 [d, n_max] key columns, the first
+    n_active of which match its rows: allocated on first use (the n_max d
+    float32 ``OvqState.fresh`` counts) and refilled when not in step."""
+    mirror = state._mirror
+    if mirror is None:
+        mirror = state._mirror = _KeyMirror(np.zeros((state.d, state.config.n_max), np.float32))
+    if not mirror.in_step(state):
+        n = state.n_active
+        mirror.cols[:, :n] = state.means_k[:n].T
+        mirror.rows, mirror.counters = state.means_k, _counters(state)
+    return mirror.cols
+
+
+def _screened_argmax(state: OvqState, k_chunk, ranked: int):
+    """The float64 key product's row argmax, found from the float32 mirror,
+    or None where that is not provably the float64 answer or the screen
+    does not run (not float64, or a product below ``SCREEN_MIN_ROW`` or
+    ``SCREEN_MIN_PRODUCT``). With e32 and e64 the ``_dot_error_bound``s,
+    every float32 and float64 similarity is within e of the exact one, so
+    a key whose float32 runner-up trails its best by more than
+    2 (e32 + e64) has that best as its unique float64 argmax. Where the
+    chunk seeds its ``ranked`` least-covered keys, the best similarities are
+    taken again, one float64 dot per key, and the ranked-th and next
+    smallest must differ by more than 4 e64: each dot is within 2 e64 of
+    the product's entry, so both pick the same keys. Returns (assignments,
+    best similarities or None when ``ranked`` is 0)."""
+    n, d = state.n_active, state.d
+    row = n * d
+    if state.means_k.dtype != np.float64 or row < SCREEN_MIN_ROW:
+        return None
+    if len(k_chunk) * row < SCREEN_MIN_PRODUCT:
+        return None
+    sims = k_chunk.astype(np.float32) @ _key_mirror(state)[:, :n]
+    rows = np.arange(len(k_chunk))
+    assignments = np.argmax(sims, axis=1)
+    best = sims[rows, assignments].astype(np.float64)
+    sims[rows, assignments] = -np.inf  # the masked row max is the runner-up
+    argmax_margin, rank_margin = _screen_margins(d)
+    if not (best - sims.max(axis=1) > argmax_margin).all():
+        return None
+    if not ranked:
+        return assignments, None
+    best = np.einsum("ij,ij->i", k_chunk, state.means_k[assignments])
+    if ranked < len(best):
+        low = np.partition(best, (ranked - 1, ranked))
+        if not low[ranked] - low[ranked - 1] > rank_margin:
+            return None
+    return assignments, best
+
+
+def select_new_centroids(state: OvqState, k_chunk, sims=None) -> tuple[np.ndarray, np.ndarray]:
+    """Absorb's decision for a checked chunk, leaving the state's rows and
+    counts alone: the [L] assignments and the sorted seeding positions,
+    which take the fresh rows in their own order. ``sims`` is
+    ``k_chunk @ means_k[:n_active].T``, or None for this call to find what
+    it needs.
 
     The chunk seeds ``_chunk_budget`` centroids; every other key goes to
     its nearest centroid. The keys whose best dot product against the
@@ -252,12 +395,29 @@ def select_new_centroids(state: OvqState, k_chunk, sims) -> tuple[np.ndarray, np
     to every seed so far, until the budget is filled; the other keys go to
     their most similar seed. The random_assign ablation seeds a uniform
     sample drawn from the config seed and the chunk's index, so a reloaded
-    snapshot draws what an uninterrupted stream would have drawn."""
+    snapshot draws what an uninterrupted stream would have drawn.
+
+    Without ``sims``, a float64 state first screens the keys in float32
+    against its key mirror (``_screened_argmax``: the product's row argmax
+    and seeds only where rounding bounds prove them the float64 product's)
+    and computes the float64 product only where the screen does not run
+    or cannot decide, so every decision is the product's, bitwise. The
+    mirror costs n_max d float32 bytes, allocated on the first screened
+    chunk."""
     cfg = state.config
     lc = k_chunk.shape[0]
     n_new = _chunk_budget(state.tokens_seen, lc, state.chunks_seen + 1, state.n_active, cfg)
-    if state.n_active:
+    # Seeds ranked by best similarity need those similarities.
+    ranked = n_new if state.n_active and cfg.ablation != "random_assign" else 0
+    screened = None if sims is not None else _screened_argmax(state, k_chunk, ranked)
+    if screened is not None:
+        assignments, best = screened
+    elif state.n_active:
+        if sims is None:
+            sims = _dictionary_sims(state, k_chunk)
         assignments = np.argmax(sims, axis=1)
+        # A row's max is its value at its argmax: one gather serves both.
+        best = sims[np.arange(lc), assignments] if ranked else None
     else:
         assignments = np.zeros(lc, dtype=np.int64)
     if n_new == 0:
@@ -278,9 +438,7 @@ def select_new_centroids(state: OvqState, k_chunk, sims) -> tuple[np.ndarray, np
                 best[pick] = np.inf
         seeds = np.array(sorted(selected), dtype=np.int64)
     else:
-        # A row's max is its value at its argmax: one gather serves both.
-        order = np.argsort(sims[np.arange(lc), assignments], kind="stable")
-        seeds = np.sort(order[:n_new]).astype(np.int64)
+        seeds = np.sort(np.argsort(best, kind="stable")[:n_new]).astype(np.int64)
     assignments[seeds] = state.n_active + np.arange(n_new)
     if state.n_active == 0:
         others = np.ones(lc, dtype=bool)
@@ -359,11 +517,16 @@ def _merge(state: OvqState, k_chunk, v_chunk, assignments, seeds) -> np.ndarray:
     """The dictionary update behind every chunk entry, for inputs valid by
     construction: ``seeds`` lists the seeding chunk positions in the order of
     the fresh rows they take. Deltas land by one ``np.add.at`` on each row
-    array's flat view (see ``update_dictionary``). Advances the token and
-    chunk counters and returns the [L] learning rates, 1.0 for seeding tokens."""
+    array's flat view (see ``update_dictionary``). A key mirror in step with
+    the rows gets the touched rows as columns and stays in step. Advances
+    the token and chunk counters and returns the [L] learning rates, 1.0
+    for seeding tokens."""
     for name in ("means_k", "means_v"):
         if not getattr(state, name).flags.c_contiguous:
             raise InvalidStateError(f"{name} must be C-contiguous for the merge's flat view")
+    mirror = state._mirror
+    if mirror is not None and not mirror.in_step(state):
+        mirror = None  # rebuilt on its next use
     cfg = state.config
     lc = len(assignments)
     state.tokens_seen += lc
@@ -396,6 +559,9 @@ def _merge(state: OvqState, k_chunk, v_chunk, assignments, seeds) -> np.ndarray:
         delta = x - means[targets]
         delta *= lr_col
         np.add.at(means.reshape(-1), flat, delta.ravel())
+    if mirror is not None:
+        mirror.cols[:, assignments] = state.means_k[assignments].T
+        mirror.counters = _counters(state)
     if not n_new:
         return rates
     lrs = np.ones(lc)
@@ -571,16 +737,15 @@ def _checked_stream(state: OvqState, q, k, v) -> tuple:
 def _chunk_step(state: OvqState, q_chunk, k_chunk, v_chunk, q_is_k: bool):
     """The one chunk step behind every chunk entry, for [L, d] rows already
     checked and in the state dtype (``q_chunk`` None for absorb alone, and
-    ``q_is_k`` whether q equals k): take the key–dictionary product once,
-    decide (``select_new_centroids``), predict when there are queries, then
-    merge. Returns the [L, d] outputs (None without queries) and the
-    chunk's record."""
-    sims = _dictionary_sims(state, k_chunk)
+    ``q_is_k`` whether q equals k): decide (``select_new_centroids``, handed
+    the key–dictionary product when predict reuses it, that is when q is
+    k), predict when there are queries, then merge. Returns the [L, d]
+    outputs (None without queries) and the chunk's record."""
+    sims = _dictionary_sims(state, k_chunk) if q_is_k else None
     assignments, seeds = select_new_centroids(state, k_chunk, sims)
     out = None
     if q_chunk is not None:
         if not q_is_k:
-            del sims  # spent: free it before the query product takes its place
             sims = _dictionary_sims(state, q_chunk)
         out = _predict_chunk(state, q_chunk, k_chunk, v_chunk, sims)
     del sims  # spent: the merge runs without the chunk's largest array

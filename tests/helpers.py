@@ -14,7 +14,14 @@ import tracemalloc
 import numpy as np
 
 from ovq import HeadSequence, absorb_chunk, ovq_forward_chunk
-from ovq.engine import _chunk_budget, _logit_shift, _subtract_row_max, with_planned_chunks
+from ovq.engine import (
+    DTYPES,
+    _chunk_budget,
+    _logit_shift,
+    _merge,
+    _subtract_row_max,
+    with_planned_chunks,
+)
 from ovq.reference import masked_softmax, quantize_keys
 
 
@@ -129,6 +136,48 @@ def stepped_chunks(state, k, v, q=None):
         assert state.n_active - before == len(record.new_centroid_positions)
         actives.append(state.n_active)
     return actives
+
+
+def product_decided_chunks(state, k, v):
+    """Absorb ``k`` and ``v`` into ``state`` chunk by chunk, each chunk's
+    decision taken as the engine took it before its float32 key screen:
+    the float64 (or float32) product ``k @ means_k[:n].T``, its row argmax,
+    and as seeds the first budget positions of a stable argsort of the row
+    maxima (the random_assign draw, or the greedy bootstrap into an empty
+    dictionary), stepped through ``engine._merge``. Returns the
+    (assignments, seeds, learning rates) of every chunk."""
+    cfg, dt = state.config, DTYPES[state.config.dtype]
+    records = []
+    for start in range(0, len(k), cfg.chunk_len):
+        kc, vc = (np.asarray(m[start : start + cfg.chunk_len], dtype=dt) for m in (k, v))
+        n, lc = state.n_active, len(kc)
+        n_new = _chunk_budget(state.tokens_seen, lc, state.chunks_seen + 1, n, cfg)
+        sims = kc @ state.means_k[:n].T
+        assignments = np.argmax(sims, axis=1) if n else np.zeros(lc, dtype=np.int64)
+        if n_new == 0:
+            seeds = np.empty(0, dtype=np.int64)
+        elif cfg.ablation == "random_assign":
+            rng = np.random.default_rng([cfg.seed, state.chunks_seen + 1])
+            seeds = np.sort(rng.choice(lc, size=n_new, replace=False)).astype(np.int64)
+        elif n == 0:
+            selected, best = [0], kc @ kc[0]
+            best[0] = np.inf
+            while len(selected) < n_new:
+                pick = int(np.argmin(best))
+                selected.append(pick)
+                best = np.maximum(best, kc @ kc[pick])
+                best[pick] = np.inf
+            seeds = np.array(sorted(selected), dtype=np.int64)
+        else:
+            order = np.argsort(sims.max(axis=1), kind="stable")
+            seeds = np.sort(order[:n_new]).astype(np.int64)
+        assignments[seeds] = n + np.arange(n_new)
+        if n == 0:
+            others = np.ones(lc, dtype=bool)
+            others[seeds] = False
+            assignments[others] = np.argmax(kc[others] @ kc[seeds].T, axis=1)
+        records.append((assignments, seeds, _merge(state, kc, vc, assignments, seeds)))
+    return records
 
 
 def traced_peak(call):

@@ -30,6 +30,7 @@ from ovq.engine import select_new_centroids, update_dictionary
 from ovq.reference import KEY_ROW_NORM_MAX, UNIT_NORM_ATOL
 
 from helpers import (
+    product_decided_chunks,
     random_sequence,
     stepped_chunks,
     traced_peak,
@@ -665,10 +666,176 @@ class TestForwardChunkMemory:
         dt = state.means_k.dtype
         k, v = unit_rows(rng, L, d).astype(dt), rng.standard_normal((L, d)).astype(dt)
         q = k if queries == "q is k" else unit_rows(rng, L, d).astype(dt)
+        if dtype == "float64":
+            # The key mirror is state memory, like the rows: built before the trace.
+            engine._key_mirror(state)
         peak, (out, _) = traced_peak(lambda: ovq_forward_chunk(state, q, k, v))
         assert np.isfinite(out).all()
         block = L * n * dt.itemsize
         assert peak <= 1.5 * block, f"peak {peak / block:.2f} blocks"
+
+
+def _screened_state(rng, n, d, n_max=None, rows=None):
+    """A float64 state of n unit key rows (``rows`` if given) set directly,
+    counts 1, with room for ``n_max`` rows (n when None)."""
+    state = OvqState.fresh(OvqConfig(n_max=n_max or n, chunk_len=32), d)
+    state.means_k[:n] = unit_rows(rng, n, d) if rows is None else rows
+    state.means_v[:n] = rng.standard_normal((n, d))
+    state.counts[:n] = 1
+    state.n_active = state.tokens_seen = state.chunks_seen = n
+    return state
+
+
+def _records(records):
+    return [(r.assignments, r.new_centroid_positions, r.learning_rates) for r in records]
+
+
+def _assert_records_equal(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(g, w))
+
+
+class TestKeyScreen:
+    """Absorb's float32 key screen against the float64 state's key mirror
+    decides only what the float64 key product would decide, bitwise."""
+
+    # n d = SCREEN_MIN_ROW and L n d = 4 SCREEN_MIN_PRODUCT // 4 ... at L = 4.
+    N, D, L = 512, 128, 4
+
+    def _near_tie(self):
+        """A state whose rows 0 and 1 are within 1e-9 of each other in float64
+        similarity to key 0 (row 0 ahead), while the float32 product against
+        the mirror puts row 1 ahead by at least one float32 step; keys 1-3
+        are rows 10-12 themselves. Found by a seeded search."""
+        rng = np.random.default_rng(60)
+        n, d, L = self.N, self.D, self.L
+        for _ in range(200):
+            state = _screened_state(rng, n, d)
+            key = unit_rows(rng, 1, d)[0]
+            row = state.means_k[0] + 0.5 * key
+            row /= np.linalg.norm(row)
+            wiggle = 1e-7 * rng.standard_normal(d)
+            wiggle -= (wiggle @ key) * key
+            state.means_k[0], state.means_k[1] = row, row + wiggle - 1e-9 * key
+            keys = np.vstack([key, state.means_k[10:13]])
+            sims64 = keys @ state.means_k[:n].T
+            sims32 = keys.astype(np.float32) @ engine._key_mirror(state)[:, :n]
+            if sims32[0, 1] > sims32[0, 0]:
+                break
+        assert 0.5e-9 < sims64[0, 0] - sims64[0, 1] < 2e-9
+        assert np.argmax(sims64[0]) == 0 and np.argmax(sims32[0]) == 1
+        state._mirror = None
+        return state, keys, rng.standard_normal((L, d))
+
+    @pytest.mark.parametrize("queries", [False, True], ids=["absorb", "forward"])
+    def test_a_float32_flip_of_a_float64_near_tie_takes_the_float64_winner(self, queries):
+        state, keys, values = self._near_tie()
+        want = product_decided_chunks(copy.deepcopy(state), keys, values)
+        if queries:
+            q = unit_rows(np.random.default_rng(61), self.L, self.D)
+            record = ovq_forward_chunk(state, q, keys, values)[1]
+        else:
+            record = absorb_chunk(state, keys, values)
+        assert state._mirror is not None  # the screen ran, and fell back
+        assert record.assignments[0] == 0
+        _assert_records_equal(_records([record]), want)
+
+    def test_seeds_are_the_products_where_the_dot_products_order_them_otherwise(self):
+        """Two near-equal keys whose best similarities, taken one float64 dot
+        per key, order them one way and the float64 product the other: the
+        one seed goes where the product puts it."""
+        rng = np.random.default_rng(62)
+        n, d, L = self.N, self.D, 8
+        for _ in range(400):
+            state = _screened_state(rng, n, d, n_max=n + 1)
+            key = state.means_k[20] + 0.8 * unit_rows(rng, 1, d)[0]
+            twins = key + 1e-15 * rng.standard_normal((2, d))
+            twins /= np.linalg.norm(twins, axis=1, keepdims=True)
+            keys = np.vstack([twins, state.means_k[30 : 30 + L - 2]])
+            best = (keys @ state.means_k[:n].T)[:2].max(axis=1)
+            dots = np.einsum("ij,ij->i", keys[:2], state.means_k[[20, 20]])
+            if (best[0] < best[1]) != (dots[0] < dots[1]) and dots[0] != dots[1]:
+                break
+        assert np.argmax(keys[:2] @ state.means_k[:n].T, axis=1).tolist() == [20, 20]
+        want = product_decided_chunks(copy.deepcopy(state), keys, rng.standard_normal((L, d)))
+        assert want[0][1].tolist() == [int(np.argmin(best))]
+        record = absorb_chunk(state, keys, np.zeros((L, d)))
+        assert state._mirror is not None
+        assert np.array_equal(record.new_centroid_positions, want[0][1])
+
+    def test_key_product_runs_only_where_the_screen_cannot_decide(self, monkeypatch):
+        # 16,384 clustered keys (512 centres, noise 1.5 as perfbench's
+        # recall-absorb), d 64, n_max 2,048, chunk_len 32: the product runs
+        # on the 63 chunks below the size rule past the bootstrap and on
+        # the screen's fallbacks, 1-6 of 448 over seeds 0-5.
+        rng = np.random.default_rng(3)
+        T, d, L = 16384, 64, 32
+        centers = unit_rows(rng, 512, d)
+        k = centers[rng.integers(0, 512, T)] + 1.5 * rng.standard_normal((T, d)) / np.sqrt(d)
+        k /= np.linalg.norm(k, axis=1, keepdims=True)
+        v = rng.standard_normal((T, d))
+        state = OvqState.fresh(OvqConfig(n_max=2048, chunk_len=L), d)
+        want_state = copy.deepcopy(state)
+        want = product_decided_chunks(want_state, k, v)
+        products, original = [], engine._dictionary_sims
+        monkeypatch.setattr(
+            engine, "_dictionary_sims", lambda st, x: products.append(st.n_active) or original(st, x)
+        )
+        below, got = 0, []
+        for a in range(0, T, L):
+            below += 0 < state.n_active * d < engine.SCREEN_MIN_ROW
+            got.append(absorb_chunk(state, k[a : a + L], v[a : a + L]))
+        _assert_records_equal(_records(got), want)
+        _assert_state_unchanged(state, want_state)
+        screened = [n for n in products if n * d >= engine.SCREEN_MIN_ROW]
+        assert len(products) - len(screened) == below == 63
+        assert len(screened) <= 16
+
+    @pytest.mark.parametrize("queries", ["q is k", "q differs"])
+    def test_only_a_stream_with_queries_apart_from_its_keys_builds_a_mirror(self, queries):
+        rng = np.random.default_rng(63)
+        seq = random_sequence(rng, 4096, 64, 8.0)
+        if queries == "q is k":
+            seq = reference.HeadSequence(seq.k, seq.k, seq.v, 8.0)
+        _, state = ovq_forward_sequence(OvqConfig(n_max=2048, chunk_len=128), seq)
+        assert state.n_active * 64 >= engine.SCREEN_MIN_ROW
+        assert (state._mirror is None) == (queries == "q is k")
+
+    @pytest.mark.parametrize("rewrite", ["rows and n_active", "a new row array"])
+    def test_rows_written_directly_are_screened_as_written(self, rewrite):
+        """A state set directly, absorbed (building the mirror), then given
+        new rows directly: the next chunk decides on the new rows."""
+        rng = np.random.default_rng(64)
+        n, d = 1100, 64
+        state = _screened_state(rng, n, d, n_max=1200)
+        absorb_chunk(state, *_chunk(rng, 32, d))
+        assert state._mirror is not None
+        rows = unit_rows(rng, 1150, d)
+        if rewrite == "a new row array":
+            fresh = np.zeros_like(state.means_k)
+            fresh[: state.n_active] = rows[: state.n_active]
+            state.means_k = fresh
+        else:
+            state.means_k[:1150] = rows
+            state.counts[state.n_active : 1150] = 1
+            state.n_active, state.tokens_seen = 1150, int(state.counts.sum())
+        k, v = _chunk(rng, 32, d)
+        want = product_decided_chunks(copy.deepcopy(state), k, v)
+        _assert_records_equal(_records([absorb_chunk(state, k, v)]), want)
+
+    def test_fresh_counts_the_mirror_bytes(self, monkeypatch):
+        # n_max 16, d 4: float64 rows take 1,024 bytes and the mirror 256.
+        ram = [0]
+        monkeypatch.setattr(
+            engine.os, "sysconf", lambda name: ram[0] if name == "SC_PHYS_PAGES" else 1
+        )
+        ram[0] = 1280
+        assert OvqState.fresh(OvqConfig(n_max=16), 4)._mirror is None
+        ram[0] = 1279
+        with pytest.raises(ConfigurationError, match=r"float64 rows and float32 key mirror"):
+            OvqState.fresh(OvqConfig(n_max=16), 4)
+        ram[0] = 512  # float32 rows alone, no mirror
+        OvqState.fresh(OvqConfig(n_max=16, dtype="float32"), 4)
 
 
 class TestFloat32BetaBound:
