@@ -380,7 +380,7 @@ def _screened_argmax(state: OvqState, k_chunk, ranked: int):
     return assignments, best
 
 
-def select_new_centroids(state: OvqState, k_chunk, sims=None) -> tuple[np.ndarray, np.ndarray]:
+def select_new_centroids(state: OvqState, k_chunk, sims) -> tuple[np.ndarray, np.ndarray]:
     """Absorb's decision for a checked chunk, leaving the state's rows and
     counts alone: the [L] assignments and the sorted seeding positions,
     which take the fresh rows in their own order. ``sims`` is

@@ -699,7 +699,8 @@ class TestKeyScreen:
     """Absorb's float32 key screen against the float64 state's key mirror
     decides only what the float64 key product would decide, bitwise."""
 
-    # n d = SCREEN_MIN_ROW and L n d = 4 SCREEN_MIN_PRODUCT // 4 ... at L = 4.
+    # n d = SCREEN_MIN_ROW and, at L = 4 keys, L n d = SCREEN_MIN_PRODUCT:
+    # the smallest chunk the screen takes.
     N, D, L = 512, 128, 4
 
     def _near_tie(self):
@@ -709,16 +710,18 @@ class TestKeyScreen:
         are rows 10-12 themselves. Found by a seeded search."""
         rng = np.random.default_rng(60)
         n, d, L = self.N, self.D, self.L
+        state = _screened_state(rng, n, d)
+        base = state.means_k[0].copy()
         for _ in range(200):
-            state = _screened_state(rng, n, d)
             key = unit_rows(rng, 1, d)[0]
-            row = state.means_k[0] + 0.5 * key
+            row = base + 0.5 * key
             row /= np.linalg.norm(row)
             wiggle = 1e-7 * rng.standard_normal(d)
             wiggle -= (wiggle @ key) * key
             state.means_k[0], state.means_k[1] = row, row + wiggle - 1e-9 * key
             keys = np.vstack([key, state.means_k[10:13]])
             sims64 = keys @ state.means_k[:n].T
+            state._mirror = None  # rows 0 and 1 were written directly
             sims32 = keys.astype(np.float32) @ engine._key_mirror(state)[:, :n]
             if sims32[0, 1] > sims32[0, 0]:
                 break
@@ -746,8 +749,8 @@ class TestKeyScreen:
         one seed goes where the product puts it."""
         rng = np.random.default_rng(62)
         n, d, L = self.N, self.D, 8
+        state = _screened_state(rng, n, d, n_max=n + 1)
         for _ in range(400):
-            state = _screened_state(rng, n, d, n_max=n + 1)
             key = state.means_k[20] + 0.8 * unit_rows(rng, 1, d)[0]
             twins = key + 1e-15 * rng.standard_normal((2, d))
             twins /= np.linalg.norm(twins, axis=1, keepdims=True)
@@ -756,6 +759,7 @@ class TestKeyScreen:
             dots = np.einsum("ij,ij->i", keys[:2], state.means_k[[20, 20]])
             if (best[0] < best[1]) != (dots[0] < dots[1]) and dots[0] != dots[1]:
                 break
+        assert (best[0] < best[1]) != (dots[0] < dots[1]) and dots[0] != dots[1]
         assert np.argmax(keys[:2] @ state.means_k[:n].T, axis=1).tolist() == [20, 20]
         want = product_decided_chunks(copy.deepcopy(state), keys, rng.standard_normal((L, d)))
         assert want[0][1].tolist() == [int(np.argmin(best))]

@@ -360,7 +360,6 @@ def test_planned_components_are_the_replayed_and_the_realized_growth(plan, seed)
         assert state.n_active == looped_planned_active_components(streamed, cfg)
 
 
-
 def _tie_keys(rng, kind, t, d):
     """[t, d] unit keys of one kind: rows of a 2-40-row vocabulary; signed
     one-hot rows (exact ties, and -0.0 in every other entry of a negative
