@@ -18,9 +18,9 @@ Every chunk runs one step on checked rows: take absorb's one decision
 with queries, predict turns the key-dictionary product (or the query
 product, when the queries differ from the keys) into dictionary weights
 in place; the merge runs last, so predict sees the old dictionary.
-``absorb_chunk`` and ``ovq_forward_chunk`` check each chunk they are
-handed; ``stream_chunks`` checks its whole stream once, before the first
-chunk touches the state.
+Every entry checks rows by one rule (``_checked_rows``): the chunk entries
+judge each chunk as a one-chunk stream of at most ``chunk_len`` tokens;
+``stream_chunks`` its whole stream once, before the first chunk.
 
 The decision is the float64 key product's row argmax and the stable order
 of its row maxima. When predict does not reuse that product, a float64
@@ -65,6 +65,7 @@ from .reference import (
 ABLATIONS = ("none", "random_assign", "linear_growth", "constant_lr")
 FAULTS = ("none", "count_skip", "mask_off_by_one", "growth_over_alloc")
 DTYPES = {"float64": np.float64, "float32": np.float32}
+_ROW_TYPES = tuple(DTYPES.values())  # row dtypes judged as given
 # Seeds must fit the snapshot header's signed 64-bit field.
 SEED_MAX = 2**63 - 1
 # OvqConfig's integer fields and the ranges the snapshot header holds.
@@ -470,23 +471,20 @@ def update_dictionary(
     bitwise unchanged.
 
     This is the checked entry point for callers that choose their own
-    assignments and seeds: it rejects, before any state change, chunk and
-    assignment shapes that disagree, the chunks ``absorb_chunk`` rejects,
+    assignments and seeds: it rejects, before any state change, the chunks
+    ``absorb_chunk`` rejects, assignments that are not one per chunk row,
     growth past n_max, repeated or out-of-chunk seed positions, assignments
     that are not integers or fall outside the grown dictionary, and seeds
     that do not point at the fresh rows. The chunk entries build valid
     assignments and skip these checks.
     """
-    lc = _leading_len(k_chunk, "k chunk")
+    _, k_chunk, v_chunk, _ = _checked_rows(state, None, k_chunk, v_chunk)
+    lc = len(k_chunk)
     assignments = np.asarray(assignments)
-    shapes = (np.shape(k_chunk), np.shape(v_chunk), assignments.shape)
-    if shapes != ((lc, state.d), (lc, state.d), (lc,)):
-        raise ConfigurationError(
-            f"update needs [L, {state.d}] k and v chunks and L assignments, got shapes {shapes}"
-        )
+    if assignments.shape != (lc,):
+        raise ConfigurationError(f"update needs {lc} assignments, got shape {assignments.shape}")
     if not np.issubdtype(assignments.dtype, np.integer):
         raise ConfigurationError(f"assignments must be integers, got {assignments.dtype}")
-    _, k_chunk, v_chunk, _ = _checked_chunk(state, None, k_chunk, v_chunk)
     positions = np.asarray(new_centroid_positions)
     n_new = len(positions)
     grown = state.n_active + n_new
@@ -507,6 +505,7 @@ def update_dictionary(
         if not np.array_equal(assignments[positions], np.arange(state.n_active, grown)):
             raise InvalidStateError("seeding tokens must point at the fresh indices")
 
+    k_chunk, v_chunk = (np.asarray(m, dtype=DTYPES[state.config.dtype]) for m in (k_chunk, v_chunk))
     # Range-checked, so int64 holds them; a narrower flat index would wrap.
     lrs = _merge(state, k_chunk, v_chunk, assignments.astype(np.int64, copy=False), positions)
     seeds = np.asarray(new_centroid_positions, dtype=np.int64)
@@ -679,68 +678,64 @@ def _predict_chunk(state: OvqState, q_chunk, k_chunk, v_chunk, sims) -> np.ndarr
     return (out + dict_out) / (total + dict_total)
 
 
-def _leading_len(m, name: str) -> int:
-    """Rows in a chunk or stream ``m``; a 0-d ``m`` is rejected by ``name``."""
-    if not np.ndim(m):
-        raise ConfigurationError(f"{name} must be an array of rows, got a 0-d array")
-    return len(m)
+def _float_rows(m, dt) -> np.ndarray:
+    """``m`` as an array to judge: float32 and float64 as given, any other
+    dtype converted to the state dtype ``dt``."""
+    m = np.asarray(m)
+    return m if m.dtype.type in _ROW_TYPES else m.astype(dt)
 
 
-def _checked_chunk(state: OvqState, q_chunk, k_chunk, v_chunk) -> tuple:
-    """The chunk's q, k and v in the state dtype and whether q equals k:
-    [L, d] arrays with 1 <= L <= chunk_len, checked by ``check_head_rows``.
-    ``q_chunk`` is None for an absorb-only chunk, and stays None."""
-    dt = DTYPES[state.config.dtype]
-    arrays = [None if m is None else np.asarray(m, dtype=dt) for m in (q_chunk, k_chunk, v_chunk)]
-    lc = _leading_len(arrays[1], "k chunk")
-    if not 1 <= lc <= state.config.chunk_len:
-        raise ConfigurationError(f"chunk of {lc} tokens is outside 1..{state.config.chunk_len}")
-    for name, m in zip("qkv", arrays):
-        if m is not None and m.shape != (lc, state.d):
-            raise ConfigurationError(f"{name} chunk must be [{lc}, {state.d}], got {m.shape}")
-    return (*arrays, check_head_rows(*arrays, " chunk"))
-
-
-def _checked_stream(state: OvqState, q, k, v) -> tuple:
-    """The stream's q, k and v as arrays and whether q equals k: [T, d]
-    rows judged once by ``check_head_rows``, the rule every chunk of them
-    would meet, and v within the state dtype's range. float32 and float64
-    streams keep their dtype, so chunks convert as they are cut and no
-    converted copy of the stream is held; any other dtype is converted
-    here, so its rows are judged as the chunks will hold them."""
-    dt = DTYPES[state.config.dtype]
+def _checked_rows(state: OvqState, q, k, v, stream: bool = False) -> tuple:
+    """The one row rule of every entry that takes a head's rows, for a
+    stream or a chunk, whose errors name "k stream", "k chunk" and so on:
+    q (None for none), k and v are [T, d] arrays of equally many rows, T at
+    least 1 and for a chunk at most chunk_len, judged by ``check_head_rows``,
+    with v within the state dtype's range. Returns q, k and v as arrays
+    (``_float_rows``) and whether q equals k. float32 and float64 rows are
+    judged as given, with float64 norms, and keep their dtype, so a float64
+    state holds exactly the rows judged, and a stream is converted chunk by
+    chunk (``_chunk_step``) and never held converted."""
+    dt, what = DTYPES[state.config.dtype], " stream" if stream else " chunk"
     arrays = []
     for name, m in zip("qkv", (q, k, v)):
         if m is not None:
-            _leading_len(m, f"{name} stream")
-            m = np.asarray(m)
-            if m.dtype.name not in DTYPES:
-                m = m.astype(dt)
+            m = _float_rows(m, dt)
             if m.ndim != 2 or m.shape[1] != state.d:
-                raise ConfigurationError(f"{name} stream must be [T, {state.d}], got {m.shape}")
+                raise ConfigurationError(
+                    f"{name}{what} must be [T, {state.d}], got a {m.ndim}-d {m.shape} array"
+                )
         arrays.append(m)
     q, k, v = arrays
-    t = len(k)
-    if t < 1 or len(v) != t or (q is not None and len(q) != t):
-        raise ConfigurationError("stream needs one or more tokens and equally long q/k/v")
-    q_is_k = check_head_rows(q, k, v, " stream")
-    if np.finfo(v.dtype).max > np.finfo(dt).max:
+    t, most = len(k), len(k) if stream else state.config.chunk_len
+    if not 1 <= t <= most or len(v) != t or (q is not None and len(q) != t):
+        limit = "one or more" if stream else f"1 to {most}"
+        raise ConfigurationError(f"{what[1:]} needs {limit} tokens and equally long q/k/v")
+    q_is_k = check_head_rows(q, k, v, what)
+    if dt is np.float32 and v.dtype.type is np.float64:
         with np.errstate(over="ignore"):
             if not np.isfinite(np.array([v.min(), v.max()], dtype=dt)).all():
                 row = int(np.argmin(np.isfinite(v.astype(dt)).all(axis=1)))
                 raise ConfigurationError(
-                    f"v stream has entries outside the {dt.__name__} range in row {row}"
+                    f"v{what} has entries outside the {dt.__name__} range in row {row}"
                 )
     return q, k, v, q_is_k
 
 
 def _chunk_step(state: OvqState, q_chunk, k_chunk, v_chunk, q_is_k: bool):
     """The one chunk step behind every chunk entry, for [L, d] rows already
-    checked and in the state dtype (``q_chunk`` None for absorb alone, and
-    ``q_is_k`` whether q equals k): decide (``select_new_centroids``, handed
-    the key–dictionary product when predict reuses it, that is when q is
-    k), predict when there are queries, then merge. Returns the [L, d]
-    outputs (None without queries) and the chunk's record."""
+    checked (``q_chunk`` None for absorb alone, and ``q_is_k`` whether q
+    equals k): convert the rows to the state dtype, decide
+    (``select_new_centroids``, handed the key–dictionary product when
+    predict reuses it, that is when q is k), predict when there are
+    queries, then merge. Returns the [L, d] outputs (None without queries)
+    and the chunk's record."""
+    dt = DTYPES[state.config.dtype]
+    # q is converted on its own even when it equals k: given k's own
+    # buffer, predict's q.k^T takes numpy's a.a^T path, whose last bits
+    # differ from the general product's.
+    q_chunk, k_chunk, v_chunk = [
+        None if m is None else np.asarray(m, dtype=dt) for m in (q_chunk, k_chunk, v_chunk)
+    ]
     sims = _dictionary_sims(state, k_chunk) if q_is_k else None
     assignments, seeds = select_new_centroids(state, k_chunk, sims)
     out = None
@@ -756,9 +751,9 @@ def _chunk_step(state: OvqState, q_chunk, k_chunk, v_chunk, q_is_k: bool):
 def absorb_chunk(state: OvqState, k_chunk, v_chunk) -> ChunkUpdateRecord:
     """State update alone (seed selection, assignment, dictionary merge),
     without computing predictions: the chunk step of ``ovq_forward_chunk``
-    with no queries, after the chunk is checked. Used when only the final
-    memory matters."""
-    return _chunk_step(state, *_checked_chunk(state, None, k_chunk, v_chunk))[1]
+    with no queries, after the chunk is checked as a one-chunk stream of at
+    most ``chunk_len`` tokens. Used when only the final memory matters."""
+    return _chunk_step(state, *_checked_rows(state, None, k_chunk, v_chunk))[1]
 
 
 def ovq_forward_chunk(
@@ -769,22 +764,27 @@ def ovq_forward_chunk(
     never depend on its own dictionary contribution, and outputs for a
     prefix never change when more chunks follow.
 
-    This is ``absorb_chunk``'s step with queries. It holds one [L, n_active]
-    array: predict overwrites the key–dictionary product once absorb's
-    decisions are read from it, or the query product that replaces it."""
-    return _chunk_step(state, *_checked_chunk(state, q_chunk, k_chunk, v_chunk))
+    This is ``absorb_chunk``'s step with queries, after the same check. It
+    holds one [L, n_active] array: predict overwrites the key–dictionary
+    product once absorb's decisions are read from it, or the query product
+    that replaces it."""
+    return _chunk_step(state, *_checked_rows(state, q_chunk, k_chunk, v_chunk))
 
 
 def dictionary_readout(state: OvqState, queries: np.ndarray) -> np.ndarray:
     """Predict from the stored dictionary alone (no in-flight chunk):
     softmax(beta * q . D_k^T + log counts) over active rows times the value
-    means. This is how probes query a finished stream."""
+    means. This is how probes query a finished stream. The probes are
+    judged as ``stream_chunks`` judges queries: as given when float32 or
+    float64, else converted to the state dtype first."""
     if state.n_active == 0:
         raise InvalidStateError("readout from an empty dictionary")
-    queries = np.atleast_2d(np.asarray(queries, dtype=DTYPES[state.config.dtype]))
+    dt = DTYPES[state.config.dtype]
+    queries = np.atleast_2d(_float_rows(queries, dt))
     if queries.ndim != 2 or queries.shape[1] != state.d:
         raise ConfigurationError(f"queries must be [n, {state.d}], got {queries.shape}")
     check_unit_rows(queries, "queries")
+    queries = queries.astype(dt, copy=False)
     na = state.n_active
     return count_readout(
         state.config.beta, queries, state.means_k[:na], state.counts[:na], state.means_v[:na]
@@ -797,21 +797,18 @@ def stream_chunks(state: OvqState, k, v, q=None) -> np.ndarray | None:
     and then absorbed; without, it is only absorbed.
 
     Returns the [T, d] outputs in the state's dtype, None without queries.
-    The stream is checked once, by the rule of ``ovq_forward_chunk``, before
-    its first chunk, so a refused stream leaves ``state`` unchanged; its
-    chunks then run the chunk step unchecked. Each chunk writes its rows
+    The stream is checked once, by the one row rule (``_checked_rows``),
+    before its first chunk, so a refused stream leaves ``state`` unchanged;
+    its chunks then run the chunk step unchecked. Each chunk writes its rows
     into one array allocated up front, so the outputs are never held
     twice. What the stream did to the dictionary is read from ``state``.
     """
-    q, k, v, q_is_k = _checked_stream(state, q, k, v)
-    dt, step = DTYPES[state.config.dtype], state.config.chunk_len
-    out = None if q is None else np.empty((len(k), state.d), dtype=dt)
+    q, k, v, q_is_k = _checked_rows(state, q, k, v, stream=True)
+    step = state.config.chunk_len
+    out = None if q is None else np.empty((len(k), state.d), dtype=DTYPES[state.config.dtype])
     for start in range(0, len(k), step):
         chunk = slice(start, start + step)
-        # q is converted on its own even when it equals k: given k's own
-        # buffer, predict's q.k^T takes numpy's a.a^T path, whose last bits
-        # differ from the general product's.
-        rows = [None if m is None else np.asarray(m[chunk], dtype=dt) for m in (q, k, v)]
+        rows = [None if m is None else m[chunk] for m in (q, k, v)]
         chunk_out = _chunk_step(state, *rows, q_is_k)[0]
         if out is not None:
             out[chunk] = chunk_out

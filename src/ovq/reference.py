@@ -50,11 +50,11 @@ def _as_f64(a) -> np.ndarray:
 
 def check_unit_rows(m: np.ndarray, name: str) -> None:
     """Every row of the [n, d] matrix ``m`` must have norm within
-    UNIT_NORM_ATOL of 1; a NaN or infinite norm fails too."""
-    norms = np.sqrt(np.einsum("ij,ij->i", m, m))
-    good = np.abs(norms - 1.0) <= UNIT_NORM_ATOL
-    if not good.all():
-        i = int(np.argmin(good))
+    UNIT_NORM_ATOL of 1; a NaN or infinite norm fails too. Norms are taken
+    in float64, without a float64 copy of float32 rows."""
+    norms = np.sqrt(np.einsum("ij,ij->i", m, m, dtype=np.float64))
+    if not np.abs(norms - 1.0).max(initial=0.0) <= UNIT_NORM_ATOL:  # NaN is the max
+        i = int(np.argmin(np.abs(norms - 1.0) <= UNIT_NORM_ATOL))
         raise ConfigurationError(
             f"{name} rows must be finite and unit norm; row {i} has norm {norms[i]:.8f}"
         )

@@ -359,13 +359,21 @@ class TestUpdateDictionary:
             update_dictionary(state, *_chunk(rng, 2), np.array([0, 1]), np.array([position]))
         _assert_state_unchanged(state, before)
 
-    @pytest.mark.parametrize("rows", [(2, 2, 1), (2, 1, 2), (1, 2, 2)])
-    def test_rejects_mismatched_shapes_and_leaves_state_alone(self, rows):
+    # Unequal k and v chunks are refused by the row rule of every chunk entry.
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ((2, 2, 1), r"^update needs 2 assignments, got shape \(1,\)$"),
+            ((2, 1, 2), r"^chunk needs 1 to 4 tokens and equally long q/k/v$"),
+            ((1, 2, 2), r"^chunk needs 1 to 4 tokens and equally long q/k/v$"),
+        ],
+    )
+    def test_rejects_mismatched_shapes_and_leaves_state_alone(self, rows, message):
         rng = np.random.default_rng(48)
         state = self._seeded_state(rng=rng)
         before = copy.deepcopy(state)
         n_k, n_v, n_a = rows
-        with pytest.raises(ConfigurationError, match="assignments"):
+        with pytest.raises(ConfigurationError, match=message):
             update_dictionary(
                 state,
                 unit_rows(rng, n_k, 4),
@@ -998,9 +1006,9 @@ class TestUnitNormRule:
 
 
 class TestStreamCheck:
-    """``stream_chunks`` judges the whole stream by the chunk rule before its
-    first chunk: a bad row in the last chunk is refused by stream array and
-    row, and the state keeps what it held."""
+    """``stream_chunks`` judges the whole stream by the one row rule before
+    its first chunk: a bad row in the last chunk is refused by stream array
+    and row, and the state keeps what it held."""
 
     def _stream(self, rng, dtype="float64", t=40, d=3):
         state = OvqState.fresh(OvqConfig(n_max=8, chunk_len=8, dtype=dtype), d)
@@ -1035,7 +1043,7 @@ class TestStreamCheck:
     @pytest.mark.parametrize("with_queries", [False, True], ids=["absorb", "forward"])
     def test_float32_state_refuses_a_value_past_its_range_before_any_chunk(self, with_queries):
         # -1e39 is finite in the float64 stream and -inf once a chunk is cut
-        # to float32; the chunk rule found it only at the last chunk.
+        # to float32.
         rng = np.random.default_rng(55)
         state, k, v = self._stream(rng, "float32")
         v[35, 2] = -1e39
@@ -1052,6 +1060,82 @@ class TestStreamCheck:
         k = np.array([[True, False, False], [True, True, False]])
         with pytest.raises(ConfigurationError, match=r"^k stream .* row 1 has norm 1\.41421356"):
             engine.stream_chunks(state, k, v)
+
+
+def _near_bound_rows(rng, n, d, dtype):
+    """n rows in ``dtype`` whose norms lie within 3e-7 of 1 + 1e-6 or of
+    1 - 1e-6, the edges of the unit-norm tolerance."""
+    edge = rng.choice([-UNIT_NORM_ATOL, UNIT_NORM_ATOL], size=(n, 1))
+    return (unit_rows(rng, n, d) * (1.0 + edge + rng.uniform(-3e-7, 3e-7, (n, 1)))).astype(dtype)
+
+
+def _refusal(call):
+    """The message ``call`` raises a ConfigurationError with, or None."""
+    try:
+        call()
+    except ConfigurationError as error:
+        return str(error)
+    return None
+
+
+class TestOneRowRule:
+    """Every entry that takes a head's rows judges them by one rule, the
+    stream rule: rows as given, with float64 norms."""
+
+    ENTRIES = {
+        "absorb_chunk": lambda s, q, k, v: absorb_chunk(s, k, v),
+        "update_dictionary": lambda s, q, k, v: update_dictionary(
+            s, k, v, np.zeros(len(k), dtype=int), NO_SEEDS
+        ),
+        "forward_chunk": lambda s, q, k, v: ovq_forward_chunk(s, q, k, v),
+        "forward_chunk_q_is_k": lambda s, q, k, v: ovq_forward_chunk(s, k, k, v),
+    }
+
+    @pytest.mark.parametrize("entry", [*ENTRIES, "dictionary_readout"])
+    @pytest.mark.parametrize("rows", ["float32", "float64"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_chunk_is_judged_as_a_one_chunk_stream(self, dtype, rows, entry):
+        # Probes are judged as the queries of a stream whose keys are unit.
+        rng = np.random.default_rng(57)
+        cfg = OvqConfig(n_max=8, chunk_len=4, dtype=dtype)
+        states = [OvqState.fresh(cfg, 16) for _ in range(2)]
+        for state in states:
+            absorb_chunk(state, unit_rows(np.random.default_rng(58), 4, 16), np.ones((4, 16)))
+        for _ in range(300):
+            q, k = (_near_bound_rows(rng, 2, 16, rows) for _ in "qk")
+            v = rng.standard_normal((2, 16)).astype(rows)
+            if entry == "dictionary_readout":
+                got = _refusal(lambda: dictionary_readout(states[0], q))
+                k = unit_rows(rng, 2, 16).astype(rows)
+                want = _refusal(lambda: engine.stream_chunks(states[1], k, v, q=q))
+                names = ("q stream", "queries")
+            else:
+                got = _refusal(lambda: self.ENTRIES[entry](states[0], q, k, v))
+                queries = {"forward_chunk": q, "forward_chunk_q_is_k": k}.get(entry)
+                want = _refusal(lambda: engine.stream_chunks(states[1], k, v, q=queries))
+                names = (" stream", " chunk")
+            assert got == (want and want.replace(*names))
+
+    @pytest.mark.parametrize("entry", [*ENTRIES, "stream_chunks"])
+    @pytest.mark.parametrize("d", [8, 512])
+    def test_float64_state_holds_no_float32_key_past_the_norm_bound(self, d, entry):
+        # float32 norms taken in float32 arithmetic passed keys whose
+        # float64 norms reach 1 + 1.15e-6. One-token chunks seed most keys
+        # verbatim; update_dictionary seeds every one.
+        rng = np.random.default_rng(59)
+        state = OvqState.fresh(OvqConfig(n_max=400, chunk_len=1), d)
+        feed = {
+            "update_dictionary": lambda k, v: update_dictionary(state, k, v, [state.n_active], [0]),
+            "stream_chunks": lambda k, v: engine.stream_chunks(state, k, v),
+        }.get(entry, lambda k, v: self.ENTRIES[entry](state, k, k, v))
+        accepted = 0
+        for _ in range(400):
+            k = unit_rows(rng, 1, d) * (1.0 + UNIT_NORM_ATOL + rng.uniform(-3e-7, 3e-7))
+            k, v = k.astype(np.float32), rng.standard_normal((1, d)).astype(np.float32)
+            accepted += _refusal(lambda: feed(k, v)) is None
+        rows = state.means_k[: state.n_active]
+        assert accepted > 100 and rows.dtype == np.float64
+        assert np.sqrt(np.einsum("ij,ij->i", rows, rows)).max() <= 1.0 + UNIT_NORM_ATOL
 
 
 class TestForwardSequence:
